@@ -8,7 +8,6 @@ finite-section experiments, and a CLI.
 
 from .analysis import (
     ConvergenceRecord,
-    SweepRow,
     convergence_study,
     detect_outliers,
     hausdorff_distance,

@@ -96,10 +96,13 @@ def _sturm_counts_np(diag, off2, x, tiny):
     p = diag[0] - x
     p = np.where(p == 0.0, tiny, p)
     count = (p < 0.0).astype(np.int64)
-    for i in range(1, diag.shape[0]):
-        p = diag[i] - x - off2[i - 1] / p
-        p = np.where(p == 0.0, tiny, p)
-        count += p < 0.0
+    # a tiny pivot overflows the next quotient to inf, which counts as in
+    # the scalar twins
+    with np.errstate(over="ignore"):
+        for i in range(1, diag.shape[0]):
+            p = diag[i] - x - off2[i - 1] / p
+            p = np.where(p == 0.0, tiny, p)
+            count += p < 0.0
     return count
 
 

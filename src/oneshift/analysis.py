@@ -7,7 +7,6 @@ special-point exclusion rule, and the Bell-CHSH bound stress suite.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -34,15 +33,6 @@ from .tridiag import (
 
 OUTLIER_MARGIN = 0.02
 OUTLIER_ORDER_STEP = 200
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    theta: float
-    eigenvalues: SpectrumSample
-    detected_outliers: List[float]
-    rho_numeric: float
-    rho_closed: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -132,7 +122,7 @@ def _exterior_eigenvalues(m, ess, dist, tol):
     stretches = [np.arange(a, b) for a, b in zip(counts[::2], counts[1::2])]
     # the stretches overlap only when dist < tol
     idx = np.unique(np.concatenate(stretches))
-    return np.sort(tridiag_eigenvalues_at(m, idx, tol=tol))
+    return tridiag_eigenvalues_at(m, idx, tol=tol)
 
 
 def family_params(f):
@@ -263,27 +253,3 @@ def solve_lambda_max_crossing(omega=math.pi / 2, lo=2.36, hi=2.60, tol=1e-9):
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
-
-
-def sweep_rows(f_for_theta, thetas, n, rho_closed_for_theta=None, exclusion_for_theta=None):
-    """Evaluate one SweepRow per grid angle (pure per-point computation)."""
-    rows = []
-    for theta in thetas:
-        fam = f_for_theta(theta)
-        sample = tridiag_eigenvalues(build_sum_truncation(fam, n))
-        ess = two_angle_essential(family_params(fam))
-        s_next = tridiag_eigenvalues(build_sum_truncation(fam, n + OUTLIER_ORDER_STEP))
-        outliers = detect_outliers(sample, ess, OUTLIER_MARGIN, s_next)
-        exclusion = exclusion_for_theta(theta) if exclusion_for_theta else None
-        report = rho_numeric(fam, n, exclusion=exclusion)
-        closed = rho_closed_for_theta(theta) if rho_closed_for_theta else None
-        rows.append(
-            SweepRow(
-                theta=theta,
-                eigenvalues=sample,
-                detected_outliers=outliers,
-                rho_numeric=report.rho,
-                rho_closed=closed,
-            )
-        )
-    return rows

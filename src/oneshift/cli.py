@@ -46,6 +46,8 @@ def even_order(n):
 
 
 def build_family(family, omega, theta):
+    if theta is None:
+        raise ValueError(f"family {family} requires --theta")
     if family == "constant":
         return forms.PairFamily.constant(theta)
     if family == "eq3":
@@ -84,11 +86,17 @@ def read_pair_file(path):
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise ValueError(f"cannot read pair file: {exc}") from exc
+    if not lines:
+        raise ValueError("pair file is empty")
     k = int(lines[0].strip())
+    if len(lines) < 1 + k:
+        raise ValueError(f"pair file has fewer than {k} rows for A")
     a_rows = [[float(v) for v in lines[1 + i].split()] for i in range(k)]
     offset = 1 + k
     while offset < len(lines) and not lines[offset].strip():
         offset += 1
+    if len(lines) < offset + k:
+        raise ValueError(f"pair file has fewer than {k} rows for B")
     b_rows = [[float(v) for v in lines[offset + i].split()] for i in range(k)]
     return forms.GeneralPair(
         a=tridiag.DenseSymmetricMatrix(np.array(a_rows)),
@@ -148,12 +156,16 @@ def cmd_rho(args):
     return 0
 
 
+def _lambda_max(fam, n):
+    """Largest eigenvalue of the order-n section, bisected alone."""
+    return tridiag.tridiag_eigenvalues_at(forms.build_sum_truncation(fam, n), [n - 1])[0]
+
+
 def _spectrum_lines(fam_for_theta, thetas, n, with_commutator):
-    first = tridiag.tridiag_eigenvalues(forms.build_sum_truncation(fam_for_theta(thetas[0]), n))
     if with_commutator:
         lines = ["theta,index,eigenvalue,i_commutator_eig"]
     else:
-        lines = ["theta," + ",".join(f"eig_{i + 1}" for i in range(first.order))]
+        lines = ["theta," + ",".join(f"eig_{i + 1}" for i in range(n))]
     for theta in thetas:
         sample = tridiag.tridiag_eigenvalues(forms.build_sum_truncation(fam_for_theta(theta), n))
         if with_commutator:
@@ -184,13 +196,10 @@ def cmd_sweep(args):
         lines = ["theta,lambda_max,rho_numeric,rho_closed"]
         for theta in thetas:
             fam = fam_for(theta)
-            sample = tridiag.tridiag_eigenvalues(forms.build_sum_truncation(fam, n))
             rep = analysis.rho_numeric(fam, n, exclusion=auto_exclusion(args.family, omega, theta))
             closed = closed_form_rho(args.family, omega, theta)
             closed_txt = fmt(closed) if closed is not None else ""
-            lines.append(
-                f"{fmt(theta)},{fmt(sample.values[-1])},{fmt(rep.rho)},{closed_txt}"
-            )
+            lines.append(f"{fmt(theta)},{fmt(_lambda_max(fam, n))},{fmt(rep.rho)},{closed_txt}")
     write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -208,16 +217,14 @@ def cmd_figure(args):
         if args.panel == "left":
             lines = ["theta,lambda_max"]
             for t in thetas:
-                fam = forms.PairFamily.head_omega(half_pi, t)
-                sample = tridiag.tridiag_eigenvalues(forms.build_sum_truncation(fam, n))
-                lines.append(f"{fmt(t)},{fmt(sample.values[-1])}")
+                lam = _lambda_max(forms.PairFamily.head_omega(half_pi, t), n)
+                lines.append(f"{fmt(t)},{fmt(lam)}")
         else:
             lines = ["omega,theta,lambda_max"]
             for om in thetas:
                 for t in thetas:
-                    fam = forms.PairFamily.head_omega(om, t)
-                    sample = tridiag.tridiag_eigenvalues(forms.build_sum_truncation(fam, n))
-                    lines.append(f"{fmt(om)},{fmt(t)},{fmt(sample.values[-1])}")
+                    lam = _lambda_max(forms.PairFamily.head_omega(om, t), n)
+                    lines.append(f"{fmt(om)},{fmt(t)},{fmt(lam)}")
     elif args.number == 3:
         lines = _spectrum_lines(
             lambda t: forms.PairFamily.perturbed_heads(t), thetas, 100, with_commutator=True
@@ -259,15 +266,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, families, need_n=True):
+    def common(p, families):
         p.add_argument("--family", choices=families, required=True)
         p.add_argument("--omega", type=float, default=None)
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--input", default=None, help="pair file for family general-file")
-        if need_n:
-            p.add_argument("--n", type=int, default=600)
+        p.add_argument("--n", type=int, default=600)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of one truncation")
     common(p_spec, ("constant", "eq3", "eq5", "two-constant", "general-file"))

@@ -137,8 +137,11 @@ def select_lambda0(spec):
     """Point of the set whose square is closest to 2.
 
     This is the squared-distance criterion: on {-0.2, 0.2, 2} it selects
-    0.2, not the point 2 that is nearest to sqrt(2).  Ties break toward the
-    nonnegative candidate of smallest magnitude.
+    0.2, not the point 2 that is nearest to sqrt(2).  Exact floating-point
+    ties break toward the nonnegative candidate of smallest magnitude.
+    Points that are equal only in exact arithmetic, such as the bisected
+    +-0.2 of the 3x3 example, are split by rounding of their squared gaps,
+    which there selects -0.2.
     """
     if spec.empty:
         raise ValueError("empty set")
@@ -180,17 +183,11 @@ def wiener_hopf_outlier_check(theta, lam, tol=1e-9):
 
 
 def rho_constant_angle(theta):
-    """Exact commutator spectral radius for the constant-angle family."""
-    if not (0.0 < theta < math.pi):
-        raise ValueError("theta must lie in (0, pi)")
-    quarter = math.pi / 4
-    if theta <= quarter:
-        rho = 2.0 * math.sin(2.0 * theta)
-        return RhoReport(rho, rho, 2.0 * math.sin(theta), "band-edge")
-    if theta >= 3 * quarter:
-        rho = 2.0 * abs(math.sin(2.0 * theta))
-        return RhoReport(rho, rho, 2.0 * math.sin(theta), "band-edge")
-    return RhoReport(2.0, 2.0, SQRT2, "sqrt2-in-band")
+    """Exact commutator spectral radius for the constant-angle family.
+
+    The family is the two-constant family with omega = theta.
+    """
+    return rho_two_constant_angles(theta, theta)
 
 
 def two_angle_essential(p):

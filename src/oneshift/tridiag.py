@@ -131,8 +131,9 @@ def tridiag_eigenvalues_at(m, idx, tol=None):
 def tridiag_eigenvalues(m, tol=None):
     """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending."""
     vals = tridiag_eigenvalues_at(m, np.arange(m.n), tol=tol)
-    # clustered eigenvalues may land out of order by up to tol
-    return SpectrumSample(values=np.sort(vals), order=m.n)
+    # two indices bisect the same points until one count splits them, the
+    # lower index going left, so the values come out nondecreasing
+    return SpectrumSample(values=vals, order=m.n)
 
 
 def householder_tridiagonalize(m):

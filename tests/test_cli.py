@@ -4,11 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from oneshift.cli import main, parse_grid
+from oneshift.cli import THETA_GRID_DEFAULT, fmt, main, parse_grid
+from oneshift.forms import PairFamily, build_sum_truncation
+from oneshift.tridiag import tridiag_eigenvalues
 
 
 def run(argv):
     return main(argv)
+
+
+def full_lambda_max(fam, n):
+    """Largest value of the full solve of the order-n section."""
+    return fmt(tridiag_eigenvalues(build_sum_truncation(fam, n)).values[-1])
 
 
 class TestParseGrid:
@@ -64,6 +71,18 @@ class TestSpectrumCommand:
         vals = [float(ln.split(",")[1]) for ln in out.read_text().splitlines()[1:]]
         assert np.allclose(vals, [-0.2, 0.2, 2.0], atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [("", "empty"), ("3\n1 0 0\n0 1 0\n", "rows for A"), ("2\n1 0\n0 1\n\n1 0\n", "rows for B")],
+        ids=["empty", "short-a", "short-b"],
+    )
+    def test_short_general_file_exits_2(self, tmp_path, capsys, content, message):
+        pair_file = tmp_path / "pair.txt"
+        pair_file.write_text(content)
+        code = run(["spectrum", "--family", "general-file", "--input", str(pair_file), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_odd_order_bumped(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = run(["spectrum", "--family", "constant", "--theta", "1.0", "--n", "5", "--out", str(out)])
@@ -99,6 +118,8 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "theta,lambda_max,rho_numeric,rho_closed"
         assert len(lines) == 4
+        for theta, line in zip(parse_grid("0.5:0.5:1.5"), lines[1:]):
+            assert line.split(",")[1] == full_lambda_max(PairFamily.constant(theta), 60)
 
 
 class TestFigureCommand:
@@ -117,6 +138,8 @@ class TestFigureCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "theta,lambda_max"
         assert len(lines) == 32
+        for theta, line in zip(parse_grid(THETA_GRID_DEFAULT), lines[1:]):
+            assert line.split(",")[1] == full_lambda_max(PairFamily.head_omega(math.pi / 2, theta), 100)
 
 
 class TestValidateCommand:
@@ -140,6 +163,19 @@ class TestExitCodes:
     def test_unwritable_output_exits_3(self):
         code = run(["spectrum", "--family", "constant", "--theta", "1.0", "--n", "4", "--out", "/no-such-dir/out.csv"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "--family", "constant", "--n", "40"],
+            ["spectrum", "--family", "eq5", "--n", "40"],
+            ["rho", "--family", "eq3", "--omega", "1.0", "--n", "40"],
+            ["spectrum", "--family", "two-constant", "--omega", "1.0", "--n", "40"],
+        ],
+    )
+    def test_missing_theta_exits_2(self, capsys, argv):
+        assert run(argv) == 2
+        assert "requires --theta" in capsys.readouterr().err
 
     def test_missing_required_family_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,16 +1,18 @@
 """Hot numeric kernels: Sturm counts and lockstep bisection by index.
 
-``bisect_eigenvalues`` finds the eigenvalues of a symmetric tridiagonal
-matrix whose ascending (0-based) indices are listed in ``idx``; the full
-spectrum is the case ``idx = arange(n)``.  Every index runs the same fixed
-number of halvings, so an eigenvalue comes out bitwise the same whichever
-other indices are solved with it.
+``bisect_sections`` finds, for each of B symmetric tridiagonal sections of
+one order, the eigenvalues whose ascending (0-based) indices are listed in
+``idx``; the full spectrum is the case ``idx = arange(n)``, and
+``bisect_eigenvalues`` is the case of one section.  Every (section, index)
+lane runs its section's fixed number of halvings, so an eigenvalue comes
+out bitwise the same whichever other sections and indices are solved with
+it.
 
 A numba-jitted path and a numpy path are provided.  The jitted path is
 the default when numba is installed; set the environment variable
 ``ONESHIFT_NO_NUMBA=1`` to force the numpy path, which also runs when
-numba is absent.  The numpy path bisects a few indices in plain Python
-and many in lockstep numpy vectors.  All paths do the same floating-point
+numba is absent.  The numpy path bisects a few lanes in plain Python and
+many in lockstep numpy arrays.  All paths do the same floating-point
 operations in the same order, so their output is bit-identical.
 """
 
@@ -33,11 +35,18 @@ USE_NUMBA = HAVE_NUMBA and os.environ.get("ONESHIFT_NO_NUMBA", "0").lower() not 
     "yes",
 )
 
-# Index counts up to this bisect in plain Python on the numpy path.  Per
-# matrix row and bisection step, numpy costs a near-fixed ~4 us and Python
-# ~0.05 us per index, so they break even near 80-90 indices at n = 100 and
-# n = 600 (numpy 2.4, Python 3.11); 64 stays on the Python side.
+# Lane counts (sections times indices) up to this bisect in plain Python on
+# the numpy path.  Per matrix row and bisection step, numpy costs a
+# near-fixed ~4 us and Python ~0.05 us per lane, so they break even near
+# 80-90 lanes at n = 100 and n = 600 (numpy 2.4, Python 3.11); 64 stays on
+# the Python side.
 PY_MAX_INDICES = 64
+
+# Lanes bisected together on the numpy path, which holds a few float64
+# arrays of one value per lane.  Chunks of this size bound that memory on
+# long sweeps, and were no slower than one chunk on the 31 sections of
+# order 600 of figure 1.
+MAX_LANES = 1 << 16
 
 
 def halvings(lo, hi, tol):
@@ -75,48 +84,68 @@ def _sturm_count_py(d0, rows, x, tiny):
     return count
 
 
-def _bisect_py(diag, off2, lo0, hi0, steps, tiny, idx):
-    """Plain-Python bisection, one index at a time."""
-    d0, rows = _rows(diag, off2)
-    out = np.empty(idx.size)
-    for k, j in enumerate(idx.tolist()):
-        lo, hi = lo0, hi0
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            if _sturm_count_py(d0, rows, mid, tiny) >= j + 1:
-                hi = mid
-            else:
-                lo = mid
-        out[k] = 0.5 * (lo + hi)
+def _bisect_py(diag, off2, lo, hi, steps, tiny, idx):
+    """Plain-Python bisection, one (section, index) lane at a time."""
+    out = np.empty((len(lo), idx.size))
+    for b, (lo0, hi0, nsteps, tb) in enumerate(zip(lo, hi, steps, tiny)):
+        d0, rows = _rows(diag[b], off2[b])
+        for k, j in enumerate(idx.tolist()):
+            lo_j, hi_j = lo0, hi0
+            for _ in range(nsteps):
+                mid = 0.5 * (lo_j + hi_j)
+                if _sturm_count_py(d0, rows, mid, tb) >= j + 1:
+                    hi_j = mid
+                else:
+                    lo_j = mid
+            out[b, k] = 0.5 * (lo_j + hi_j)
     return out
 
 
 def _sturm_counts_np(diag, off2, x, tiny):
-    """``_sturm_count_py`` at every shift of the array ``x`` (vectorized)."""
-    p = diag[0] - x
-    p = np.where(p == 0.0, tiny, p)
+    """``_sturm_count_py`` at every shift of ``x``, one row of shifts per section.
+
+    ``diag`` is (B, n), ``off2`` (B, n-1), ``x`` (B, K) and ``tiny`` (B, 1).
+    Row i of every section is broadcast as a (B, 1) column against ``x``.
+    """
+    d = diag.T[:, :, None]
+    e = off2.T[:, :, None]
+    p = d[0] - x
+    np.copyto(p, tiny, where=p == 0.0)
     count = (p < 0.0).astype(np.int64)
+    q = np.empty_like(p)
     # a tiny pivot overflows the next quotient to inf, which counts as in
     # the scalar twins
     with np.errstate(over="ignore"):
-        for i in range(1, diag.shape[0]):
-            p = diag[i] - x - off2[i - 1] / p
-            p = np.where(p == 0.0, tiny, p)
+        for i in range(1, d.shape[0]):
+            np.divide(e[i - 1], p, out=q)
+            np.subtract(d[i], x, out=p)
+            p -= q
+            np.copyto(p, tiny, where=p == 0.0)
             count += p < 0.0
     return count
 
 
-def _bisect_np(diag, off2, lo0, hi0, steps, tiny, idx):
-    """Lockstep bisection of all of ``idx`` in numpy vectors."""
-    lo = np.full(idx.size, lo0)
-    hi = np.full(idx.size, hi0)
+def _bisect_np(diag, off2, lo, hi, steps, tiny, idx):
+    """Lockstep bisection of every (section, index) lane in numpy arrays.
+
+    Sections run in descending step count, so those still halving are a
+    prefix of the lane array; a section that has run its steps stops moving.
+    """
+    order = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
+    diag, off2, tiny = diag[order], off2[order], np.array(tiny)[order, None]
+    lo = np.repeat(np.array(lo)[order, None], idx.size, axis=1)
+    hi = np.repeat(np.array(hi)[order, None], idx.size, axis=1)
     want = idx + 1
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        above = _sturm_counts_np(diag, off2, mid, tiny) >= want
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
+    steps = [steps[b] for b in order]
+    for s in range(steps[0]):
+        b = sum(k > s for k in steps)
+        mid = 0.5 * (lo[:b] + hi[:b])
+        above = _sturm_counts_np(diag[:b], off2[:b], mid, tiny[:b]) >= want
+        np.copyto(hi[:b], mid, where=above)
+        np.copyto(lo[:b], mid, where=~above)
+    out = np.empty_like(lo)
+    out[order] = 0.5 * (lo + hi)
+    return out
 
 
 if HAVE_NUMBA:
@@ -180,18 +209,30 @@ def sturm_count(diag, off2, x, scale):
     return _sturm_count_py(*_rows(diag, off2), float(x), tiny)
 
 
-def bisect_eigenvalues(diag, off2, lo, hi, tol, scale, idx):
-    """Eigenvalues at the ascending indices ``idx``, in the order of ``idx``.
+def bisect_sections(diag, off2, lo, hi, tol, scale, idx):
+    """Eigenvalues at the ascending indices ``idx`` of B sections of one order.
 
+    ``diag`` is (B, n) and ``off2`` (B, n-1), holding squared off-diagonals;
+    the sequences ``lo``, ``hi``, ``tol`` and ``scale`` give each section's
+    Gershgorin bounds, bisection tolerance and pivot scale.  Row b of the
+    (B, K) result holds section b's values in the order of ``idx``.
     Dispatched to the active kernel path; within the numpy path, up to
-    ``PY_MAX_INDICES`` indices bisect in plain Python.
+    ``PY_MAX_INDICES`` lanes bisect in plain Python and more in chunks of
+    about ``MAX_LANES``.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    lo, hi = float(lo), float(hi)
-    steps = halvings(lo, hi, tol)
-    tiny = _EPS * scale
+    steps = [halvings(*b) for b in zip(lo, hi, tol)]
+    tiny = [_EPS * s for s in scale]
     if USE_NUMBA:
-        return _bisect_jit(diag, off2, lo, hi, steps, tiny, idx)
-    if idx.size <= PY_MAX_INDICES:
+        rows = [_bisect_jit(*b, idx) for b in zip(diag, off2, lo, hi, steps, tiny)]
+        return np.array(rows).reshape(len(steps), idx.size)
+    if len(steps) * idx.size <= PY_MAX_INDICES:
         return _bisect_py(diag, off2, lo, hi, steps, tiny, idx)
-    return _bisect_np(diag, off2, lo, hi, steps, tiny, idx)
+    per = max(1, MAX_LANES // idx.size)
+    chunks = [slice(b, b + per) for b in range(0, len(steps), per)]
+    return np.concatenate([_bisect_np(diag[c], off2[c], lo[c], hi[c], steps[c], tiny[c], idx) for c in chunks])
+
+
+def bisect_eigenvalues(diag, off2, lo, hi, tol, scale, idx):
+    """Eigenvalues of one section at the ascending indices ``idx``, in that order."""
+    return bisect_sections(diag[None], off2[None], [float(lo)], [float(hi)], [tol], [scale], idx)[0]

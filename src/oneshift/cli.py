@@ -14,6 +14,7 @@ import numpy as np
 from . import analysis, forms, theory, tridiag, validate
 
 THETA_GRID_DEFAULT = "0.1:0.1:3.1"
+MAX_GRID_POINTS = 10_000
 
 
 def fmt(x):
@@ -24,15 +25,25 @@ def fmt(x):
 def parse_grid(spec):
     """Parse "start:step:stop" (inclusive) or a single number."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"bad grid spec {spec!r}; expected start:step:stop")
-    start, step, stop = (float(p) for p in parts)
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"bad grid spec {spec!r}; expected numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid spec {spec!r} must be finite")
+    if len(values) == 1:
+        return values
+    start, step, stop = values
     if step <= 0 or stop < start:
         raise ValueError(f"grid spec {spec!r} is empty or decreasing")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
-    return [start + i * step for i in range(count)]
+    # floor(points) + 1 points; checked before any is built, and an
+    # overflowing quotient is inf, which fails the check too
+    points = (stop - start) / step + 0.5
+    if not points < MAX_GRID_POINTS:
+        raise ValueError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(math.floor(points) + 1)]
 
 
 def even_order(n):
@@ -166,15 +177,22 @@ def _spectrum_lines(fam_for_theta, thetas, n, with_commutator):
         lines = ["theta,index,eigenvalue,i_commutator_eig"]
     else:
         lines = ["theta," + ",".join(f"eig_{i + 1}" for i in range(n))]
-    for theta in thetas:
-        sample = tridiag.tridiag_eigenvalues(forms.build_sum_truncation(fam_for_theta(theta), n))
+    sections = [forms.build_sum_truncation(fam_for_theta(theta), n) for theta in thetas]
+    for theta, row in zip(thetas, tridiag.sections_eigenvalues_at(sections, np.arange(n))):
+        values = row.tolist()
         if with_commutator:
-            for i, lam in enumerate(sample.values):
+            for i, lam in enumerate(values):
                 mu = math.sqrt(max(0.0, lam * lam * (4.0 - lam * lam)))
                 lines.append(f"{fmt(theta)},{i},{fmt(lam)},{fmt(mu)}")
         else:
-            lines.append(fmt(theta) + "," + ",".join(fmt(v) for v in sample.values))
+            lines.append(fmt(theta) + "," + ",".join(fmt(v) for v in values))
     return lines
+
+
+def _lambda_max_column(fams, n):
+    """Largest eigenvalue of the order-n section of each family, bisected in lockstep."""
+    sections = [forms.build_sum_truncation(f, n) for f in fams]
+    return tridiag.sections_eigenvalues_at(sections, [n - 1])[:, 0].tolist()
 
 
 def cmd_sweep(args):
@@ -216,15 +234,13 @@ def cmd_figure(args):
         n = 100
         if args.panel == "left":
             lines = ["theta,lambda_max"]
-            for t in thetas:
-                lam = _lambda_max(forms.PairFamily.head_omega(half_pi, t), n)
-                lines.append(f"{fmt(t)},{fmt(lam)}")
+            lams = _lambda_max_column([forms.PairFamily.head_omega(half_pi, t) for t in thetas], n)
+            lines += [f"{fmt(t)},{fmt(lam)}" for t, lam in zip(thetas, lams)]
         else:
             lines = ["omega,theta,lambda_max"]
-            for om in thetas:
-                for t in thetas:
-                    lam = _lambda_max(forms.PairFamily.head_omega(om, t), n)
-                    lines.append(f"{fmt(om)},{fmt(t)},{fmt(lam)}")
+            grid = [(om, t) for om in thetas for t in thetas]
+            lams = _lambda_max_column([forms.PairFamily.head_omega(om, t) for om, t in grid], n)
+            lines += [f"{fmt(om)},{fmt(t)},{fmt(lam)}" for (om, t), lam in zip(grid, lams)]
     elif args.number == 3:
         lines = _spectrum_lines(
             lambda t: forms.PairFamily.perturbed_heads(t), thetas, 100, with_commutator=True

@@ -14,6 +14,10 @@ from typing import Optional
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+# How far a computed eigenvalue of a section of A + B may lie beyond the
+# bound ||A + B|| <= 2: the default bisection tolerance is 1e-12 * scale,
+# and the Gershgorin scale of a sum section is at most 4.
+LAMBDA_SLACK = 4e-12
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,7 @@ class OutlierSolveResult:
 
 def rho_from_lambda(lambda0):
     """sqrt(lambda0^2 * (4 - lambda0^2)), clamped into [0, 2]."""
-    if abs(lambda0) > 2.0 + 1e-12:
+    if abs(lambda0) > 2.0 + LAMBDA_SLACK:
         raise ValueError("spectrum point must satisfy |lambda| <= 2")
     t = lambda0 * lambda0
     return min(2.0, math.sqrt(max(0.0, t * (4.0 - t))))

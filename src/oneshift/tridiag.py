@@ -108,24 +108,56 @@ def sturm_count(m, x):
     return _kernels.sturm_count(m.diag, m.offdiag**2, x, _scale(m))
 
 
-def tridiag_eigenvalues_at(m, idx, tol=None):
-    """Eigenvalues of ``m`` at 0-based positions ``idx`` of the ascending spectrum.
-
-    Each value is bitwise the one the full solve gives at that position;
-    the output follows the order of ``idx``.
-    """
+def _bisection_setup(m, tol):
+    """Gershgorin bounds, pivot scale and bisection tolerance of ``m``."""
     lo, hi = m.gershgorin()
     scale = max(1.0, abs(lo), abs(hi))
     if tol is None:
         tol = 1e-12 * scale
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return lo, hi, scale, tol
+
+
+def _indices(idx, n):
     idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= m.n):
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError("eigenvalue index out of range")
+    return idx
+
+
+def tridiag_eigenvalues_at(m, idx, tol=None):
+    """Eigenvalues of ``m`` at 0-based positions ``idx`` of the ascending spectrum.
+
+    Each value is bitwise the one the full solve gives at that position;
+    the output follows the order of ``idx``.
+    """
+    lo, hi, scale, tol = _bisection_setup(m, tol)
+    idx = _indices(idx, m.n)
     if lo == hi:
         return np.full(idx.size, lo)
     return _kernels.bisect_eigenvalues(m.diag, m.offdiag**2, lo, hi, tol, scale, idx)
+
+
+def sections_eigenvalues_at(ms, idx, tol=None):
+    """Eigenvalues at positions ``idx`` of each of the sections ``ms``, one row each.
+
+    The sections must share one order.  They bisect in lockstep, and row b
+    is bitwise ``tridiag_eigenvalues_at(ms[b], idx, tol)``.
+    """
+    if not ms:
+        raise ValueError("no sections given")
+    if any(m.n != ms[0].n for m in ms):
+        raise ValueError("sections must share one order")
+    idx = _indices(idx, ms[0].n)
+    lo, hi, scale, tol = zip(*(_bisection_setup(m, tol) for m in ms))
+    diag = np.stack([m.diag for m in ms])
+    off2 = np.stack([m.offdiag for m in ms]) ** 2
+    vals = _kernels.bisect_sections(diag, off2, lo, hi, tol, scale, idx)
+    for row, lo_b, hi_b in zip(vals, lo, hi):
+        if lo_b == hi_b:
+            row[:] = lo_b
+    return vals
 
 
 def tridiag_eigenvalues(m, tol=None):

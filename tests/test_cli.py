@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oneshift.cli import THETA_GRID_DEFAULT, fmt, main, parse_grid
+from oneshift.cli import MAX_GRID_POINTS, THETA_GRID_DEFAULT, fmt, main, parse_grid
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.tridiag import tridiag_eigenvalues
 
@@ -33,6 +33,11 @@ class TestParseGrid:
             parse_grid("1:2")
         with pytest.raises(ValueError):
             parse_grid("2.0:0.1:1.0")
+
+    def test_point_count_is_bounded(self):
+        assert len(parse_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="points"):
+            parse_grid(f"0:1:{MAX_GRID_POINTS}")
 
 
 class TestSpectrumCommand:
@@ -107,6 +112,14 @@ class TestSweepCommand:
         code = run(["sweep", "--family", "constant", "--theta", "2.0:0.1:1.0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["0.1:1e-320:0.3", "0.1:0.1:inf", "nan:0.1:0.3", "0.1:x:0.3"])
+    def test_unbounded_or_nonfinite_grid_exits_2(self, tmp_path, capsys, spec):
+        code = run(["sweep", "--family", "constant", "--theta", spec, "--n", "4", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid spec") or err.startswith("error: bad grid spec")
+        assert err.count("\n") == 1
+
     def test_out_of_range_grid_exits_2(self, tmp_path):
         code = run(["sweep", "--family", "constant", "--theta", "0.5:1.0:3.5", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -131,6 +144,20 @@ class TestFigureCommand:
         lines = a.read_text().splitlines()
         assert lines[0] == "theta,index,eigenvalue,i_commutator_eig"
         assert len(lines) == 1 + 31 * 10
+
+    @pytest.mark.parametrize("argv, fam_for, n", [
+        (["3"], PairFamily.perturbed_heads, 100),
+        (["1", "--panel", "left"], lambda t: PairFamily.head_omega(math.pi / 2, t), 10),
+    ], ids=["figure-3", "figure-1-left"])
+    def test_spectrum_rows_equal_per_section_solves(self, tmp_path, argv, fam_for, n):
+        out = tmp_path / "f.csv"
+        assert run(["figure", *argv, "--out", str(out)]) == 0
+        expected = []
+        for theta in parse_grid(THETA_GRID_DEFAULT):
+            for i, lam in enumerate(tridiag_eigenvalues(build_sum_truncation(fam_for(theta), n)).values.tolist()):
+                mu = math.sqrt(max(0.0, lam * lam * (4.0 - lam * lam)))
+                expected.append(f"{fmt(theta)},{i},{fmt(lam)},{fmt(mu)}")
+        assert out.read_text().splitlines()[1:] == expected
 
     def test_figure2_left_columns(self, tmp_path):
         out = tmp_path / "f2.csv"

@@ -1,10 +1,12 @@
 """Fast paths of the eigensolver pinned bitwise to the slow paths they replace.
 
 A solve restricted to some indices must give exactly the values the full
-solve gives there; the plain-Python bisection must match the vectorized
-numpy one; the jitted twin, where numba is installed, must match both; and
-``rho_numeric``, which bisects only exterior eigenvalues, must match the
-full-spectrum pipeline ``tridiag_eigenvalues`` + ``detect_outliers``.
+solve gives there; a lockstep solve of many sections must give exactly the
+values of each section solved alone; the plain-Python bisection must match
+the vectorized numpy one; the jitted twin, where numba is installed, must
+match both; and ``rho_numeric``, which bisects only exterior eigenvalues,
+must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
+``detect_outliers``.  Every Sturm count must be nondecreasing in the shift.
 """
 
 import math
@@ -18,7 +20,12 @@ from oneshift import _kernels
 from oneshift.analysis import OUTLIER_MARGIN, OUTLIER_ORDER_STEP, detect_outliers, family_params, rho_numeric
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.theory import LimitSet, RhoReport, rho_from_lambda, select_lambda0, two_angle_essential
-from oneshift.tridiag import TridiagonalSymmetricMatrix, tridiag_eigenvalues, tridiag_eigenvalues_at
+from oneshift.tridiag import (
+    TridiagonalSymmetricMatrix,
+    sections_eigenvalues_at,
+    tridiag_eigenvalues,
+    tridiag_eigenvalues_at,
+)
 
 entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(0.05, math.pi - 0.05)
@@ -33,12 +40,30 @@ def tridiagonals(draw, max_n=90):
     return TridiagonalSymmetricMatrix(diag=np.array(diag), offdiag=np.array(off))
 
 
-def kernel_args(m):
-    """(diag, off2, lo, hi, steps, tiny) exactly as ``bisect_eigenvalues`` builds them."""
-    lo, hi = m.gershgorin()
-    scale = max(1.0, abs(lo), abs(hi))
-    steps = _kernels.halvings(lo, hi, 1e-12 * scale)
-    return m.diag, m.offdiag**2, lo, hi, steps, _kernels._EPS * scale
+def kernel_args(*ms):
+    """(diag, off2, lo, hi, steps, tiny) of sections of one order, as ``bisect_sections`` builds them."""
+    lo, hi = (list(v) for v in zip(*(m.gershgorin() for m in ms)))
+    scale = [max(1.0, abs(a), abs(b)) for a, b in zip(lo, hi)]
+    steps = [_kernels.halvings(a, b, 1e-12 * c) for a, b, c in zip(lo, hi, scale)]
+    diag = np.stack([m.diag for m in ms])
+    off2 = np.stack([m.offdiag for m in ms]) ** 2
+    return diag, off2, lo, hi, steps, [_kernels._EPS * c for c in scale]
+
+
+@st.composite
+def same_order_sections(draw, max_n=30, max_sections=6):
+    """Sections of one order with Gershgorin widths far apart, so that their
+    step counts differ, and one constant diagonal section, whose lo == hi."""
+    n = draw(st.integers(1, max_n))
+    sections = []
+    for _ in range(draw(st.integers(1, max_sections))):
+        width = draw(st.sampled_from([1e-300, 1e-3, 0.3, 1.0, 7.0, 1e4]))
+        diag = draw(st.lists(entries, min_size=n, max_size=n))
+        off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+        sections.append(TridiagonalSymmetricMatrix(diag=width * np.array(diag), offdiag=width * np.array(off)))
+    flat = TridiagonalSymmetricMatrix(diag=np.full(n, draw(entries)), offdiag=np.zeros(n - 1))
+    sections.insert(draw(st.integers(0, len(sections))), flat)
+    return sections
 
 
 def index_subsets(n):
@@ -67,10 +92,52 @@ def test_python_loop_equals_numpy_loop_bitwise(case):
     py = _kernels._bisect_py(diag, off2, lo, hi, steps, tiny, idx)
     vec = _kernels._bisect_np(diag, off2, lo, hi, steps, tiny, idx)
     assert py.tobytes() == vec.tobytes()
-    shifts = np.linspace(lo - 1.0, hi + 1.0, 9)
-    rows = _kernels._rows(diag, off2)
-    scalar = [_kernels._sturm_count_py(*rows, float(x), tiny) for x in shifts]
-    assert scalar == _kernels._sturm_counts_np(diag, off2, shifts, tiny).tolist()
+    shifts = np.linspace(lo[0] - 1.0, hi[0] + 1.0, 9)
+    scalar = [_kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x), tiny[0]) for x in shifts]
+    assert scalar == _kernels._sturm_counts_np(diag, off2, shifts[None], np.array(tiny)[:, None])[0].tolist()
+
+
+# the 31 sections of order 10 of figure 1, bisected in 40 and 41 steps
+FIGURE_1_SECTIONS = [build_sum_truncation(PairFamily.head_omega(math.pi / 2, 0.1 * k), 10) for k in range(1, 32)]
+
+
+def lanes(ms):
+    n = ms[0].n
+    return st.tuples(st.just(ms), st.one_of(index_subsets(n), st.just(np.arange(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=same_order_sections(max_n=40).flatmap(lanes))
+@example(case=(FIGURE_1_SECTIONS, np.arange(10)))
+@example(case=(FIGURE_1_SECTIONS, np.array([9])))
+@example(case=([TINY_PIVOT, TINY_PIVOT], np.arange(2)))
+def test_lockstep_sections_equal_per_section_solves_bitwise(case):
+    # up to PY_MAX_INDICES lanes (sections times indices) bisect in Python,
+    # more in numpy arrays; both must give each section's own solve
+    ms, idx = case
+    batch = sections_eigenvalues_at(ms, idx)
+    assert batch.shape == (len(ms), idx.size)
+    for m, row in zip(ms, batch):
+        assert row.tobytes() == tridiag_eigenvalues_at(m, idx).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ms=same_order_sections(), xs=st.lists(st.floats(-1e5, 1e5), max_size=20))
+@example(ms=[TINY_PIVOT], xs=[-1e-300, -5e-324, 0.0, 5e-324, 1e-310, 1e-300])
+def test_sturm_counts_nondecreasing_in_shift(ms, xs):
+    diag, off2, lo, hi, steps, tiny = kernel_args(*ms)
+    # the shifts include each section's bisected eigenvalues and their
+    # floating-point neighbours, where a count steps up
+    eigs = sections_eigenvalues_at(ms, np.arange(ms[0].n)).ravel()
+    x = np.unique(np.concatenate([xs, eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]))
+    pivots = np.array(tiny)[:, None]
+    batched = _kernels._sturm_counts_np(diag, off2, np.tile(x, (len(ms), 1)), pivots)
+    for b in range(len(ms)):
+        rows = _kernels._rows(diag[b], off2[b])
+        scalar = [_kernels._sturm_count_py(*rows, v, tiny[b]) for v in x.tolist()]
+        vector = _kernels._sturm_counts_np(diag[b : b + 1], off2[b : b + 1], x[None], pivots[b : b + 1])[0].tolist()
+        assert scalar == vector == batched[b].tolist()
+        assert all(c0 <= c1 for c0, c1 in zip(scalar, scalar[1:]))
 
 
 def test_sliced_solve_rejects_bad_index():
@@ -140,10 +207,10 @@ def test_numba_twin_equals_numpy_path_bitwise():
         diag, off2, lo, hi, steps, tiny = kernel_args(m)
         subset = np.unique(rng.integers(0, m.n, size=min(m.n, 5)))
         for idx in (np.arange(m.n), subset):
-            jit = _kernels._bisect_jit(diag, off2, lo, hi, steps, tiny, idx)
-            py = _kernels._bisect_py(diag, off2, lo, hi, steps, tiny, idx)
-            vec = _kernels._bisect_np(diag, off2, lo, hi, steps, tiny, idx)
+            jit = _kernels._bisect_jit(diag[0], off2[0], lo[0], hi[0], steps[0], tiny[0], idx)
+            py = _kernels._bisect_py(diag, off2, lo, hi, steps, tiny, idx)[0]
+            vec = _kernels._bisect_np(diag, off2, lo, hi, steps, tiny, idx)[0]
             assert jit.tobytes() == py.tobytes() == vec.tobytes()
-        for x in np.linspace(lo - 1.0, hi + 1.0, 7):
-            count = _kernels._sturm_count_py(*_kernels._rows(diag, off2), float(x), tiny)
-            assert _kernels._sturm_count_jit(diag, off2, float(x), tiny) == count
+        for x in np.linspace(lo[0] - 1.0, hi[0] + 1.0, 7):
+            count = _kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x), tiny[0])
+            assert _kernels._sturm_count_jit(diag[0], off2[0], float(x), tiny[0]) == count

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.theory import (
     LimitSet,
     TwoAngleParams,
@@ -20,6 +21,7 @@ from oneshift.theory import (
     two_angle_essential,
     wiener_hopf_outlier_check,
 )
+from oneshift.tridiag import tridiag_eigenvalues
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,6 +40,13 @@ class TestRhoFromLambda:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             rho_from_lambda(2.1)
+
+    def test_accepts_section_eigenvalue_beyond_two(self):
+        # bisection leaves this largest eigenvalue 1.13e-12 above ||A + B|| <= 2
+        m = build_sum_truncation(PairFamily.perturbed_heads(0.7717338500043578), 40)
+        lam = tridiag_eigenvalues(m).values[-1]
+        assert lam > 2.0 + 1e-12
+        assert rho_from_lambda(lam) == 0.0
 
     @given(st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=200, deadline=None)

@@ -224,20 +224,14 @@ def tsirelson_suite(seed, trials):
     return best
 
 
-def lambda_max_outlier(omega, theta):
-    """Largest isolated point of the one-head family, or None."""
-    sols = outlier_solve_eq4(omega, theta)
-    return max((r.lam for r in sols), default=None)
-
-
 def solve_lambda_max_crossing(omega=math.pi / 2, lo=2.36, hi=2.60, tol=1e-9):
-    """Angle where the outlier curve meets 2|cos theta| (one-head family)."""
+    """Angle where the largest isolated point of the one-head family meets 2|cos theta|."""
 
     def gap(theta):
-        lam = lambda_max_outlier(omega, theta)
-        if lam is None:
+        sols = outlier_solve_eq4(omega, theta)
+        if not sols:
             raise ValueError(f"no isolated point at theta={theta}")
-        return lam - 2.0 * abs(math.cos(theta))
+        return sols[-1].lam - 2.0 * abs(math.cos(theta))
 
     f_lo = gap(lo)
     f_hi = gap(hi)

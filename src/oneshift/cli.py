@@ -167,11 +167,6 @@ def cmd_rho(args):
     return 0
 
 
-def _lambda_max(fam, n):
-    """Largest eigenvalue of the order-n section, bisected alone."""
-    return tridiag.tridiag_eigenvalues_at(forms.build_sum_truncation(fam, n), [n - 1])[0]
-
-
 def _spectrum_lines(fam_for_theta, thetas, n, with_commutator):
     if with_commutator:
         lines = ["theta,index,eigenvalue,i_commutator_eig"]
@@ -212,12 +207,12 @@ def cmd_sweep(args):
         lines = _spectrum_lines(fam_for, thetas, n, with_commutator=False)
     else:
         lines = ["theta,lambda_max,rho_numeric,rho_closed"]
-        for theta in thetas:
-            fam = fam_for(theta)
+        fams = [fam_for(theta) for theta in thetas]
+        for theta, fam, lam in zip(thetas, fams, _lambda_max_column(fams, n)):
             rep = analysis.rho_numeric(fam, n, exclusion=auto_exclusion(args.family, omega, theta))
             closed = closed_form_rho(args.family, omega, theta)
             closed_txt = fmt(closed) if closed is not None else ""
-            lines.append(f"{fmt(theta)},{fmt(_lambda_max(fam, n))},{fmt(rep.rho)},{closed_txt}")
+            lines.append(f"{fmt(theta)},{fmt(lam)},{fmt(rep.rho)},{closed_txt}")
     write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 SQRT2 = math.sqrt(2.0)
 # How far a computed eigenvalue of a section of A + B may lie beyond the
 # bound ||A + B|| <= 2: the default bisection tolerance is 1e-12 * scale,
@@ -207,52 +205,33 @@ def tilde_point(p):
     return p.c - p.gamma if p.s > p.delta else None
 
 
-def outlier_solve_eq4(omega, theta, grid=10_000, tol=1e-13):
+def outlier_solve_eq4(omega, theta):
     """All isolated points lam with 2s < |lam| <= 2 of the one-head family.
 
-    The coupled system is the quadratic in lam with the decay root q(lam)
-    substituted; its residual is scanned for sign changes on both sides of
-    the essential band and refined by bisection.
+    Putting lam = s(q + 1/q), with q the decay root, into the outlier
+    equation lam^2 - (c + s q + 1) lam + (1 + gamma)(c + s q - 1) = 0 and
+    multiplying by q^2 leaves a cubic in q, as the q^4 terms cancel:
+    s(gamma - c) q^3 + (s^2 + (1 + gamma)(c - 1)) q^2 - s(c + 1) q + s^2.
+    It factors as s (q - tan(theta/2)) ((gamma - c) q^2 - (1 + c)).  The
+    root q = tan(theta/2) makes c + s q = 1 and lam = 2, a decay root
+    exactly when theta < pi/2; the other two roots are
+    q = +-sqrt((1 + c) / (gamma - c)).  Each root with 0 < |q| < 1 is a
+    point, sorted by lam; one at 2 from both factors is listed once.
     """
     if not (0.0 < omega < math.pi and 0.0 < theta < math.pi):
         raise ValueError("angles must lie in (0, pi)")
     gamma, c, s = math.cos(omega), math.cos(theta), math.sin(theta)
-
-    def residual(lam):
-        q = _decay_root(lam, s)
-        return lam * lam - (c + s * q + 1.0) * lam + (1.0 + gamma) * (c + s * q - 1.0)
-
-    results = []
-    lo_abs = 2.0 * s * (1.0 + 1e-9)
-    if lo_abs < 2.0:
-        for sign in (1.0, -1.0):
-            xs = sign * np.linspace(lo_abs, 2.0, grid)
-            fs = np.array([residual(x) for x in xs])
-            for i in range(grid - 1):
-                a, b = xs[i], xs[i + 1]
-                fa, fb = fs[i], fs[i + 1]
-                if fa == 0.0:
-                    results.append(float(a))
-                    continue
-                if fa * fb < 0.0:
-                    while abs(b - a) > tol:
-                        mid = 0.5 * (a + b)
-                        fm = residual(mid)
-                        if fm == 0.0:
-                            a = b = mid
-                        elif fa * fm < 0.0:
-                            b = mid
-                        else:
-                            a, fa = mid, fm
-                    results.append(0.5 * (a + b))
-            if fs[-1] == 0.0:
-                results.append(float(xs[-1]))
+    roots = [(2.0, math.tan(0.5 * theta))]
+    if 0.0 < 1.0 + c < gamma - c:  # 0 < q^2 < 1
+        q = math.sqrt((1.0 + c) / (gamma - c))
+        lam = s * (q + 1.0 / q)
+        roots += [(lam, q), (-lam, -q)]
     out = []
-    for lam in sorted(set(results)):
-        if any(abs(lam - r.lam) <= 1e-10 for r in out):
-            continue
-        out.append(OutlierSolveResult(lam=lam, q=_decay_root(lam, s)))
-    return out
+    for lam, q in roots:
+        if 0.0 < abs(q) < 1.0 and 2.0 * s < abs(lam) <= 2.0 + LAMBDA_SLACK:
+            if all(abs(lam - r.lam) > 1e-10 for r in out):
+                out.append(OutlierSolveResult(lam=lam, q=q))
+    return sorted(out, key=lambda r: r.lam)
 
 
 def rho_two_constant_angles(omega, theta=None):

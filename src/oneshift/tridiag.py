@@ -31,6 +31,12 @@ class TridiagonalSymmetricMatrix:
             raise ValueError("entries must be finite")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
+        # bisection squares the off-diagonal entries, and its midpoints and
+        # shifted entries d - x are bounded by |lo| + |hi|
+        with np.errstate(over="ignore"):
+            lo, hi = self.gershgorin()
+            if not (np.all(np.isfinite(e * e)) and np.isfinite(abs(lo) + abs(hi))):
+                raise ValueError("entries too large: the eigensolver would overflow")
 
     @property
     def n(self):
@@ -64,7 +70,13 @@ class DenseSymmetricMatrix:
             raise ValueError("entries must form a square matrix")
         if not np.all(np.isfinite(a)):
             raise ValueError("entries must be finite")
-        object.__setattr__(self, "entries", 0.5 * (a + a.T))
+        # products of two such matrices, and the squared column norms of the
+        # Householder reduction, are bounded by the sum of squared entries
+        with np.errstate(over="ignore"):
+            sym = 0.5 * (a + a.T)
+            if not np.isfinite(np.sum(sym * sym)):
+                raise ValueError("entries too large: their squares overflow")
+        object.__setattr__(self, "entries", sym)
 
     @property
     def n(self):

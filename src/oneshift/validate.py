@@ -52,10 +52,9 @@ def run_checks(perturb=False):
 
     theta_rational = math.acos(-0.8)
     sols = theory.outlier_solve_eq4(math.pi / 2, theta_rational)
-    lam_top = max((r.lam for r in sols), default=math.nan)
-    q_top = next((r.q for r in sols if r.lam == lam_top), math.nan)
-    checks.append(_check("isolated-point-location", 1.5, lam_top, 1e-10))
-    checks.append(_check("isolated-point-decay-root", 0.5, q_top, 1e-10))
+    top = max(sols, key=lambda r: r.lam, default=theory.OutlierSolveResult(math.nan, math.nan))
+    checks.append(_check("isolated-point-location", 1.5, top.lam, 1e-10))
+    checks.append(_check("isolated-point-decay-root", 0.5, top.q, 1e-10))
 
     fam = forms.PairFamily.head_omega(math.pi / 2, theta_rational)
     rep = analysis.rho_numeric(fam, 600)

@@ -1,8 +1,12 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oneshift.cli import MAX_GRID_POINTS, THETA_GRID_DEFAULT, fmt, main, parse_grid
 from oneshift.forms import PairFamily, build_sum_truncation
@@ -16,6 +20,10 @@ def run(argv):
 def full_lambda_max(fam, n):
     """Largest value of the full solve of the order-n section."""
     return fmt(tridiag_eigenvalues(build_sum_truncation(fam, n)).values[-1])
+
+
+# A is an involution; B's entries are finite, but their symmetrized sums overflow
+HUGE_PAIR = "2\n1 0\n0 -1\n\n1e308 1e308\n1e308 1e308\n"
 
 
 class TestParseGrid:
@@ -87,6 +95,16 @@ class TestSpectrumCommand:
         code = run(["spectrum", "--family", "general-file", "--input", str(pair_file), "--out", str(tmp_path / "s.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "rho"])
+    def test_huge_general_file_exits_2(self, tmp_path, capsys, command):
+        pair_file = tmp_path / "pair.txt"
+        pair_file.write_text(HUGE_PAIR)
+        code = run([command, "--family", "general-file", "--input", str(pair_file), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: entries too large")
+        assert err.count("\n") == 1
 
     def test_odd_order_bumped(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -208,3 +226,98 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["spectrum", "--theta", "1.0"])
         assert exc.value.code == 2
+
+
+FAMILIES = ("constant", "eq3", "eq5", "two-constant", "general-file")
+ANGLES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, math.pi, math.pi / 2, 5e-324]),
+    st.floats(min_value=-0.5, max_value=3.7),
+).map(repr)
+# at most 5 points: start, start + step, ..., start + k * step with k <= 4
+GRIDS = st.one_of(
+    ANGLES,
+    st.builds(
+        lambda start, step, k: f"{start!r}:{step!r}:{start + k * step!r}",
+        st.floats(min_value=-0.5, max_value=3.7),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.integers(0, 4),
+    ),
+    st.text(max_size=12),
+)
+ENTRIES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.6", "-0.8", "1e308", "-1e308", "1e200", "1.3e154", "nan", "inf", "x"]),
+    st.floats().map(repr),
+)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def pair_texts(draw):
+    """Pair files: a drawn order, then two blocks of drawn rows."""
+    k = draw(st.integers(-1, 4))
+    blocks = [
+        [" ".join(draw(st.lists(ENTRIES, min_size=k, max_size=k + 1))) for _ in range(k)]
+        for _ in range(2)
+    ]
+    return "\n".join([str(k), *blocks[0], "", *blocks[1]]) + "\n"
+
+
+def _rotation_pair_text(om, th):
+    rows = [f"{math.cos(a)!r} {math.sin(a)!r}\n{math.sin(a)!r} {-math.cos(a)!r}" for a in (om, th)]
+    return f"2\n{rows[0]}\n\n{rows[1]}\n"
+
+
+@st.composite
+def cli_argvs(draw):
+    """CLI argument lists; {pair}, {out} and {dir} stand for paths."""
+    command = draw(st.sampled_from(["spectrum", "rho", "sweep", "figure", "validate"]))
+    if command == "figure":
+        argv = ["figure", str(draw(st.integers(0, 5)))] + draw(_opt("--panel", st.sampled_from(["left", "right"])))
+    elif command == "validate":
+        argv = ["validate"] + draw(st.sampled_from([[], ["--perturb"]]))
+    else:
+        argv = [command, "--family", draw(st.sampled_from(FAMILIES))]
+        argv += draw(_opt("--omega", ANGLES))
+        argv += draw(_opt("--theta", GRIDS if command == "sweep" else ANGLES))
+        argv += draw(_opt("--n", st.integers(-3, 64).map(str)))
+        if command == "sweep":
+            argv += draw(_opt("--mode", st.sampled_from(["rho", "spectrum"])))
+        else:
+            argv += draw(_opt("--input", st.just("{pair}")))
+    return argv + draw(_opt("--out", st.sampled_from(["{out}", "{dir}"])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(
+    argv=cli_argvs(),
+    text=st.one_of(
+        pair_texts(),
+        st.builds(_rotation_pair_text, st.floats(0.0, 3.2), st.floats(0.0, 3.2)),
+        st.text(max_size=40),
+    ),
+)
+@example(argv=["spectrum", "--family", "general-file", "--input", "{pair}"], text=HUGE_PAIR)
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_exit_codes_and_one_line_errors(fuzz_dir, argv, text):
+    pair = fuzz_dir / "pair.txt"
+    pair.write_text(text, encoding="utf-8")
+    paths = {"{pair}": str(pair), "{out}": str(fuzz_dir / "out.txt"), "{dir}": str(fuzz_dir)}
+    argv = [paths.get(a, a) for a in argv]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in ln for ln in lines) == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oneshift.forms import PairFamily, build_sum_truncation
@@ -21,7 +21,7 @@ from oneshift.theory import (
     two_angle_essential,
     wiener_hopf_outlier_check,
 )
-from oneshift.tridiag import tridiag_eigenvalues
+from oneshift.tridiag import sturm_count, tridiag_eigenvalues
 
 SQRT2 = math.sqrt(2.0)
 
@@ -190,6 +190,37 @@ class TestOutlierSolve:
                 assert abs(r.q**2 - (r.lam / s) * r.q + 1.0) < 1e-12
                 eq = r.lam**2 - (c + s * r.q + 1.0) * r.lam + (1.0 + gamma) * (c + s * r.q - 1.0)
                 assert abs(eq) < 1e-10
+
+    @given(
+        st.floats(min_value=0.05, max_value=math.pi - 0.05),
+        st.floats(min_value=0.05, max_value=math.pi - 0.05).filter(lambda t: abs(t - math.pi / 2) >= 1e-3),
+    )
+    @example(1.133, 0.701)
+    @example(1.625, 0.441)
+    @example(2.597, 0.220)
+    @example(1.28, 0.77)
+    @example(2.07, 1.33)
+    @settings(max_examples=100, deadline=None)
+    def test_points_are_section_eigenvalues(self, om, th):
+        gamma, c, s = math.cos(om), math.cos(th), math.sin(th)
+        sols = outlier_solve_eq4(om, th)
+        m = build_sum_truncation(PairFamily.head_omega(om, th), 600)
+        for r in sols:
+            eq = r.lam**2 - (c + s * r.q + 1.0) * r.lam + (1.0 + gamma) * (c + s * r.q - 1.0)
+            assert abs(eq) < 1e-10
+            if abs(r.q) <= 0.99:
+                # an eigenvalue of the order-600 section within 1e-6
+                assert sturm_count(m, r.lam + 1e-6) > sturm_count(m, r.lam - 1e-6)
+        assert any(abs(r.lam - 2.0) <= 1e-12 for r in sols) == (th < math.pi / 2)
+
+    @pytest.mark.parametrize("theta", [0.05, 0.4, 1.0, 1.5, 1.65, 2.2, 3.0])
+    def test_constant_angle_points(self, theta):
+        sols = outlier_solve_eq4(theta, theta)
+        points = constant_angle_limit_set(theta).points
+        assert len(sols) == len(points)
+        for r, p in zip(sols, points):
+            assert abs(r.lam - p) <= 1e-12
+            assert wiener_hopf_outlier_check(theta, r.lam)
 
 
 class TestRhoTwoConstantAngles:

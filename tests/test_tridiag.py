@@ -130,3 +130,11 @@ class TestTypes:
     def test_dense_is_symmetrized(self):
         m = DenseSymmetricMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert m.entries[0, 1] == m.entries[1, 0] == 1.0
+
+    def test_rejects_entries_whose_gershgorin_bounds_overflow(self):
+        with pytest.raises(ValueError, match="too large"):
+            tri([1e308, -1e308], [1e308])
+
+    def test_dense_rejects_entries_whose_sums_overflow(self):
+        with pytest.raises(ValueError, match="too large"):
+            DenseSymmetricMatrix(np.full((2, 2), 1e308))

@@ -215,8 +215,9 @@ def outlier_solve_eq4(omega, theta):
     It factors as s (q - tan(theta/2)) ((gamma - c) q^2 - (1 + c)).  The
     root q = tan(theta/2) makes c + s q = 1 and lam = 2, a decay root
     exactly when theta < pi/2; the other two roots are
-    q = +-sqrt((1 + c) / (gamma - c)).  Each root with 0 < |q| < 1 is a
-    point, sorted by lam; one at 2 from both factors is listed once.
+    q = +-sqrt((1 + c) / (gamma - c)), decay roots when 1 + c < gamma - c,
+    which needs c < 0.  So the point 2 and the pair +-lam never occur
+    together, and no root is double.  The points are sorted by lam.
     """
     if not (0.0 < omega < math.pi and 0.0 < theta < math.pi):
         raise ValueError("angles must lie in (0, pi)")
@@ -225,13 +226,9 @@ def outlier_solve_eq4(omega, theta):
     if 0.0 < 1.0 + c < gamma - c:  # 0 < q^2 < 1
         q = math.sqrt((1.0 + c) / (gamma - c))
         lam = s * (q + 1.0 / q)
-        roots += [(lam, q), (-lam, -q)]
-    out = []
-    for lam, q in roots:
-        if 0.0 < abs(q) < 1.0 and 2.0 * s < abs(lam) <= 2.0 + LAMBDA_SLACK:
-            if all(abs(lam - r.lam) > 1e-10 for r in out):
-                out.append(OutlierSolveResult(lam=lam, q=q))
-    return sorted(out, key=lambda r: r.lam)
+        roots += [(-lam, -q), (lam, q)]
+    kept = [(lam, q) for lam, q in roots if abs(q) < 1.0 and 2.0 * s < abs(lam) <= 2.0 + LAMBDA_SLACK]
+    return [OutlierSolveResult(lam=lam, q=q) for lam, q in sorted(kept)]
 
 
 def rho_two_constant_angles(omega, theta=None):

@@ -20,7 +20,12 @@ import os
 
 import numpy as np
 
-_EPS = float(np.finfo(np.float64).eps)
+# An exact zero pivot is replaced by the smallest positive double, the value
+# the pivot approaches as the shift decreases to that point.  A larger
+# replacement makes the next quotient e^2/p smaller than at a slightly lower
+# shift, and the count can then drop as the shift rises: eps * scale did, on
+# an off-diagonal entry of 6.6e-71.
+_TINY = 5e-324
 
 try:
     from numba import njit
@@ -70,6 +75,7 @@ def _sturm_count_py(d0, rows, x, tiny):
     ``rows`` pairs each later diagonal entry with the squared off-diagonal
     entry before it.  Exact zero pivots are replaced by ``tiny`` so the
     count stays well defined on degenerate (e.g. diagonal) matrices.
+    ``tiny`` is ``_TINY`` outside the tests.
     """
     p = d0 - x
     if p == 0.0:
@@ -201,20 +207,19 @@ if HAVE_NUMBA:
         return 0.5 * (lo + hi)
 
 
-def sturm_count(diag, off2, x, scale):
+def sturm_count(diag, off2, x):
     """Scalar Sturm count dispatched to the active kernel path."""
-    tiny = _EPS * scale
     if USE_NUMBA:
-        return int(_sturm_count_jit(diag, off2, float(x), tiny))
-    return _sturm_count_py(*_rows(diag, off2), float(x), tiny)
+        return int(_sturm_count_jit(diag, off2, float(x), _TINY))
+    return _sturm_count_py(*_rows(diag, off2), float(x), _TINY)
 
 
-def bisect_sections(diag, off2, lo, hi, tol, scale, idx):
+def bisect_sections(diag, off2, lo, hi, tol, idx):
     """Eigenvalues at the ascending indices ``idx`` of B sections of one order.
 
     ``diag`` is (B, n) and ``off2`` (B, n-1), holding squared off-diagonals;
-    the sequences ``lo``, ``hi``, ``tol`` and ``scale`` give each section's
-    Gershgorin bounds, bisection tolerance and pivot scale.  Row b of the
+    the sequences ``lo``, ``hi`` and ``tol`` give each section's
+    Gershgorin bounds and bisection tolerance.  Row b of the
     (B, K) result holds section b's values in the order of ``idx``.
     Dispatched to the active kernel path; within the numpy path, up to
     ``PY_MAX_INDICES`` lanes bisect in plain Python and more in chunks of
@@ -222,7 +227,7 @@ def bisect_sections(diag, off2, lo, hi, tol, scale, idx):
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     steps = [halvings(*b) for b in zip(lo, hi, tol)]
-    tiny = [_EPS * s for s in scale]
+    tiny = [_TINY] * len(steps)
     if USE_NUMBA:
         rows = [_bisect_jit(*b, idx) for b in zip(diag, off2, lo, hi, steps, tiny)]
         return np.array(rows).reshape(len(steps), idx.size)
@@ -234,5 +239,9 @@ def bisect_sections(diag, off2, lo, hi, tol, scale, idx):
 
 
 def bisect_eigenvalues(diag, off2, lo, hi, tol, scale, idx):
-    """Eigenvalues of one section at the ascending indices ``idx``, in that order."""
-    return bisect_sections(diag[None], off2[None], [float(lo)], [float(hi)], [tol], [scale], idx)[0]
+    """Eigenvalues of one section at the ascending indices ``idx``, in that order.
+
+    ``scale`` is not used; the benchmark's trace (``bench/spans.py``)
+    unpacks these seven arguments.
+    """
+    return bisect_sections(diag[None], off2[None], [float(lo)], [float(hi)], [tol], idx)[0]

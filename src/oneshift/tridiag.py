@@ -103,32 +103,27 @@ class SpectrumSample:
         object.__setattr__(self, "order", n)
 
 
-def _scale(m):
-    lo, hi = m.gershgorin()
-    return max(1.0, abs(lo), abs(hi))
-
-
 def default_tol(m):
     """Scale-free bisection tolerance: 1e-12 * max(1, Gershgorin radius)."""
-    return 1e-12 * _scale(m)
+    lo, hi = m.gershgorin()
+    return 1e-12 * max(1.0, abs(lo), abs(hi))
 
 
 def sturm_count(m, x):
     """Number of eigenvalues of ``m`` strictly less than ``x``."""
     if not np.isfinite(x):
         raise ValueError("shift must be finite")
-    return _kernels.sturm_count(m.diag, m.offdiag**2, x, _scale(m))
+    return _kernels.sturm_count(m.diag, m.offdiag**2, x)
 
 
 def _bisection_setup(m, tol):
-    """Gershgorin bounds, pivot scale and bisection tolerance of ``m``."""
+    """Gershgorin bounds and bisection tolerance of ``m``."""
     lo, hi = m.gershgorin()
-    scale = max(1.0, abs(lo), abs(hi))
     if tol is None:
-        tol = 1e-12 * scale
+        tol = default_tol(m)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return lo, hi, scale, tol
+    return lo, hi, tol
 
 
 def _indices(idx, n):
@@ -144,11 +139,11 @@ def tridiag_eigenvalues_at(m, idx, tol=None):
     Each value is bitwise the one the full solve gives at that position;
     the output follows the order of ``idx``.
     """
-    lo, hi, scale, tol = _bisection_setup(m, tol)
+    lo, hi, tol = _bisection_setup(m, tol)
     idx = _indices(idx, m.n)
     if lo == hi:
         return np.full(idx.size, lo)
-    return _kernels.bisect_eigenvalues(m.diag, m.offdiag**2, lo, hi, tol, scale, idx)
+    return _kernels.bisect_eigenvalues(m.diag, m.offdiag**2, lo, hi, tol, None, idx)
 
 
 def sections_eigenvalues_at(ms, idx, tol=None):
@@ -162,10 +157,10 @@ def sections_eigenvalues_at(ms, idx, tol=None):
     if any(m.n != ms[0].n for m in ms):
         raise ValueError("sections must share one order")
     idx = _indices(idx, ms[0].n)
-    lo, hi, scale, tol = zip(*(_bisection_setup(m, tol) for m in ms))
+    lo, hi, tol = zip(*(_bisection_setup(m, tol) for m in ms))
     diag = np.stack([m.diag for m in ms])
     off2 = np.stack([m.offdiag for m in ms]) ** 2
-    vals = _kernels.bisect_sections(diag, off2, lo, hi, tol, scale, idx)
+    vals = _kernels.bisect_sections(diag, off2, lo, hi, tol, idx)
     for row, lo_b, hi_b in zip(vals, lo, hi):
         if lo_b == hi_b:
             row[:] = lo_b

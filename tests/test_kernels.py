@@ -47,7 +47,7 @@ def kernel_args(*ms):
     steps = [_kernels.halvings(a, b, 1e-12 * c) for a, b, c in zip(lo, hi, scale)]
     diag = np.stack([m.diag for m in ms])
     off2 = np.stack([m.offdiag for m in ms]) ** 2
-    return diag, off2, lo, hi, steps, [_kernels._EPS * c for c in scale]
+    return diag, off2, lo, hi, steps, [_kernels._TINY] * len(ms)
 
 
 @st.composite
@@ -81,6 +81,11 @@ def test_sliced_solve_equals_full_solve_bitwise(m, data):
 
 # a subnormal first pivot at the shift 0 overflows the next quotient to -inf
 TINY_PIVOT = TridiagonalSymmetricMatrix(diag=np.array([1e-310, 0.0]), offdiag=np.array([1.0]))
+# its eigenvalue -e^2/0.001 lies below 0; a zero pivot replaced by eps
+# instead of the smallest positive double lost it from the count at 0
+TINY_OFFDIAGONAL = TridiagonalSymmetricMatrix(
+    diag=np.array([0.0, 0.0, 0.0, 0.001]), offdiag=np.array([0.0, 0.0, 6.6440600068771525e-71])
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,6 +129,7 @@ def test_lockstep_sections_equal_per_section_solves_bitwise(case):
 @settings(max_examples=60, deadline=None)
 @given(ms=same_order_sections(), xs=st.lists(st.floats(-1e5, 1e5), max_size=20))
 @example(ms=[TINY_PIVOT], xs=[-1e-300, -5e-324, 0.0, 5e-324, 1e-310, 1e-300])
+@example(ms=[TINY_OFFDIAGONAL], xs=[-5e-324, 0.0, 5e-324])
 def test_sturm_counts_nondecreasing_in_shift(ms, xs):
     diag, off2, lo, hi, steps, tiny = kernel_args(*ms)
     # the shifts include each section's bisected eigenvalues and their

@@ -2,11 +2,11 @@
 
 ``bisect_sections`` finds, for each of B symmetric tridiagonal sections of
 one order, the eigenvalues whose ascending (0-based) indices are listed in
-``idx``; the full spectrum is the case ``idx = arange(n)``, and
-``bisect_eigenvalues`` is the case of one section.  Every (section, index)
-lane runs its section's fixed number of halvings, so an eigenvalue comes
-out bitwise the same whichever other sections and indices are solved with
-it.
+``idx``; the full spectrum is the case ``idx = arange(n)``, and one section
+is the case B = 1.  It is the only bisection entry point; both kernel paths
+implement it.  Every (section, index) lane runs its section's fixed number
+of halvings, so an eigenvalue comes out bitwise the same whichever other
+sections and indices are solved with it.
 
 A numba-jitted path and a numpy path are provided.  The jitted path is
 the default when numba is installed; set the environment variable
@@ -24,7 +24,8 @@ import numpy as np
 # the pivot approaches as the shift decreases to that point.  A larger
 # replacement makes the next quotient e^2/p smaller than at a slightly lower
 # shift, and the count can then drop as the shift rises: eps * scale did, on
-# an off-diagonal entry of 6.6e-71.
+# an off-diagonal entry of 6.6e-71.  The kernels read it as a global, which
+# numba freezes as a constant.
 _TINY = 5e-324
 
 try:
@@ -69,37 +70,36 @@ def _rows(diag, off2):
     return float(diag[0]), list(zip(diag[1:].tolist(), off2.tolist()))
 
 
-def _sturm_count_py(d0, rows, x, tiny):
+def _sturm_count_py(d0, rows, x):
     """Number of eigenvalues strictly below ``x``, in plain Python.
 
     ``rows`` pairs each later diagonal entry with the squared off-diagonal
-    entry before it.  Exact zero pivots are replaced by ``tiny`` so the
+    entry before it.  Exact zero pivots are replaced by ``_TINY`` so the
     count stays well defined on degenerate (e.g. diagonal) matrices.
-    ``tiny`` is ``_TINY`` outside the tests.
     """
     p = d0 - x
     if p == 0.0:
-        p = tiny
+        p = _TINY
     count = 1 if p < 0.0 else 0
     for di, ei in rows:
         p = di - x - ei / p
         if p == 0.0:
-            p = tiny
+            p = _TINY
         if p < 0.0:
             count += 1
     return count
 
 
-def _bisect_py(diag, off2, lo, hi, steps, tiny, idx):
+def _bisect_py(diag, off2, lo, hi, steps, idx):
     """Plain-Python bisection, one (section, index) lane at a time."""
     out = np.empty((len(lo), idx.size))
-    for b, (lo0, hi0, nsteps, tb) in enumerate(zip(lo, hi, steps, tiny)):
+    for b, (lo0, hi0, nsteps) in enumerate(zip(lo, hi, steps)):
         d0, rows = _rows(diag[b], off2[b])
         for k, j in enumerate(idx.tolist()):
             lo_j, hi_j = lo0, hi0
             for _ in range(nsteps):
                 mid = 0.5 * (lo_j + hi_j)
-                if _sturm_count_py(d0, rows, mid, tb) >= j + 1:
+                if _sturm_count_py(d0, rows, mid) >= j + 1:
                     hi_j = mid
                 else:
                     lo_j = mid
@@ -107,16 +107,17 @@ def _bisect_py(diag, off2, lo, hi, steps, tiny, idx):
     return out
 
 
-def _sturm_counts_np(diag, off2, x, tiny):
+def _sturm_counts_np(diag, off2, x):
     """``_sturm_count_py`` at every shift of ``x``, one row of shifts per section.
 
-    ``diag`` is (B, n), ``off2`` (B, n-1), ``x`` (B, K) and ``tiny`` (B, 1).
+    ``diag`` is (B, n), ``off2`` (B, n-1) and ``x`` (B, K).
     Row i of every section is broadcast as a (B, 1) column against ``x``.
     """
     d = diag.T[:, :, None]
     e = off2.T[:, :, None]
+    smallest = np.array(_TINY)  # np.copyto converts a float on every call
     p = d[0] - x
-    np.copyto(p, tiny, where=p == 0.0)
+    np.copyto(p, smallest, where=p == 0.0)
     count = (p < 0.0).astype(np.int64)
     q = np.empty_like(p)
     # a tiny pivot overflows the next quotient to inf, which counts as in
@@ -126,19 +127,19 @@ def _sturm_counts_np(diag, off2, x, tiny):
             np.divide(e[i - 1], p, out=q)
             np.subtract(d[i], x, out=p)
             p -= q
-            np.copyto(p, tiny, where=p == 0.0)
+            np.copyto(p, smallest, where=p == 0.0)
             count += p < 0.0
     return count
 
 
-def _bisect_np(diag, off2, lo, hi, steps, tiny, idx):
+def _bisect_np(diag, off2, lo, hi, steps, idx):
     """Lockstep bisection of every (section, index) lane in numpy arrays.
 
     Sections run in descending step count, so those still halving are a
     prefix of the lane array; a section that has run its steps stops moving.
     """
     order = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
-    diag, off2, tiny = diag[order], off2[order], np.array(tiny)[order, None]
+    diag, off2 = diag[order], off2[order]
     lo = np.repeat(np.array(lo)[order, None], idx.size, axis=1)
     hi = np.repeat(np.array(hi)[order, None], idx.size, axis=1)
     want = idx + 1
@@ -146,7 +147,7 @@ def _bisect_np(diag, off2, lo, hi, steps, tiny, idx):
     for s in range(steps[0]):
         b = sum(k > s for k in steps)
         mid = 0.5 * (lo[:b] + hi[:b])
-        above = _sturm_counts_np(diag[:b], off2[:b], mid, tiny[:b]) >= want
+        above = _sturm_counts_np(diag[:b], off2[:b], mid) >= want
         np.copyto(hi[:b], mid, where=above)
         np.copyto(lo[:b], mid, where=~above)
     out = np.empty_like(lo)
@@ -157,21 +158,21 @@ def _bisect_np(diag, off2, lo, hi, steps, tiny, idx):
 if HAVE_NUMBA:
 
     @njit(cache=True)
-    def _sturm_count_jit(diag, off2, x, tiny):
+    def _sturm_count_jit(diag, off2, x):
         p = diag[0] - x
         if p == 0.0:
-            p = tiny
+            p = _TINY
         count = 1 if p < 0.0 else 0
         for i in range(1, diag.shape[0]):
             p = diag[i] - x - off2[i - 1] / p
             if p == 0.0:
-                p = tiny
+                p = _TINY
             if p < 0.0:
                 count += 1
         return count
 
     @njit(cache=True)
-    def _bisect_jit(diag, off2, lo0, hi0, steps, tiny, idx):
+    def _bisect_jit(diag, off2, lo0, hi0, steps, idx):
         # all indices bisect in lockstep: one matrix pass serves k shifts,
         # so the division chain is independent across j and vectorizes
         n = diag.shape[0]
@@ -186,7 +187,7 @@ if HAVE_NUMBA:
                 mid[j] = 0.5 * (lo[j] + hi[j])
                 pj = diag[0] - mid[j]
                 if pj == 0.0:
-                    pj = tiny
+                    pj = _TINY
                 p[j] = pj
                 cnt[j] = 1 if pj < 0.0 else 0
             for i in range(1, n):
@@ -195,7 +196,7 @@ if HAVE_NUMBA:
                 for j in range(k):
                     pj = di - mid[j] - ei / p[j]
                     if pj == 0.0:
-                        pj = tiny
+                        pj = _TINY
                     p[j] = pj
                     if pj < 0.0:
                         cnt[j] += 1
@@ -210,8 +211,8 @@ if HAVE_NUMBA:
 def sturm_count(diag, off2, x):
     """Scalar Sturm count dispatched to the active kernel path."""
     if USE_NUMBA:
-        return int(_sturm_count_jit(diag, off2, float(x), _TINY))
-    return _sturm_count_py(*_rows(diag, off2), float(x), _TINY)
+        return int(_sturm_count_jit(diag, off2, float(x)))
+    return _sturm_count_py(*_rows(diag, off2), float(x))
 
 
 def bisect_sections(diag, off2, lo, hi, tol, idx):
@@ -227,21 +228,12 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     steps = [halvings(*b) for b in zip(lo, hi, tol)]
-    tiny = [_TINY] * len(steps)
     if USE_NUMBA:
-        rows = [_bisect_jit(*b, idx) for b in zip(diag, off2, lo, hi, steps, tiny)]
+        rows = [_bisect_jit(*b, idx) for b in zip(diag, off2, lo, hi, steps)]
         return np.array(rows).reshape(len(steps), idx.size)
     if len(steps) * idx.size <= PY_MAX_INDICES:
-        return _bisect_py(diag, off2, lo, hi, steps, tiny, idx)
+        return _bisect_py(diag, off2, lo, hi, steps, idx)
     per = max(1, MAX_LANES // idx.size)
     chunks = [slice(b, b + per) for b in range(0, len(steps), per)]
-    return np.concatenate([_bisect_np(diag[c], off2[c], lo[c], hi[c], steps[c], tiny[c], idx) for c in chunks])
+    return np.concatenate([_bisect_np(diag[c], off2[c], lo[c], hi[c], steps[c], idx) for c in chunks])
 
-
-def bisect_eigenvalues(diag, off2, lo, hi, tol, scale, idx):
-    """Eigenvalues of one section at the ascending indices ``idx``, in that order.
-
-    ``scale`` is not used; the benchmark's trace (``bench/spans.py``)
-    unpacks these seven arguments.
-    """
-    return bisect_sections(diag[None], off2[None], [float(lo)], [float(hi)], [tol], idx)[0]

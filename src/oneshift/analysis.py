@@ -25,10 +25,10 @@ from .tridiag import (
     DenseSymmetricMatrix,
     SpectrumSample,
     default_tol,
-    dense_sym_eigenvalues,
+    householder_tridiagonalize,
+    sections_eigenvalues_at,
     sturm_count,
     tridiag_eigenvalues,
-    tridiag_eigenvalues_at,
 )
 
 OUTLIER_MARGIN = 0.02
@@ -122,7 +122,7 @@ def _exterior_eigenvalues(m, ess, dist, tol):
     stretches = [np.arange(a, b) for a, b in zip(counts[::2], counts[1::2])]
     # the stretches overlap only when dist < tol
     idx = np.unique(np.concatenate(stretches))
-    return tridiag_eigenvalues_at(m, idx, tol=tol)
+    return sections_eigenvalues_at([m], idx, tol)[0]
 
 
 def family_params(f):
@@ -161,11 +161,12 @@ def rho_commutator_direct(p):
     """Direct spectral radius of the commutator of a finite pair.
 
     The commutator is skew-symmetric, hence normal; its spectral radius is
-    the square root of the largest eigenvalue of minus its square.
+    the square root of the largest eigenvalue of minus its square, the
+    only one bisected.
     """
     c = commutator(p)
-    m = DenseSymmetricMatrix(-(c @ c))
-    top = dense_sym_eigenvalues(m).values[-1]
+    t = householder_tridiagonalize(DenseSymmetricMatrix(-(c @ c)))
+    top = sections_eigenvalues_at([t], [t.n - 1])[0, 0]
     return math.sqrt(max(0.0, top))
 
 

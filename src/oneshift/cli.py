@@ -15,6 +15,11 @@ from . import analysis, forms, theory, tridiag, validate
 
 THETA_GRID_DEFAULT = "0.1:0.1:3.1"
 MAX_GRID_POINTS = 10_000
+# Orders are bounded before any array is built.  At this order `rho` runs
+# in about 15 s and 210 MB (numpy path, 2 cores), and a full spectrum is
+# already about 4*10^13 Sturm rows of bisection; larger orders end in a
+# memory error.
+MAX_ORDER = 1_000_000
 
 
 def fmt(x):
@@ -48,6 +53,8 @@ def parse_grid(spec):
 
 def even_order(n):
     """Truncation orders must be even; odd requests are bumped up."""
+    if n > MAX_ORDER:
+        raise ValueError(f"order must be <= {MAX_ORDER}")
     if n % 2:
         print(f"warning: order {n} is odd; using {n + 1}", file=sys.stderr)
         n += 1

@@ -48,7 +48,10 @@ class TridiagonalSymmetricMatrix:
         ae = np.abs(self.offdiag)
         r[:-1] += ae
         r[1:] += ae
-        return float(np.min(self.diag - r)), float(np.max(self.diag + r))
+        lo, hi = float(np.min(self.diag - r)), float(np.max(self.diag + r))
+        # c*I gets one bound, so that its bisection, which takes no step,
+        # returns 0.5 * (c + c) == c; hi alone turns c = -0.0 into +0.0
+        return lo, hi if hi > lo else lo
 
     def to_dense(self):
         a = np.diag(self.diag)
@@ -116,60 +119,34 @@ def sturm_count(m, x):
     return _kernels.sturm_count(m.diag, m.offdiag**2, x)
 
 
-def _bisection_setup(m, tol):
-    """Gershgorin bounds and bisection tolerance of ``m``."""
-    lo, hi = m.gershgorin()
-    if tol is None:
-        tol = default_tol(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return lo, hi, tol
-
-
-def _indices(idx, n):
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError("eigenvalue index out of range")
-    return idx
-
-
-def tridiag_eigenvalues_at(m, idx, tol=None):
-    """Eigenvalues of ``m`` at 0-based positions ``idx`` of the ascending spectrum.
-
-    Each value is bitwise the one the full solve gives at that position;
-    the output follows the order of ``idx``.
-    """
-    lo, hi, tol = _bisection_setup(m, tol)
-    idx = _indices(idx, m.n)
-    if lo == hi:
-        return np.full(idx.size, lo)
-    return _kernels.bisect_eigenvalues(m.diag, m.offdiag**2, lo, hi, tol, None, idx)
-
-
 def sections_eigenvalues_at(ms, idx, tol=None):
-    """Eigenvalues at positions ``idx`` of each of the sections ``ms``, one row each.
+    """Eigenvalues at 0-based positions ``idx`` of the ascending spectrum of
+    each of the sections ``ms``, one row each, in the order of ``idx``.
 
-    The sections must share one order.  They bisect in lockstep, and row b
-    is bitwise ``tridiag_eigenvalues_at(ms[b], idx, tol)``.
+    The sections must share one order.  They bisect in lockstep, and each
+    value is bitwise the one the full solve of its section alone gives at
+    that position.  ``tol`` defaults to each section's ``default_tol``.
     """
     if not ms:
         raise ValueError("no sections given")
-    if any(m.n != ms[0].n for m in ms):
+    n = ms[0].n
+    if any(m.n != n for m in ms):
         raise ValueError("sections must share one order")
-    idx = _indices(idx, ms[0].n)
-    lo, hi, tol = zip(*(_bisection_setup(m, tol) for m in ms))
-    diag = np.stack([m.diag for m in ms])
-    off2 = np.stack([m.offdiag for m in ms]) ** 2
-    vals = _kernels.bisect_sections(diag, off2, lo, hi, tol, idx)
-    for row, lo_b, hi_b in zip(vals, lo, hi):
-        if lo_b == hi_b:
-            row[:] = lo_b
-    return vals
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError("eigenvalue index out of range")
+    if tol is not None and tol <= 0:
+        raise ValueError("tol must be positive")
+    lo, hi = zip(*(m.gershgorin() for m in ms))
+    tols = [default_tol(m) if tol is None else tol for m in ms]
+    diag = np.array([m.diag for m in ms])
+    off2 = np.array([m.offdiag for m in ms]) ** 2
+    return _kernels.bisect_sections(diag, off2, lo, hi, tols, idx)
 
 
 def tridiag_eigenvalues(m, tol=None):
     """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending."""
-    vals = tridiag_eigenvalues_at(m, np.arange(m.n), tol=tol)
+    vals = sections_eigenvalues_at([m], np.arange(m.n), tol)[0]
     # two indices bisect the same points until one count splits them, the
     # lower index going left, so the values come out nondecreasing
     return SpectrumSample(values=vals, order=m.n)
@@ -203,6 +180,4 @@ def householder_tridiagonalize(m):
 
 def dense_sym_eigenvalues(m, tol=None):
     """Eigenvalues of a dense symmetric matrix via Householder + bisection."""
-    if m.n == 1:
-        return SpectrumSample(values=m.entries[0, :1].copy(), order=1)
     return tridiag_eigenvalues(householder_tridiagonalize(m), tol=tol)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneshift.cli import MAX_GRID_POINTS, THETA_GRID_DEFAULT, fmt, main, parse_grid
+from oneshift.cli import MAX_GRID_POINTS, MAX_ORDER, THETA_GRID_DEFAULT, fmt, main, parse_grid
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.tridiag import tridiag_eigenvalues
 
@@ -222,6 +222,20 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "requires --theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "--family", "constant", "--theta", "1.0"],
+            ["spectrum", "--family", "constant", "--theta", "1.0"],
+            ["sweep", "--family", "constant", "--theta", "1.0"],
+        ],
+        ids=["rho", "spectrum", "sweep"],
+    )
+    @pytest.mark.parametrize("n", [MAX_ORDER + 1, 10_000_000_000_000])
+    def test_order_above_bound_exits_2(self, capsys, argv, n):
+        assert run([*argv, "--n", str(n)]) == 2
+        assert capsys.readouterr().err == f"error: order must be <= {MAX_ORDER}\n"
+
     def test_missing_required_family_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["spectrum", "--theta", "1.0"])
@@ -282,7 +296,9 @@ def cli_argvs(draw):
         argv = [command, "--family", draw(st.sampled_from(FAMILIES))]
         argv += draw(_opt("--omega", ANGLES))
         argv += draw(_opt("--theta", GRIDS if command == "sweep" else ANGLES))
-        argv += draw(_opt("--n", st.integers(-3, 64).map(str)))
+        # orders between 64 and MAX_ORDER are only slow; those above it exit 2
+        orders = st.one_of(st.integers(-3, 64), st.integers(MAX_ORDER + 1, 10**15))
+        argv += draw(_opt("--n", orders.map(str)))
         if command == "sweep":
             argv += draw(_opt("--mode", st.sampled_from(["rho", "spectrum"])))
         else:

@@ -1,12 +1,14 @@
 """Fast paths of the eigensolver pinned bitwise to the slow paths they replace.
 
-A solve restricted to some indices must give exactly the values the full
-solve gives there; a lockstep solve of many sections must give exactly the
-values of each section solved alone; the plain-Python bisection must match
-the vectorized numpy one; the jitted twin, where numba is installed, must
-match both; and ``rho_numeric``, which bisects only exterior eigenvalues,
-must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
-``detect_outliers``.  Every Sturm count must be nondecreasing in the shift.
+Every solve goes through ``sections_eigenvalues_at`` and the kernel entry
+point ``_kernels.bisect_sections``.  A solve restricted to some indices must
+give exactly the values the full solve gives there; a lockstep solve of many
+sections must give exactly the values of each section solved alone; the
+plain-Python bisection must match the vectorized numpy one; the jitted twin,
+where numba is installed, must match both; and ``rho_numeric``, which
+bisects only exterior eigenvalues, must match the full-spectrum pipeline
+``tridiag_eigenvalues`` + ``detect_outliers``.  Every Sturm count must be
+nondecreasing in the shift.
 """
 
 import math
@@ -20,12 +22,7 @@ from oneshift import _kernels
 from oneshift.analysis import OUTLIER_MARGIN, OUTLIER_ORDER_STEP, detect_outliers, family_params, rho_numeric
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.theory import LimitSet, RhoReport, rho_from_lambda, select_lambda0, two_angle_essential
-from oneshift.tridiag import (
-    TridiagonalSymmetricMatrix,
-    sections_eigenvalues_at,
-    tridiag_eigenvalues,
-    tridiag_eigenvalues_at,
-)
+from oneshift.tridiag import TridiagonalSymmetricMatrix, default_tol, sections_eigenvalues_at, tridiag_eigenvalues
 
 entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(0.05, math.pi - 0.05)
@@ -41,13 +38,12 @@ def tridiagonals(draw, max_n=90):
 
 
 def kernel_args(*ms):
-    """(diag, off2, lo, hi, steps, tiny) of sections of one order, as ``bisect_sections`` builds them."""
+    """(diag, off2, lo, hi, steps) of sections of one order, as ``bisect_sections`` builds them."""
     lo, hi = (list(v) for v in zip(*(m.gershgorin() for m in ms)))
-    scale = [max(1.0, abs(a), abs(b)) for a, b in zip(lo, hi)]
-    steps = [_kernels.halvings(a, b, 1e-12 * c) for a, b, c in zip(lo, hi, scale)]
+    steps = [_kernels.halvings(a, b, default_tol(m)) for a, b, m in zip(lo, hi, ms)]
     diag = np.stack([m.diag for m in ms])
     off2 = np.stack([m.offdiag for m in ms]) ** 2
-    return diag, off2, lo, hi, steps, [_kernels._TINY] * len(ms)
+    return diag, off2, lo, hi, steps
 
 
 @st.composite
@@ -74,9 +70,9 @@ def index_subsets(n):
 @given(m=tridiagonals(), data=st.data())
 def test_sliced_solve_equals_full_solve_bitwise(m, data):
     idx = data.draw(index_subsets(m.n))
-    full = tridiag_eigenvalues_at(m, np.arange(m.n))
+    full = sections_eigenvalues_at([m], np.arange(m.n))[0]
     assert np.all(np.diff(full) >= 0.0)
-    assert tridiag_eigenvalues_at(m, idx).tobytes() == full[idx].tobytes()
+    assert sections_eigenvalues_at([m], idx)[0].tobytes() == full[idx].tobytes()
 
 
 # a subnormal first pivot at the shift 0 overflows the next quotient to -inf
@@ -93,13 +89,13 @@ TINY_OFFDIAGONAL = TridiagonalSymmetricMatrix(
 @example(case=(TINY_PIVOT, np.arange(2)))
 def test_python_loop_equals_numpy_loop_bitwise(case):
     m, idx = case
-    diag, off2, lo, hi, steps, tiny = kernel_args(m)
-    py = _kernels._bisect_py(diag, off2, lo, hi, steps, tiny, idx)
-    vec = _kernels._bisect_np(diag, off2, lo, hi, steps, tiny, idx)
+    diag, off2, lo, hi, steps = kernel_args(m)
+    py = _kernels._bisect_py(diag, off2, lo, hi, steps, idx)
+    vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx)
     assert py.tobytes() == vec.tobytes()
     shifts = np.linspace(lo[0] - 1.0, hi[0] + 1.0, 9)
-    scalar = [_kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x), tiny[0]) for x in shifts]
-    assert scalar == _kernels._sturm_counts_np(diag, off2, shifts[None], np.array(tiny)[:, None])[0].tolist()
+    scalar = [_kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x)) for x in shifts]
+    assert scalar == _kernels._sturm_counts_np(diag, off2, shifts[None])[0].tolist()
 
 
 # the 31 sections of order 10 of figure 1, bisected in 40 and 41 steps
@@ -123,7 +119,7 @@ def test_lockstep_sections_equal_per_section_solves_bitwise(case):
     batch = sections_eigenvalues_at(ms, idx)
     assert batch.shape == (len(ms), idx.size)
     for m, row in zip(ms, batch):
-        assert row.tobytes() == tridiag_eigenvalues_at(m, idx).tobytes()
+        assert row.tobytes() == sections_eigenvalues_at([m], idx)[0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,17 +127,16 @@ def test_lockstep_sections_equal_per_section_solves_bitwise(case):
 @example(ms=[TINY_PIVOT], xs=[-1e-300, -5e-324, 0.0, 5e-324, 1e-310, 1e-300])
 @example(ms=[TINY_OFFDIAGONAL], xs=[-5e-324, 0.0, 5e-324])
 def test_sturm_counts_nondecreasing_in_shift(ms, xs):
-    diag, off2, lo, hi, steps, tiny = kernel_args(*ms)
+    diag, off2 = kernel_args(*ms)[:2]
     # the shifts include each section's bisected eigenvalues and their
     # floating-point neighbours, where a count steps up
     eigs = sections_eigenvalues_at(ms, np.arange(ms[0].n)).ravel()
     x = np.unique(np.concatenate([xs, eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]))
-    pivots = np.array(tiny)[:, None]
-    batched = _kernels._sturm_counts_np(diag, off2, np.tile(x, (len(ms), 1)), pivots)
+    batched = _kernels._sturm_counts_np(diag, off2, np.tile(x, (len(ms), 1)))
     for b in range(len(ms)):
         rows = _kernels._rows(diag[b], off2[b])
-        scalar = [_kernels._sturm_count_py(*rows, v, tiny[b]) for v in x.tolist()]
-        vector = _kernels._sturm_counts_np(diag[b : b + 1], off2[b : b + 1], x[None], pivots[b : b + 1])[0].tolist()
+        scalar = [_kernels._sturm_count_py(*rows, v) for v in x.tolist()]
+        vector = _kernels._sturm_counts_np(diag[b : b + 1], off2[b : b + 1], x[None])[0].tolist()
         assert scalar == vector == batched[b].tolist()
         assert all(c0 <= c1 for c0, c1 in zip(scalar, scalar[1:]))
 
@@ -149,7 +144,7 @@ def test_sturm_counts_nondecreasing_in_shift(ms, xs):
 def test_sliced_solve_rejects_bad_index():
     m = TridiagonalSymmetricMatrix(diag=np.zeros(3), offdiag=np.ones(2))
     with pytest.raises(ValueError):
-        tridiag_eigenvalues_at(m, [3])
+        sections_eigenvalues_at([m], [3])
 
 
 def make_family(name, omega, theta):
@@ -210,13 +205,13 @@ def test_numba_twin_equals_numpy_path_bitwise():
     for n in (1, 2, 7, 40, 100):
         mats.append(TridiagonalSymmetricMatrix(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1)))
     for m in mats:
-        diag, off2, lo, hi, steps, tiny = kernel_args(m)
+        diag, off2, lo, hi, steps = kernel_args(m)
         subset = np.unique(rng.integers(0, m.n, size=min(m.n, 5)))
         for idx in (np.arange(m.n), subset):
-            jit = _kernels._bisect_jit(diag[0], off2[0], lo[0], hi[0], steps[0], tiny[0], idx)
-            py = _kernels._bisect_py(diag, off2, lo, hi, steps, tiny, idx)[0]
-            vec = _kernels._bisect_np(diag, off2, lo, hi, steps, tiny, idx)[0]
+            jit = _kernels._bisect_jit(diag[0], off2[0], lo[0], hi[0], steps[0], idx)
+            py = _kernels._bisect_py(diag, off2, lo, hi, steps, idx)[0]
+            vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx)[0]
             assert jit.tobytes() == py.tobytes() == vec.tobytes()
         for x in np.linspace(lo[0] - 1.0, hi[0] + 1.0, 7):
-            count = _kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x), tiny[0])
-            assert _kernels._sturm_count_jit(diag[0], off2[0], float(x), tiny[0]) == count
+            count = _kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x))
+            assert _kernels._sturm_count_jit(diag[0], off2[0], float(x)) == count

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import charpoly_tridiag_eigs, detscan_dense_eigs
 from oneshift.tridiag import (
@@ -99,6 +101,11 @@ class TestDenseEigenvalues:
         d = np.array([3.0, -1.0, 0.5, 2.0])
         s = dense_sym_eigenvalues(DenseSymmetricMatrix(np.diag(d)))
         assert np.allclose(s.values, np.sort(d), atol=1e-12)
+        # a 1x1 matrix has lo == hi, so bisection takes no step and returns
+        # its entry, signed zero, subnormal and large values included
+        for entry in (-0.0, 5e-324, 1e150):
+            s = dense_sym_eigenvalues(DenseSymmetricMatrix(np.array([[entry]])))
+            assert s.values.tobytes() == np.array([entry]).tobytes()
 
     def test_random_6x6_against_det_scan(self):
         rng = np.random.default_rng(42)
@@ -107,6 +114,22 @@ class TestDenseEigenvalues:
         got = dense_sym_eigenvalues(DenseSymmetricMatrix(a)).values
         want = detscan_dense_eigs(a)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 16), exponent=st.floats(-300.0, 150.0), data=st.data())
+    def test_householder_path_against_eigvalsh(self, n, exponent, data):
+        unit = st.floats(-1.0, 1.0)
+        a = 10.0**exponent * np.array(data.draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+        m = DenseSymmetricMatrix(a)
+        got = dense_sym_eigenvalues(m).values
+        want = np.linalg.eigvalsh(m.entries)
+        norm = float(np.max(np.abs(want)))
+        # bisection stops within tol / 2 of an eigenvalue of the reduced
+        # matrix T, where tol = 1e-12 * max(1, |lo|, |hi|) and the Gershgorin
+        # bounds of a tridiagonal T lie within 3 ||T||_2 = 3 ||A||_2; the
+        # reduction and the Sturm counts add rounding of order n eps ||A||_2
+        bound = 1.5e-12 * max(1.0, norm) + 8 * n * np.finfo(float).eps * norm
+        assert np.max(np.abs(got - want)) <= bound
 
     def test_householder_preserves_trace_and_norm(self):
         rng = np.random.default_rng(9)

@@ -12,8 +12,12 @@ A numba-jitted path and a numpy path are provided.  The jitted path is
 the default when numba is installed; set the environment variable
 ``ONESHIFT_NO_NUMBA=1`` to force the numpy path, which also runs when
 numba is absent.  The numpy path bisects a few lanes in plain Python and
-many in lockstep numpy arrays.  All paths do the same floating-point
-operations in the same order, so their output is bit-identical.
+many in lockstep numpy arrays.  Every section of the pair families is a
+short head followed by a 2-periodic tail; the plain-Python Sturm count
+stops walking the tail once a period gives back its starting pivot and
+counts the remaining periods at once.  The lockstep numpy count and the
+jitted one walk every row.  A repeated pivot repeats every later step, so
+all paths give bit-identical output.
 """
 
 import os
@@ -66,23 +70,69 @@ def halvings(lo, hi, tol):
 
 
 def _rows(diag, off2):
-    """First diagonal entry and the (diagonal, squared off-diagonal) row pairs."""
-    return float(diag[0]), list(zip(diag[1:].tolist(), off2.tolist()))
+    """First diagonal entry, head rows, tail rows and tail length of a section.
+
+    Row i pairs diagonal entry i with the squared off-diagonal entry before
+    it.  The tail is the longest run of last rows in which each row equals
+    the row two after it; the two rows of its first period stand for all of
+    it.  The head holds the rows before the tail; a section without a
+    periodic tail keeps all but its last two rows there.  Zero entries of
+    either sign compare equal, which cannot change a count: a pivot that
+    comes out a signed zero is replaced by ``_TINY``.
+    """
+    n = diag.size
+    breaks = np.flatnonzero((diag[3:] != diag[1:-2]) | (off2[2:] != off2[:-2]))
+    start = int(breaks[-1]) + 2 if breaks.size else 1
+    if n - start < 2:
+        start = n
+    head = list(zip(diag[1:start].tolist(), off2[: start - 1].tolist()))
+    tail = tuple(zip(diag[start : start + 2].tolist(), off2[start - 1 : start + 1].tolist()))
+    return float(diag[0]), head, tail, n - start
 
 
-def _sturm_count_py(d0, rows, x):
+def _sturm_count_py(d0, head, tail, tail_len, x):
     """Number of eigenvalues strictly below ``x``, in plain Python.
 
-    ``rows`` pairs each later diagonal entry with the squared off-diagonal
-    entry before it.  Exact zero pivots are replaced by ``_TINY`` so the
-    count stays well defined on degenerate (e.g. diagonal) matrices.
+    ``d0``, ``head``, ``tail`` and ``tail_len`` are as ``_rows`` returns
+    them.  Exact zero pivots are replaced by ``_TINY`` so the count stays
+    well defined on degenerate (e.g. diagonal) matrices.  The pivot after a
+    row depends only on the pivot before it, so once a period of the tail
+    gives back the pivot it started from, every later period repeats it and
+    adds the same count: the rest of the tail is counted without walking it,
+    and the result is bitwise that of the full loop.
     """
     p = d0 - x
     if p == 0.0:
         p = _TINY
     count = 1 if p < 0.0 else 0
-    for di, ei in rows:
+    for di, ei in head:
         p = di - x - ei / p
+        if p == 0.0:
+            p = _TINY
+        if p < 0.0:
+            count += 1
+    if not tail_len:
+        return count
+    (da, ea), (db, eb) = tail
+    ax, bx = da - x, db - x
+    periods, odd = divmod(tail_len, 2)
+    for k in range(periods):
+        start, before = p, count
+        p = ax - ea / p
+        if p == 0.0:
+            p = _TINY
+        if p < 0.0:
+            count += 1
+        p = bx - eb / p
+        if p == 0.0:
+            p = _TINY
+        if p < 0.0:
+            count += 1
+        if p == start:
+            count += (periods - 1 - k) * (count - before)
+            break
+    if odd:
+        p = ax - ea / p
         if p == 0.0:
             p = _TINY
         if p < 0.0:
@@ -94,12 +144,12 @@ def _bisect_py(diag, off2, lo, hi, steps, idx):
     """Plain-Python bisection, one (section, index) lane at a time."""
     out = np.empty((len(lo), idx.size))
     for b, (lo0, hi0, nsteps) in enumerate(zip(lo, hi, steps)):
-        d0, rows = _rows(diag[b], off2[b])
+        rows = _rows(diag[b], off2[b])
         for k, j in enumerate(idx.tolist()):
             lo_j, hi_j = lo0, hi0
             for _ in range(nsteps):
                 mid = 0.5 * (lo_j + hi_j)
-                if _sturm_count_py(d0, rows, mid) >= j + 1:
+                if _sturm_count_py(*rows, mid) >= j + 1:
                     hi_j = mid
                 else:
                     lo_j = mid

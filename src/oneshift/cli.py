@@ -5,6 +5,7 @@ lines end with "\n", and identical inputs give byte-identical files.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,6 +21,10 @@ MAX_GRID_POINTS = 10_000
 # already about 4*10^13 Sturm rows of bisection; larger orders end in a
 # memory error.
 MAX_ORDER = 1_000_000
+# `sweep` builds and stacks all its sections before it solves any, at about
+# 31 bytes per section row, so points * order is bounded too: this many
+# rows take about 310 MB.
+MAX_SWEEP_ROWS = 10_000_000
 
 
 def fmt(x):
@@ -205,6 +210,8 @@ def cmd_sweep(args):
         if not (0.0 < t < math.pi):
             raise ValueError("theta grid must lie inside (0, pi)")
     n = even_order(args.n)
+    if len(thetas) * n > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep of {len(thetas)} points at order {n} exceeds {MAX_SWEEP_ROWS} section rows")
     omega = args.omega
 
     def fam_for(theta):
@@ -277,6 +284,7 @@ def cmd_validate(args):
     return 0 if report["all_pass"] else 1
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="oneshift",

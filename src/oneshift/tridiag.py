@@ -106,10 +106,13 @@ class SpectrumSample:
         object.__setattr__(self, "order", n)
 
 
+def _bounds_tol(lo, hi):
+    return 1e-12 * max(1.0, abs(lo), abs(hi))
+
+
 def default_tol(m):
     """Scale-free bisection tolerance: 1e-12 * max(1, Gershgorin radius)."""
-    lo, hi = m.gershgorin()
-    return 1e-12 * max(1.0, abs(lo), abs(hi))
+    return _bounds_tol(*m.gershgorin())
 
 
 def sturm_count(m, x):
@@ -138,7 +141,7 @@ def sections_eigenvalues_at(ms, idx, tol=None):
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = zip(*(m.gershgorin() for m in ms))
-    tols = [default_tol(m) if tol is None else tol for m in ms]
+    tols = [_bounds_tol(a, b) if tol is None else tol for a, b in zip(lo, hi)]
     diag = np.array([m.diag for m in ms])
     off2 = np.array([m.offdiag for m in ms]) ** 2
     return _kernels.bisect_sections(diag, off2, lo, hi, tols, idx)

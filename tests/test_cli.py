@@ -1,14 +1,20 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneshift.cli import MAX_GRID_POINTS, MAX_ORDER, THETA_GRID_DEFAULT, fmt, main, parse_grid
+import oneshift
+from oneshift import cli, forms
+from oneshift.cli import MAX_GRID_POINTS, MAX_ORDER, MAX_SWEEP_ROWS, THETA_GRID_DEFAULT, fmt, main, parse_grid
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.tridiag import tridiag_eigenvalues
 
@@ -236,10 +242,58 @@ class TestExitCodes:
         assert run([*argv, "--n", str(n)]) == 2
         assert capsys.readouterr().err == f"error: order must be <= {MAX_ORDER}\n"
 
+    def test_sweep_above_row_cap_exits_2_and_builds_nothing(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("a section was built")
+
+        monkeypatch.setattr(forms, "build_sum_truncation", build)
+        monkeypatch.setattr(forms, "PairFamily", None)
+        # 9,998 points at the largest order: about 300 GB of stacked sections
+        assert run(["sweep", "--family", "constant", "--theta", "0.001:0.00031:3.1", "--n", str(MAX_ORDER)]) == 2
+        cap = f"exceeds {MAX_SWEEP_ROWS} section rows"
+        assert capsys.readouterr().err == f"error: sweep of 9998 points at order {MAX_ORDER} {cap}\n"
+
+    def test_sweep_row_cap_admits_its_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 30)
+        argv = ["sweep", "--family", "constant", "--theta", "0.5:0.5:1.5", "--mode", "spectrum"]
+        assert run([*argv, "--n", "10"]) == 0
+        assert run([*argv, "--n", "12"]) == 2
+        assert capsys.readouterr().err.endswith("error: sweep of 3 points at order 12 exceeds 30 section rows\n")
+
     def test_missing_required_family_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["spectrum", "--theta", "1.0"])
         assert exc.value.code == 2
+
+
+def captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_back_to_back_calls_match_separate_runs(monkeypatch):
+    # one process serves many requests with one parser; each answer must be
+    # the one a fresh process gives, also after an argparse error
+    monkeypatch.setenv("COLUMNS", "80")
+    requests = [
+        ["spectrum", "--family", "constant", "--theta", "1.0", "--n", "6"],
+        ["rho", "--family", "eq3", "--omega", "1.2", "--theta", "0.7", "--n", "40"],
+        ["spectrum", "--theta", "1.0"],
+        ["sweep", "--family", "eq5", "--theta", "0.5:0.5:1.5", "--n", "10", "--mode", "spectrum"],
+        ["rho", "--family", "constant", "--theta", "nan", "--n", "10"],
+        ["spectrum", "--family", "constant", "--theta", "1.0", "--n", "6"],
+    ]
+    together = [captured_main(argv) for argv in requests]
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 2, 0]
+    env = {**os.environ, "PYTHONPATH": str(Path(oneshift.__file__).parents[1])}
+    for argv, got in zip(requests, together):
+        proc = subprocess.run([sys.executable, "-m", "oneshift.cli", *argv], capture_output=True, text=True, env=env)
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
 
 
 FAMILIES = ("constant", "eq3", "eq5", "two-constant", "general-file")

@@ -8,7 +8,8 @@ plain-Python bisection must match the vectorized numpy one; the jitted twin,
 where numba is installed, must match both; and ``rho_numeric``, which
 bisects only exterior eigenvalues, must match the full-spectrum pipeline
 ``tridiag_eigenvalues`` + ``detect_outliers``.  Every Sturm count must be
-nondecreasing in the shift.
+nondecreasing in the shift, and the plain-Python count, which stops walking
+a 2-periodic tail once its pivot repeats, must equal the full loop.
 """
 
 import math
@@ -83,7 +84,6 @@ TINY_OFFDIAGONAL = TridiagonalSymmetricMatrix(
     diag=np.array([0.0, 0.0, 0.0, 0.001]), offdiag=np.array([0.0, 0.0, 6.6440600068771525e-71])
 )
 
-
 @settings(max_examples=60, deadline=None)
 @given(case=tridiagonals(max_n=40).flatmap(lambda m: st.tuples(st.just(m), index_subsets(m.n))))
 @example(case=(TINY_PIVOT, np.arange(2)))
@@ -139,6 +139,71 @@ def test_sturm_counts_nondecreasing_in_shift(ms, xs):
         vector = _kernels._sturm_counts_np(diag[b : b + 1], off2[b : b + 1], x[None])[0].tolist()
         assert scalar == vector == batched[b].tolist()
         assert all(c0 <= c1 for c0, c1 in zip(scalar, scalar[1:]))
+
+
+SCALES = [1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150]
+# zero and tiny off-diagonal entries, before they are scaled
+OFF_ENTRIES = st.one_of(entries, st.sampled_from([0.0, 5e-324, 1e-300, 1e-160]))
+
+
+@st.composite
+def periodic_tail_sections(draw):
+    """A first entry and a drawn head of rows, then a 2-periodic tail of
+    drawn length, all scaled by one factor."""
+    scale = draw(st.sampled_from(SCALES))
+    head, tail_len = draw(st.integers(0, 7)), draw(st.integers(0, 41))
+    diag = draw(st.lists(entries, min_size=1 + head, max_size=1 + head))
+    off = draw(st.lists(OFF_ENTRIES, min_size=head, max_size=head))
+    diag += (draw(st.lists(entries, min_size=2, max_size=2)) * tail_len)[:tail_len]
+    off += (draw(st.lists(OFF_ENTRIES, min_size=2, max_size=2)) * tail_len)[:tail_len]
+    return TridiagonalSymmetricMatrix(diag=scale * np.array(diag), offdiag=scale * np.array(off))
+
+
+def band_edges(diag, off2):
+    """Ends of the bands of the 2-periodic operator that repeats the last
+    two rows: (x - a)(x - b) = (|c| -+ |d|)^2 for diagonal entries a, b and
+    off-diagonal entries c, d."""
+    if diag.size < 3:
+        return []
+    a, b = diag[-2:].tolist()
+    c, d = np.sqrt(off2[-2:]).tolist()
+    mid, half = 0.5 * (a + b), 0.5 * (a - b)
+    return [mid + sign * math.hypot(half, c + way * d) for sign in (-1.0, 1.0) for way in (-1.0, 1.0)]
+
+
+# a head of three rows and a tail of five, whose last period is half done
+ODD_TAIL = TridiagonalSymmetricMatrix(
+    diag=np.array([0.5, -2.0, 3.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]),
+    offdiag=np.array([1.0, 0.0, 2.0, 0.25, 0.5, 0.25, 0.5, 0.25]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=periodic_tail_sections())
+@example(m=build_sum_truncation(PairFamily.perturbed_heads(1.0), 40))
+@example(m=TridiagonalSymmetricMatrix(diag=np.array([0.0, 1.0, -1.0, 1.0, -1.0, 1.0]), offdiag=np.zeros(5)))
+@example(m=ODD_TAIL)
+def test_periodic_tail_count_equals_full_loop(m):
+    diag, off2 = m.diag[None], m.offdiag[None] ** 2
+    lo, hi = m.gershgorin()
+    eigs = sections_eigenvalues_at([m], np.arange(m.n))[0]
+    near = [eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]
+    x = np.concatenate([*near, band_edges(m.diag, off2[0]), [lo, hi]])
+    rows = _kernels._rows(diag[0], off2[0])
+    full = _kernels._sturm_counts_np(diag, off2, x[None])[0].tolist()
+    assert [_kernels._sturm_count_py(*rows, v) for v in x.tolist()] == full
+
+
+@pytest.mark.parametrize("name", ["constant", "head_omega", "perturbed_heads", "two_constant"])
+def test_family_head_length_does_not_depend_on_order(name):
+    f = make_family(name, 1.2, 0.7)
+    heads = set()
+    for n in (40, 42, 600, 2002):
+        m = build_sum_truncation(f, n)
+        _, head, tail, tail_len = _kernels._rows(m.diag, m.offdiag**2)
+        assert len(tail) == 2 and 1 + len(head) + tail_len == n
+        heads.add(len(head))
+    assert len(heads) == 1
 
 
 def test_sliced_solve_rejects_bad_index():

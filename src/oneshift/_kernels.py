@@ -8,21 +8,34 @@ implement it.  Every (section, index) lane runs its section's fixed number
 of halvings, so an eigenvalue comes out bitwise the same whichever other
 sections and indices are solved with it.
 
+Above ``PY_MAX_INDICES`` lanes a certificate settles most eigenvalues
+without bisecting them.  Every section of the pair families is a short head
+followed by a 2-periodic tail, and the tail's transfer matrix places each
+eigenvalue inside a band to within rounding (``_tail.guesses``).  A guess
+walks the bisection tree to a leaf; two Sturm counts at the leaf's ends
+tell which indices bisection would bring to that leaf, and its midpoint is
+their value, bitwise (``_certify``).  This rests on one premise: counts
+never decrease as the shift rises.  Guesses only choose which leaves get
+counted, so a missing or wrong guess costs speed, not bits.  The lanes no
+leaf settles, chiefly the eigenvalues outside the bands and the sections
+with no tail to guess from, are bisected as before.
+
 A numba-jitted path and a numpy path are provided.  The jitted path is
 the default when numba is installed; set the environment variable
 ``ONESHIFT_NO_NUMBA=1`` to force the numpy path, which also runs when
 numba is absent.  The numpy path bisects a few lanes in plain Python and
-many in lockstep numpy arrays.  Every section of the pair families is a
-short head followed by a 2-periodic tail; the plain-Python Sturm count
-stops walking the tail once a period gives back its starting pivot and
-counts the remaining periods at once.  The lockstep numpy count and the
-jitted one walk every row.  A repeated pivot repeats every later step, so
-all paths give bit-identical output.
+many in lockstep numpy arrays.  The plain-Python Sturm count stops walking
+a periodic tail once a period gives back its starting pivot and counts the
+remaining periods at once, which makes counts outside the bands cheap.  The
+lockstep numpy count and the jitted one walk every row.  A repeated pivot
+repeats every later step, so all paths give bit-identical output.
 """
 
 import os
 
 import numpy as np
+
+from . import _tail
 
 # An exact zero pivot is replaced by the smallest positive double, the value
 # the pivot approaches as the shift decreases to that point.  A larger
@@ -72,19 +85,11 @@ def halvings(lo, hi, tol):
 def _rows(diag, off2):
     """First diagonal entry, head rows, tail rows and tail length of a section.
 
-    Row i pairs diagonal entry i with the squared off-diagonal entry before
-    it.  The tail is the longest run of last rows in which each row equals
-    the row two after it; the two rows of its first period stand for all of
-    it.  The head holds the rows before the tail; a section without a
-    periodic tail keeps all but its last two rows there.  Zero entries of
-    either sign compare equal, which cannot change a count: a pivot that
-    comes out a signed zero is replaced by ``_TINY``.
+    The two rows of the tail's first period (see ``_tail.start``) stand for
+    all of it; the head holds the rows before the tail.
     """
     n = diag.size
-    breaks = np.flatnonzero((diag[3:] != diag[1:-2]) | (off2[2:] != off2[:-2]))
-    start = int(breaks[-1]) + 2 if breaks.size else 1
-    if n - start < 2:
-        start = n
+    start = _tail.start(diag, off2)
     head = list(zip(diag[1:start].tolist(), off2[: start - 1].tolist()))
     tail = tuple(zip(diag[start : start + 2].tolist(), off2[start - 1 : start + 1].tolist()))
     return float(diag[0]), head, tail, n - start
@@ -140,20 +145,21 @@ def _sturm_count_py(d0, head, tail, tail_len, x):
     return count
 
 
-def _bisect_py(diag, off2, lo, hi, steps, idx):
-    """Plain-Python bisection, one (section, index) lane at a time."""
-    out = np.empty((len(lo), idx.size))
-    for b, (lo0, hi0, nsteps) in enumerate(zip(lo, hi, steps)):
-        rows = _rows(diag[b], off2[b])
-        for k, j in enumerate(idx.tolist()):
-            lo_j, hi_j = lo0, hi0
-            for _ in range(nsteps):
-                mid = 0.5 * (lo_j + hi_j)
-                if _sturm_count_py(*rows, mid) >= j + 1:
-                    hi_j = mid
-                else:
-                    lo_j = mid
-            out[b, k] = 0.5 * (lo_j + hi_j)
+def _bisect_py(diag, off2, lo, hi, steps, lanes):
+    """Plain-Python bisection of each (section, index) pair of ``lanes``, one at a time."""
+    out = np.empty(len(lanes))
+    rows = {}
+    for i, (b, j) in enumerate(lanes):
+        if b not in rows:
+            rows[b] = _rows(diag[b], off2[b])
+        row, lo_j, hi_j = rows[b], lo[b], hi[b]
+        for _ in range(steps[b]):
+            mid = 0.5 * (lo_j + hi_j)
+            if _sturm_count_py(*row, mid) >= j + 1:
+                hi_j = mid
+            else:
+                lo_j = mid
+        out[i] = 0.5 * (lo_j + hi_j)
     return out
 
 
@@ -183,21 +189,21 @@ def _sturm_counts_np(diag, off2, x):
 
 
 def _bisect_np(diag, off2, lo, hi, steps, idx):
-    """Lockstep bisection of every (section, index) lane in numpy arrays.
+    """Lockstep bisection in numpy arrays of the indices ``idx[b]`` of each section b.
 
-    Sections run in descending step count, so those still halving are a
-    prefix of the lane array; a section that has run its steps stops moving.
+    ``idx`` is (B, K).  Sections run in descending step count, so those
+    still halving are a prefix of the lane array; a section that has run
+    its steps stops moving.
     """
     order = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
-    diag, off2 = diag[order], off2[order]
-    lo = np.repeat(np.array(lo)[order, None], idx.size, axis=1)
-    hi = np.repeat(np.array(hi)[order, None], idx.size, axis=1)
-    want = idx + 1
+    diag, off2, want = diag[order], off2[order], idx[order] + 1
+    lo = np.repeat(lo[order, None], idx.shape[1], axis=1)
+    hi = np.repeat(hi[order, None], idx.shape[1], axis=1)
     steps = [steps[b] for b in order]
     for s in range(steps[0]):
         b = sum(k > s for k in steps)
         mid = 0.5 * (lo[:b] + hi[:b])
-        above = _sturm_counts_np(diag[:b], off2[:b], mid) >= want
+        above = _sturm_counts_np(diag[:b], off2[:b], mid) >= want[:b]
         np.copyto(hi[:b], mid, where=above)
         np.copyto(lo[:b], mid, where=~above)
     out = np.empty_like(lo)
@@ -259,10 +265,132 @@ if HAVE_NUMBA:
 
 
 def sturm_count(diag, off2, x):
-    """Scalar Sturm count dispatched to the active kernel path."""
+    """Sturm count at the shift ``x``, dispatched to the active kernel path.
+
+    ``x`` may be a sequence of shifts, which gives a list of counts and sets
+    the section up once.
+    """
+    xs = np.atleast_1d(x).tolist()
     if USE_NUMBA:
-        return int(_sturm_count_jit(diag, off2, float(x)))
-    return _sturm_count_py(*_rows(diag, off2), float(x))
+        counts = [int(_sturm_count_jit(diag, off2, float(v))) for v in xs]
+    else:
+        rows = _rows(diag, off2)
+        counts = [_sturm_count_py(*rows, float(v)) for v in xs]
+    return counts if np.ndim(x) else counts[0]
+
+
+def _leaves(guesses, lo, hi, steps):
+    """Distinct bisection leaves that the guesses of each section fall in.
+
+    Each guess walks its section's midpoint tree, left where it lies below
+    the midpoint, for the section's number of steps.  Guesses that are not
+    finite are dropped.  Returns the (B, U) lower and upper leaf ends; a
+    section with fewer than U leaves repeats one of them.
+    """
+    lower = np.repeat(lo[:, None], guesses.shape[1], axis=1)
+    upper = np.repeat(hi[:, None], guesses.shape[1], axis=1)
+    for s in range(steps.max()):
+        mid = 0.5 * (lower + upper)
+        left = guesses < mid
+        live = (steps > s)[:, None]
+        np.copyto(upper, mid, where=left & live)
+        np.copyto(lower, mid, where=~left & live)
+    # _tail.guesses puts the guesses of one eigenvalue within three columns
+    # of each other, so a leaf met again that close is counted once
+    keep = np.isfinite(guesses)
+    for back in (1, 2, 3):
+        keep[:, back:] &= (lower[:, back:] != lower[:, :-back]) | (upper[:, back:] != upper[:, :-back])
+    slot = np.cumsum(keep, axis=1) - 1
+    row, col = np.nonzero(keep)
+    ends = []
+    for e in (lower, upper):
+        packed = np.repeat(e[:, :1], slot[:, -1].max() + 1, axis=1)
+        packed[row, slot[row, col]] = e[row, col]
+        ends.append(packed)
+    return ends
+
+
+def _certify(diag, off2, lo, hi, steps, idx, out):
+    """Write into ``out`` each eigenvalue at ``idx`` that a tail guess certifies.
+
+    A guess's leaf [l, h] holds index j exactly when count(l) <= j <
+    count(h), and then 0.5 * (l + h) is bitwise what bisecting j gives:
+    every midpoint where the guess went left is >= h, so its count is > j,
+    and every one where it went right is <= l, so its count is <= j; with
+    counts nondecreasing in the shift, bisecting j takes the same turns.
+    One lockstep count at both ends of every distinct leaf therefore
+    settles all the indices its leaves hold.  Guessing costs about two
+    counts per eigenvalue, where bisecting K indices costs K * steps, so
+    sections are guessed from only when K * steps exceeds 2n, and only when
+    their common tail is longer than their common head.  Lanes no leaf
+    holds stay NaN.
+    """
+    n = diag.shape[1]
+    head = max(_tail.start(d, e) for d, e in zip(diag, off2))
+    head += (n - head) % 2
+    k = (n - head) // 2
+    if idx.size * steps.max() <= 2 * n or k < 2 or 2 * k <= head:
+        return
+    column = np.full(n, -1)
+    column[idx] = np.arange(idx.size)
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    scale[scale == 0.0] = 1.0
+    # Candidates m per chunk, each giving four guesses and up to eight
+    # counted leaf ends.  At MAX_LANES // 8 a spectra-dataset round ran 2 %
+    # faster, but figure 4 peaked above its own output's memory, and the
+    # round's peak RSS rose by about 0.15 MB.
+    budget = MAX_LANES // 32
+    per = min(len(steps), max(1, budget // (k + 2)))
+    span = max(1, budget // per)
+    for b in range(0, len(steps), per):
+        rows = slice(b, b + per)
+        for m in range(0, k + 2, span):
+            guesses = _tail.guesses(
+                diag[rows, : head + 2], off2[rows, : head + 1], scale[rows], k, np.arange(m, min(m + span, k + 2))
+            )
+            lower, upper = _leaves(guesses, lo[rows], hi[rows], steps[rows])
+            if not lower.size:
+                continue
+            counts = _sturm_counts_np(diag[rows], off2[rows], np.concatenate([lower, upper], axis=1))
+            first, stop = np.split(counts, 2, axis=1)
+            sizes = np.maximum(stop - first, 0).ravel()
+            within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            j = column[np.repeat(first.ravel(), sizes) + within]
+            sec = np.repeat(np.arange(b, b + len(lower)).repeat(lower.shape[1]), sizes)
+            value = np.repeat((0.5 * (lower + upper)).ravel(), sizes)
+            asked = j >= 0
+            out[sec[asked], j[asked]] = value[asked]
+
+
+def _bisect_lanes(diag, off2, lo, hi, steps, sec, idx):
+    """Bisected eigenvalue of every lane (``sec[i]``, ``idx[i]``), in lane order.
+
+    ``sec`` is nondecreasing.  The jitted path solves each section's lanes
+    together; the numpy path bisects up to ``PY_MAX_INDICES`` lanes in plain
+    Python and more in lockstep, each section's indices padded to a common
+    count with its last one, in chunks of about ``MAX_LANES`` lanes.
+    """
+    if not USE_NUMBA and sec.size <= PY_MAX_INDICES:
+        return _bisect_py(diag, off2, lo.tolist(), hi.tolist(), steps.tolist(), list(zip(sec.tolist(), idx.tolist())))
+    first = np.flatnonzero(np.diff(sec, prepend=-1))
+    rows, count = sec[first], np.diff(first, append=sec.size)
+    if USE_NUMBA:
+        lanes = zip(rows, first, count)
+        parts = [_bisect_jit(diag[b], off2[b], lo[b], hi[b], steps[b], idx[f : f + c]) for b, f, c in lanes]
+        return np.concatenate(parts) if parts else np.empty(0)
+    rank = np.repeat(np.arange(rows.size), count)
+    slot = np.arange(sec.size) - first[rank]
+    grid = np.repeat(idx[first + count - 1][:, None], count.max(), axis=1)
+    grid[rank, slot] = idx
+    per = max(1, MAX_LANES // grid.shape[1])
+    solved = np.concatenate(
+        [
+            _bisect_np(diag[r], off2[r], lo[r], hi[r], steps[r], grid[c])
+            for c in (slice(a, a + per) for a in range(0, rows.size, per))
+            for r in [rows[c]]
+        ]
+    )
+    return solved[rank, slot]
 
 
 def bisect_sections(diag, off2, lo, hi, tol, idx):
@@ -272,18 +400,19 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     the sequences ``lo``, ``hi`` and ``tol`` give each section's
     Gershgorin bounds and bisection tolerance.  Row b of the
     (B, K) result holds section b's values in the order of ``idx``.
-    Dispatched to the active kernel path; within the numpy path, up to
-    ``PY_MAX_INDICES`` lanes bisect in plain Python and more in chunks of
-    about ``MAX_LANES``.
+    Above ``PY_MAX_INDICES`` lanes, ``_certify`` first settles what it can
+    from tail guesses; every other lane is bisected on the active kernel
+    path.  Either way each value is bitwise that of plain bisection.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     steps = [halvings(*b) for b in zip(lo, hi, tol)]
-    if USE_NUMBA:
-        rows = [_bisect_jit(*b, idx) for b in zip(diag, off2, lo, hi, steps)]
-        return np.array(rows).reshape(len(steps), idx.size)
-    if len(steps) * idx.size <= PY_MAX_INDICES:
-        return _bisect_py(diag, off2, lo, hi, steps, idx)
-    per = max(1, MAX_LANES // idx.size)
-    chunks = [slice(b, b + per) for b in range(0, len(steps), per)]
-    return np.concatenate([_bisect_np(diag[c], off2[c], lo[c], hi[c], steps[c], idx) for c in chunks])
-
+    if not USE_NUMBA and len(steps) * idx.size <= PY_MAX_INDICES:
+        lanes = [(b, j) for b in range(len(steps)) for j in idx.tolist()]
+        return _bisect_py(diag, off2, lo, hi, steps, lanes).reshape(len(steps), idx.size)
+    lo, hi, steps = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64), np.array(steps)
+    out = np.full((steps.size, idx.size), np.nan)
+    if out.size > PY_MAX_INDICES:
+        _certify(diag, off2, lo, hi, steps, idx, out)
+    sec, k = np.nonzero(np.isnan(out))
+    out[sec, k] = _bisect_lanes(diag, off2, lo, hi, steps, sec, idx[k])
+    return out

@@ -42,38 +42,43 @@ class ConvergenceRecord:
 
 
 def _as_intervals(obj):
-    """Normalize a LimitSet or SpectrumSample to a sorted interval list."""
+    """A LimitSet or SpectrumSample as the ends (lo, hi) of sorted intervals."""
     if isinstance(obj, SpectrumSample):
-        return [(float(v), float(v)) for v in obj.values]
+        return obj.values, obj.values
     if isinstance(obj, LimitSet):
-        ivs = list(obj.intervals) + [(p, p) for p in obj.points]
-        return sorted(ivs)
+        ivs = sorted(list(obj.intervals) + [(p, p) for p in obj.points])
+        return tuple(np.array(ivs, dtype=np.float64).reshape(-1, 2).T)
     raise TypeError(f"unsupported operand {type(obj).__name__}")
 
 
-def _point_to_intervals(x, ivs):
-    return min(
-        0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi)) for lo, hi in ivs
-    )
+def _covered(x, lo, hi):
+    # x lies in an interval when those starting at or before it reach it
+    last = np.searchsorted(lo, x, side="right") - 1
+    return (last >= 0) & (np.maximum.accumulate(hi)[np.maximum(last, 0)] >= x)
 
 
-def _directed(a_ivs, b_ivs):
+def _distances(x, lo, hi):
+    # outside every interval, the distance is that to the nearest end
+    ends = np.sort(np.concatenate([lo, hi]))
+    i = np.searchsorted(ends, x)
+    below = np.abs(x - ends[np.maximum(i - 1, 0)])
+    above = np.abs(x - ends[np.minimum(i, ends.size - 1)])
+    return np.where(_covered(x, lo, hi), 0.0, np.minimum(below, above))
+
+
+def _directed(a, b):
     # sup over a of dist(., b): attained at interval endpoints of a or at
     # midpoints of b's coverage gaps that fall inside an interval of a
-    candidates = []
-    for lo, hi in a_ivs:
-        candidates.extend((lo, hi))
-        for (_, h1), (l2, _) in zip(b_ivs, b_ivs[1:]):
-            mid = 0.5 * (h1 + l2)
-            if lo <= mid <= hi:
-                candidates.append(mid)
-    return max(_point_to_intervals(x, b_ivs) for x in candidates)
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    mids = 0.5 * (b_hi[:-1] + b_lo[1:])
+    candidates = np.concatenate([a_lo, a_hi, mids[_covered(mids, a_lo, a_hi)]])
+    return float(np.max(_distances(candidates, b_lo, b_hi)))
 
 
 def hausdorff_distance(a, b):
     """Hausdorff distance between two closed sets on the real line."""
     a_ivs, b_ivs = _as_intervals(a), _as_intervals(b)
-    if not a_ivs or not b_ivs:
+    if not a_ivs[0].size or not b_ivs[0].size:
         raise ValueError("both sets must be nonempty")
     return max(_directed(a_ivs, b_ivs), _directed(b_ivs, a_ivs))
 
@@ -118,7 +123,7 @@ def _exterior_eigenvalues(m, ess, dist, tol):
     slack = default_tol(m) if tol is None else tol
     reach = dist - slack
     edges = [x for lo, hi in ess.intervals for x in (lo - reach, hi + reach)]
-    counts = [0] + [sturm_count(m, x) for x in edges] + [m.n]
+    counts = [0] + sturm_count(m, edges) + [m.n]
     stretches = [np.arange(a, b) for a, b in zip(counts[::2], counts[1::2])]
     # the stretches overlap only when dist < tol
     idx = np.unique(np.concatenate(stretches))

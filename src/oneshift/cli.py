@@ -17,9 +17,10 @@ from . import analysis, forms, theory, tridiag, validate
 THETA_GRID_DEFAULT = "0.1:0.1:3.1"
 MAX_GRID_POINTS = 10_000
 # Orders are bounded before any array is built.  At this order `rho` runs
-# in about 15 s and 210 MB (numpy path, 2 cores), and a full spectrum is
-# already about 4*10^13 Sturm rows of bisection; larger orders end in a
-# memory error.
+# in about 15 s and 210 MB (numpy path, 2 cores).  A full spectrum counts
+# each in-band eigenvalue twice instead of bisecting it, but that is still
+# about 2*10^12 lockstep Sturm rows: n = 20,000 takes 2.8 s, and the time
+# grows as n^2.  Larger orders end in a memory error.
 MAX_ORDER = 1_000_000
 # `sweep` builds and stacks all its sections before it solves any, at about
 # 31 bytes per section row, so points * order is bounded too: this many

@@ -116,8 +116,12 @@ def default_tol(m):
 
 
 def sturm_count(m, x):
-    """Number of eigenvalues of ``m`` strictly less than ``x``."""
-    if not np.isfinite(x):
+    """Number of eigenvalues of ``m`` strictly less than ``x``.
+
+    A sequence of shifts gives a list of counts, one each, and sets ``m``
+    up once.
+    """
+    if not np.all(np.isfinite(x)):
         raise ValueError("shift must be finite")
     return _kernels.sturm_count(m.diag, m.offdiag**2, x)
 

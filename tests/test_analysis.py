@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneshift import analysis
 from oneshift.analysis import (
@@ -71,6 +73,56 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hausdorff_distance(LimitSet(), LimitSet(points=(0.0,)))
+
+
+def reference_hausdorff(a, b):
+    """The scalar Hausdorff distance that ``hausdorff_distance`` replaced,
+    kept as the reference it must equal bitwise."""
+
+    def as_intervals(obj):
+        if isinstance(obj, SpectrumSample):
+            return [(float(v), float(v)) for v in obj.values]
+        return sorted(list(obj.intervals) + [(p, p) for p in obj.points])
+
+    def point_to_intervals(x, ivs):
+        return min(0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi)) for lo, hi in ivs)
+
+    def directed(a_ivs, b_ivs):
+        candidates = []
+        for lo, hi in a_ivs:
+            candidates.extend((lo, hi))
+            for (_, h1), (l2, _) in zip(b_ivs, b_ivs[1:]):
+                mid = 0.5 * (h1 + l2)
+                if lo <= mid <= hi:
+                    candidates.append(mid)
+        return max(point_to_intervals(x, b_ivs) for x in candidates)
+
+    a_ivs, b_ivs = as_intervals(a), as_intervals(b)
+    return max(directed(a_ivs, b_ivs), directed(b_ivs, a_ivs))
+
+
+# few distinct values, so that ends coincide, points fall on interval ends
+# and gap midpoints land exactly on them
+coords = st.one_of(
+    st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def real_sets(draw):
+    if draw(st.booleans()):
+        values = sorted(draw(st.lists(coords, min_size=1, max_size=30)))
+        return SpectrumSample(values=np.array(values))
+    ends = draw(st.lists(st.tuples(coords, coords).map(sorted), max_size=6))
+    points = draw(st.lists(coords, min_size=0 if ends else 1, max_size=6))
+    return LimitSet(intervals=tuple(ends), points=tuple(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=real_sets(), b=real_sets())
+def test_hausdorff_equals_scalar_reference_bitwise(a, b):
+    assert hausdorff_distance(a, b).hex() == reference_hausdorff(a, b).hex()
 
 
 class TestDetectOutliers:

@@ -9,17 +9,21 @@ where numba is installed, must match both; and ``rho_numeric``, which
 bisects only exterior eigenvalues, must match the full-spectrum pipeline
 ``tridiag_eigenvalues`` + ``detect_outliers``.  Every Sturm count must be
 nondecreasing in the shift, and the plain-Python count, which stops walking
-a 2-periodic tail once its pivot repeats, must equal the full loop.
+a 2-periodic tail once its pivot repeats, must equal the full loop.  Values
+certified from tail guesses must equal plain lockstep bisection, whatever
+the guesses are, and a family spectrum must leave only about its exterior
+eigenvalues to bisect.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneshift import _kernels
+from oneshift import _kernels, _tail
 from oneshift.analysis import OUTLIER_MARGIN, OUTLIER_ORDER_STEP, detect_outliers, family_params, rho_numeric
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.theory import LimitSet, RhoReport, rho_from_lambda, select_lambda0, two_angle_essential
@@ -40,8 +44,8 @@ def tridiagonals(draw, max_n=90):
 
 def kernel_args(*ms):
     """(diag, off2, lo, hi, steps) of sections of one order, as ``bisect_sections`` builds them."""
-    lo, hi = (list(v) for v in zip(*(m.gershgorin() for m in ms)))
-    steps = [_kernels.halvings(a, b, default_tol(m)) for a, b, m in zip(lo, hi, ms)]
+    lo, hi = (np.array(v) for v in zip(*(m.gershgorin() for m in ms)))
+    steps = np.array([_kernels.halvings(a, b, default_tol(m)) for a, b, m in zip(lo, hi, ms)])
     diag = np.stack([m.diag for m in ms])
     off2 = np.stack([m.offdiag for m in ms]) ** 2
     return diag, off2, lo, hi, steps
@@ -90,8 +94,8 @@ TINY_OFFDIAGONAL = TridiagonalSymmetricMatrix(
 def test_python_loop_equals_numpy_loop_bitwise(case):
     m, idx = case
     diag, off2, lo, hi, steps = kernel_args(m)
-    py = _kernels._bisect_py(diag, off2, lo, hi, steps, idx)
-    vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx)
+    py = _kernels._bisect_py(diag, off2, lo.tolist(), hi.tolist(), steps.tolist(), [(0, j) for j in idx.tolist()])
+    vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx[None])[0]
     assert py.tobytes() == vec.tobytes()
     shifts = np.linspace(lo[0] - 1.0, hi[0] + 1.0, 9)
     scalar = [_kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x)) for x in shifts]
@@ -100,6 +104,10 @@ def test_python_loop_equals_numpy_loop_bitwise(case):
 
 # the 31 sections of order 10 of figure 1, bisected in 40 and 41 steps
 FIGURE_1_SECTIONS = [build_sum_truncation(PairFamily.head_omega(math.pi / 2, 0.1 * k), 10) for k in range(1, 32)]
+
+
+# the 31 sections of order 100 of figure 3, with 63 exterior eigenvalues
+FIGURE_3_SECTIONS = [build_sum_truncation(PairFamily.perturbed_heads(0.1 * k), 100) for k in range(1, 32)]
 
 
 def lanes(ms):
@@ -122,15 +130,78 @@ def test_lockstep_sections_equal_per_section_solves_bitwise(case):
         assert row.tobytes() == sections_eigenvalues_at([m], idx)[0].tobytes()
 
 
+SCALES = [1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150]
+# zero and tiny off-diagonal entries, before they are scaled
+OFF_ENTRIES = st.one_of(entries, st.sampled_from([0.0, 5e-324, 1e-300, 1e-160]))
+
+
+@st.composite
+def periodic_tail_sections(draw, order=None):
+    """A first entry and a drawn head of rows, then a 2-periodic tail of
+    drawn length, or of the length that makes the section ``order`` rows,
+    all scaled by one factor."""
+    scale = draw(st.sampled_from(SCALES))
+    if order is None:
+        head, tail_len = draw(st.integers(0, 7)), draw(st.integers(0, 41))
+    else:
+        head = draw(st.integers(0, min(7, order - 1)))
+        tail_len = order - 1 - head
+    diag = draw(st.lists(entries, min_size=1 + head, max_size=1 + head))
+    off = draw(st.lists(OFF_ENTRIES, min_size=head, max_size=head))
+    diag += (draw(st.lists(entries, min_size=2, max_size=2)) * tail_len)[:tail_len]
+    off += (draw(st.lists(OFF_ENTRIES, min_size=2, max_size=2)) * tail_len)[:tail_len]
+    return TridiagonalSymmetricMatrix(diag=scale * np.array(diag), offdiag=scale * np.array(off))
+
+
+@st.composite
+def same_order_tail_sections(draw, max_n=120, max_sections=4):
+    """Periodic-tail sections of one order, each with its own head length,
+    so the common head is longer than some and the tails differ in parity,
+    and each with its own scale."""
+    n = draw(st.integers(1, max_n))
+    return [draw(periodic_tail_sections(order=n)) for _ in range(draw(st.integers(1, max_sections)))]
+
+
+@st.composite
+def family_sections(draw):
+    """Sections of one order from one family at a few drawn angles."""
+    name = draw(st.sampled_from(["constant", "head_omega", "perturbed_heads", "two_constant"]))
+    n = 2 * draw(st.integers(2, 90))
+    pairs = draw(st.lists(st.tuples(angles, angles), min_size=1, max_size=3))
+    return [build_sum_truncation(make_family(name, omega, theta), n) for omega, theta in pairs]
+
+
+def certified_leaf_ends(ms, idx, tol=None):
+    """The leaf ends whose counts certify eigenvalues while ``ms`` is solved."""
+    seen = [np.empty(0)]
+    leaves = _kernels._leaves
+
+    def spy(*args):
+        lower, upper = leaves(*args)
+        seen.extend([lower.ravel(), upper.ravel()])
+        return lower, upper
+
+    with mock.patch.object(_kernels, "_leaves", spy):
+        sections_eigenvalues_at(ms, idx, tol)
+    return np.concatenate(seen)
+
+
 @settings(max_examples=60, deadline=None)
-@given(ms=same_order_sections(), xs=st.lists(st.floats(-1e5, 1e5), max_size=20))
+@given(
+    ms=st.one_of(same_order_sections(), same_order_tail_sections(max_n=70)),
+    xs=st.lists(st.floats(-1e5, 1e5), max_size=20),
+)
 @example(ms=[TINY_PIVOT], xs=[-1e-300, -5e-324, 0.0, 5e-324, 1e-310, 1e-300])
 @example(ms=[TINY_OFFDIAGONAL], xs=[-5e-324, 0.0, 5e-324])
+@example(ms=FIGURE_3_SECTIONS[:3], xs=[])
 def test_sturm_counts_nondecreasing_in_shift(ms, xs):
+    # certified values are bitwise those of bisection only if counts never
+    # drop as the shift rises, also one ulp around the leaf ends counted
     diag, off2 = kernel_args(*ms)[:2]
-    # the shifts include each section's bisected eigenvalues and their
-    # floating-point neighbours, where a count steps up
-    eigs = sections_eigenvalues_at(ms, np.arange(ms[0].n)).ravel()
+    # the shifts include each section's bisected eigenvalues, the leaf ends
+    # of the certificate and their floating-point neighbours
+    idx = np.arange(ms[0].n)
+    eigs = np.concatenate([sections_eigenvalues_at(ms, idx).ravel(), certified_leaf_ends(ms, idx)])
     x = np.unique(np.concatenate([xs, eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]))
     batched = _kernels._sturm_counts_np(diag, off2, np.tile(x, (len(ms), 1)))
     for b in range(len(ms)):
@@ -139,24 +210,6 @@ def test_sturm_counts_nondecreasing_in_shift(ms, xs):
         vector = _kernels._sturm_counts_np(diag[b : b + 1], off2[b : b + 1], x[None])[0].tolist()
         assert scalar == vector == batched[b].tolist()
         assert all(c0 <= c1 for c0, c1 in zip(scalar, scalar[1:]))
-
-
-SCALES = [1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150]
-# zero and tiny off-diagonal entries, before they are scaled
-OFF_ENTRIES = st.one_of(entries, st.sampled_from([0.0, 5e-324, 1e-300, 1e-160]))
-
-
-@st.composite
-def periodic_tail_sections(draw):
-    """A first entry and a drawn head of rows, then a 2-periodic tail of
-    drawn length, all scaled by one factor."""
-    scale = draw(st.sampled_from(SCALES))
-    head, tail_len = draw(st.integers(0, 7)), draw(st.integers(0, 41))
-    diag = draw(st.lists(entries, min_size=1 + head, max_size=1 + head))
-    off = draw(st.lists(OFF_ENTRIES, min_size=head, max_size=head))
-    diag += (draw(st.lists(entries, min_size=2, max_size=2)) * tail_len)[:tail_len]
-    off += (draw(st.lists(OFF_ENTRIES, min_size=2, max_size=2)) * tail_len)[:tail_len]
-    return TridiagonalSymmetricMatrix(diag=scale * np.array(diag), offdiag=scale * np.array(off))
 
 
 def band_edges(diag, off2):
@@ -263,6 +316,77 @@ def test_rho_numeric_equals_full_solve_pipeline_bitwise(name, omega, theta, half
     assert outcome(rho_numeric, f, n, exclusion, margin) == outcome(full_solve_rho, f, n, exclusion, margin)
 
 
+def plain_bisection(ms, idx, tol=None):
+    """Lockstep bisection of every lane, with no certificate."""
+    diag, off2, lo, hi, _ = kernel_args(*ms)
+    tols = [default_tol(m) if tol is None else tol for m in ms]
+    steps = np.array([_kernels.halvings(*b) for b in zip(lo, hi, tols)])
+    return _kernels._bisect_np(diag, off2, lo, hi, steps, np.broadcast_to(idx, (len(ms), idx.size)))
+
+
+def tolerances(ms):
+    """The default tolerance, or one far above or below it."""
+    scale = max(1.0, *(abs(v) for v in ms[0].gershgorin()))
+    return st.sampled_from([None, 1e-3 * scale, 1e-15 * scale])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.one_of(same_order_tail_sections(), family_sections()).flatmap(
+        lambda ms: st.tuples(
+            st.just(ms), st.one_of(st.just(np.arange(ms[0].n)), index_subsets(ms[0].n)), tolerances(ms)
+        )
+    )
+)
+@example(case=(FIGURE_3_SECTIONS, np.arange(100), None))
+@example(case=([ODD_TAIL] * 9, np.arange(9), None))
+@example(case=([build_sum_truncation(PairFamily.head_omega(1.0, 2.0), 90)], np.arange(90), 1e-300))
+def test_certified_solve_equals_plain_bisection_bitwise(case):
+    ms, idx, tol = case
+    assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
+
+
+WRONG_GUESSES = {
+    "nan": lambda g: np.full_like(g, np.nan),
+    "infinite": lambda g: np.where(np.arange(g.shape[1]) % 2, np.inf, -np.inf) * np.ones_like(g),
+    "one value": lambda g: np.full_like(g, 0.3),
+    "between eigenvalues": lambda g: np.sort(g, axis=1) + 0.5 * np.diff(np.sort(g, axis=1), axis=1, append=np.inf),
+    "reversed": lambda g: -g,
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_GUESSES))
+def test_wrong_guesses_give_the_same_bits(monkeypatch, wrong):
+    # guesses only pick the leaves counted; a leaf certifies only what its
+    # counts show, so wrong guesses leave more lanes to bisect, nothing else
+    guess = _tail.guesses
+    monkeypatch.setattr(_tail, "guesses", lambda *args: WRONG_GUESSES[wrong](guess(*args)))
+    for ms in (FIGURE_3_SECTIONS[::6], [build_sum_truncation(PairFamily.two_constant(0.3, 2.0), 240)]):
+        idx = np.arange(ms[0].n)
+        assert sections_eigenvalues_at(ms, idx).tobytes() == plain_bisection(ms, idx).tobytes()
+
+
+@pytest.mark.parametrize("name", ["constant", "head_omega", "perturbed_heads", "two_constant"])
+def test_family_spectrum_bisects_only_its_exterior_eigenvalues(monkeypatch, name):
+    m = build_sum_truncation(make_family(name, 1.2, 0.7), 2000)
+    bisected = []
+
+    def counted(solve, lanes):
+        def run(*args):
+            bisected.append(lanes(args[-1]))
+            return solve(*args)
+
+        return run
+
+    # the lanes are a list of pairs for _bisect_py and an index array for _bisect_np
+    for kernel, lanes in (("_bisect_py", len), ("_bisect_np", np.size)):
+        monkeypatch.setattr(_kernels, kernel, counted(getattr(_kernels, kernel), lanes))
+    eigs = tridiag_eigenvalues(m).values
+    a, b, c, d = sorted(band_edges(m.diag, m.offdiag**2))
+    exterior = np.sum((eigs < a) | ((eigs > b) & (eigs < c)) | (eigs > d))
+    assert sum(bisected) <= exterior + 2
+
+
 def test_numba_twin_equals_numpy_path_bitwise():
     pytest.importorskip("numba")
     rng = np.random.default_rng(20260824)
@@ -274,8 +398,9 @@ def test_numba_twin_equals_numpy_path_bitwise():
         subset = np.unique(rng.integers(0, m.n, size=min(m.n, 5)))
         for idx in (np.arange(m.n), subset):
             jit = _kernels._bisect_jit(diag[0], off2[0], lo[0], hi[0], steps[0], idx)
-            py = _kernels._bisect_py(diag, off2, lo, hi, steps, idx)[0]
-            vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx)[0]
+            lanes = [(0, j) for j in idx.tolist()]
+            py = _kernels._bisect_py(diag, off2, lo.tolist(), hi.tolist(), steps.tolist(), lanes)
+            vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx[None])[0]
             assert jit.tobytes() == py.tobytes() == vec.tobytes()
         for x in np.linspace(lo[0] - 1.0, hi[0] + 1.0, 7):
             count = _kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x))

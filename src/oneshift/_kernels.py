@@ -3,10 +3,10 @@
 ``bisect_sections`` finds, for each of B symmetric tridiagonal sections of
 one order, the eigenvalues whose ascending (0-based) indices are listed in
 ``idx``; the full spectrum is the case ``idx = arange(n)``, and one section
-is the case B = 1.  It is the only bisection entry point; both kernel paths
-implement it.  Every (section, index) lane runs its section's fixed number
-of halvings, so an eigenvalue comes out bitwise the same whichever other
-sections and indices are solved with it.
+is the case B = 1.  It is the only bisection entry point.  Every (section,
+index) lane runs its section's fixed number of halvings, so an eigenvalue
+comes out bitwise the same whichever other sections and indices are solved
+with it.
 
 Above ``PY_MAX_INDICES`` lanes a certificate settles most eigenvalues
 without bisecting them.  Every section of the pair families is a short head
@@ -20,18 +20,15 @@ counted, so a missing or wrong guess costs speed, not bits.  The lanes no
 leaf settles, chiefly the eigenvalues outside the bands and the sections
 with no tail to guess from, are bisected as before.
 
-A numba-jitted path and a numpy path are provided.  The jitted path is
-the default when numba is installed; set the environment variable
-``ONESHIFT_NO_NUMBA=1`` to force the numpy path, which also runs when
-numba is absent.  The numpy path bisects a few lanes in plain Python and
-many in lockstep numpy arrays.  The plain-Python Sturm count stops walking
-a periodic tail once a period gives back its starting pivot and counts the
-remaining periods at once, which makes counts outside the bands cheap.  The
-lockstep numpy count and the jitted one walk every row.  A repeated pivot
-repeats every later step, so all paths give bit-identical output.
+``_bisect_lanes`` is the one place that picks a path by the number of
+lanes: a few bisect in plain Python, and many go to the certificate first,
+with the lanes it leaves bisected in plain Python if few and in lockstep
+numpy arrays if many.  The plain-Python Sturm count stops walking a
+periodic tail once a period gives back its starting pivot and counts the
+remaining periods at once, which makes counts outside the bands cheap.  The lockstep
+count walks every row.  A repeated pivot repeats every later step, so both
+paths give bit-identical output.
 """
-
-import os
 
 import numpy as np
 
@@ -41,34 +38,22 @@ from . import _tail
 # the pivot approaches as the shift decreases to that point.  A larger
 # replacement makes the next quotient e^2/p smaller than at a slightly lower
 # shift, and the count can then drop as the shift rises: eps * scale did, on
-# an off-diagonal entry of 6.6e-71.  The kernels read it as a global, which
-# numba freezes as a constant.
+# an off-diagonal entry of 6.6e-71.
 _TINY = 5e-324
 
-try:
-    from numba import njit
+# Read only by bench/run.py, to name the kernel path: always numpy.
+HAVE_NUMBA = USE_NUMBA = False
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("ONESHIFT_NO_NUMBA", "0").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-# Lane counts (sections times indices) up to this bisect in plain Python on
-# the numpy path.  Per matrix row and bisection step, numpy costs a
-# near-fixed ~4 us and Python ~0.05 us per lane, so they break even near
-# 80-90 lanes at n = 100 and n = 600 (numpy 2.4, Python 3.11); 64 stays on
-# the Python side.
+# Lane counts (sections times indices) up to this bisect in plain Python.
+# Per matrix row and bisection step, numpy costs a near-fixed ~4 us and
+# Python ~0.05 us per lane, so they break even near 80-90 lanes at n = 100
+# and n = 600 (numpy 2.4, Python 3.11); 64 stays on the Python side.
 PY_MAX_INDICES = 64
 
-# Lanes bisected together on the numpy path, which holds a few float64
-# arrays of one value per lane.  Chunks of this size bound that memory on
-# long sweeps, and were no slower than one chunk on the 31 sections of
-# order 600 of figure 1.
+# Lanes bisected together in lockstep, which holds a few float64 arrays of
+# one value per lane.  Chunks of this size bound that memory on long
+# sweeps, and were no slower than one chunk on the 31 sections of order 600
+# of figure 1.
 MAX_LANES = 1 << 16
 
 
@@ -177,7 +162,7 @@ def _sturm_counts_np(diag, off2, x):
     count = (p < 0.0).astype(np.int64)
     q = np.empty_like(p)
     # a tiny pivot overflows the next quotient to inf, which counts as in
-    # the scalar twins
+    # the plain-Python count
     with np.errstate(over="ignore"):
         for i in range(1, d.shape[0]):
             np.divide(e[i - 1], p, out=q)
@@ -211,71 +196,14 @@ def _bisect_np(diag, off2, lo, hi, steps, idx):
     return out
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sturm_count_jit(diag, off2, x):
-        p = diag[0] - x
-        if p == 0.0:
-            p = _TINY
-        count = 1 if p < 0.0 else 0
-        for i in range(1, diag.shape[0]):
-            p = diag[i] - x - off2[i - 1] / p
-            if p == 0.0:
-                p = _TINY
-            if p < 0.0:
-                count += 1
-        return count
-
-    @njit(cache=True)
-    def _bisect_jit(diag, off2, lo0, hi0, steps, idx):
-        # all indices bisect in lockstep: one matrix pass serves k shifts,
-        # so the division chain is independent across j and vectorizes
-        n = diag.shape[0]
-        k = idx.shape[0]
-        lo = np.full(k, lo0)
-        hi = np.full(k, hi0)
-        mid = np.empty(k)
-        p = np.empty(k)
-        cnt = np.empty(k, np.int64)
-        for _ in range(steps):
-            for j in range(k):
-                mid[j] = 0.5 * (lo[j] + hi[j])
-                pj = diag[0] - mid[j]
-                if pj == 0.0:
-                    pj = _TINY
-                p[j] = pj
-                cnt[j] = 1 if pj < 0.0 else 0
-            for i in range(1, n):
-                di = diag[i]
-                ei = off2[i - 1]
-                for j in range(k):
-                    pj = di - mid[j] - ei / p[j]
-                    if pj == 0.0:
-                        pj = _TINY
-                    p[j] = pj
-                    if pj < 0.0:
-                        cnt[j] += 1
-            for j in range(k):
-                if cnt[j] >= idx[j] + 1:
-                    hi[j] = mid[j]
-                else:
-                    lo[j] = mid[j]
-        return 0.5 * (lo + hi)
-
-
 def sturm_count(diag, off2, x):
-    """Sturm count at the shift ``x``, dispatched to the active kernel path.
+    """Sturm count at the shift ``x``, in plain Python.
 
     ``x`` may be a sequence of shifts, which gives a list of counts and sets
     the section up once.
     """
-    xs = np.atleast_1d(x).tolist()
-    if USE_NUMBA:
-        counts = [int(_sturm_count_jit(diag, off2, float(v))) for v in xs]
-    else:
-        rows = _rows(diag, off2)
-        counts = [_sturm_count_py(*rows, float(v)) for v in xs]
+    rows = _rows(diag, off2)
+    counts = [_sturm_count_py(*rows, float(v)) for v in np.atleast_1d(x).tolist()]
     return counts if np.ndim(x) else counts[0]
 
 
@@ -362,26 +290,31 @@ def _certify(diag, off2, lo, hi, steps, idx, out):
             out[sec[asked], j[asked]] = value[asked]
 
 
-def _bisect_lanes(diag, off2, lo, hi, steps, sec, idx):
-    """Bisected eigenvalue of every lane (``sec[i]``, ``idx[i]``), in lane order.
+def _bisect_lanes(diag, off2, lo, hi, steps, idx, out):
+    """Fill in every lane of ``out`` still NaN: lane (b, c) is section b's
+    eigenvalue at index ``idx[c]``.
 
-    ``sec`` is nondecreasing.  The jitted path solves each section's lanes
-    together; the numpy path bisects up to ``PY_MAX_INDICES`` lanes in plain
-    Python and more in lockstep, each section's indices padded to a common
-    count with its last one, in chunks of about ``MAX_LANES`` lanes.
+    This is the one place that chooses a path by the number of lanes.  Up
+    to ``PY_MAX_INDICES`` lanes bisect in plain Python.  Above that,
+    ``_certify`` first settles what it can, and the lanes it leaves are
+    counted again: up to ``PY_MAX_INDICES`` bisect in Python, more in
+    lockstep, each section's indices padded to a common count with its last
+    one, in chunks of about ``MAX_LANES`` lanes.
     """
-    if not USE_NUMBA and sec.size <= PY_MAX_INDICES:
-        return _bisect_py(diag, off2, lo.tolist(), hi.tolist(), steps.tolist(), list(zip(sec.tolist(), idx.tolist())))
+    for certify in (True, False):
+        sec, col = np.nonzero(np.isnan(out))
+        if sec.size <= PY_MAX_INDICES:
+            lanes = list(zip(sec.tolist(), idx[col].tolist()))
+            out[sec, col] = _bisect_py(diag, off2, lo.tolist(), hi.tolist(), steps.tolist(), lanes)
+            return out
+        if certify:
+            _certify(diag, off2, lo, hi, steps, idx, out)
     first = np.flatnonzero(np.diff(sec, prepend=-1))
     rows, count = sec[first], np.diff(first, append=sec.size)
-    if USE_NUMBA:
-        lanes = zip(rows, first, count)
-        parts = [_bisect_jit(diag[b], off2[b], lo[b], hi[b], steps[b], idx[f : f + c]) for b, f, c in lanes]
-        return np.concatenate(parts) if parts else np.empty(0)
     rank = np.repeat(np.arange(rows.size), count)
     slot = np.arange(sec.size) - first[rank]
-    grid = np.repeat(idx[first + count - 1][:, None], count.max(), axis=1)
-    grid[rank, slot] = idx
+    grid = np.repeat(idx[col[first + count - 1]][:, None], count.max(), axis=1)
+    grid[rank, slot] = idx[col]
     per = max(1, MAX_LANES // grid.shape[1])
     solved = np.concatenate(
         [
@@ -390,7 +323,8 @@ def _bisect_lanes(diag, off2, lo, hi, steps, sec, idx):
             for r in [rows[c]]
         ]
     )
-    return solved[rank, slot]
+    out[sec, col] = solved[rank, slot]
+    return out
 
 
 def bisect_sections(diag, off2, lo, hi, tol, idx):
@@ -400,19 +334,10 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     the sequences ``lo``, ``hi`` and ``tol`` give each section's
     Gershgorin bounds and bisection tolerance.  Row b of the
     (B, K) result holds section b's values in the order of ``idx``.
-    Above ``PY_MAX_INDICES`` lanes, ``_certify`` first settles what it can
-    from tail guesses; every other lane is bisected on the active kernel
-    path.  Either way each value is bitwise that of plain bisection.
+    ``_bisect_lanes`` settles what it can from tail guesses and bisects
+    the rest; either way each value is bitwise that of plain bisection.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    steps = [halvings(*b) for b in zip(lo, hi, tol)]
-    if not USE_NUMBA and len(steps) * idx.size <= PY_MAX_INDICES:
-        lanes = [(b, j) for b in range(len(steps)) for j in idx.tolist()]
-        return _bisect_py(diag, off2, lo, hi, steps, lanes).reshape(len(steps), idx.size)
-    lo, hi, steps = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64), np.array(steps)
-    out = np.full((steps.size, idx.size), np.nan)
-    if out.size > PY_MAX_INDICES:
-        _certify(diag, off2, lo, hi, steps, idx, out)
-    sec, k = np.nonzero(np.isnan(out))
-    out[sec, k] = _bisect_lanes(diag, off2, lo, hi, steps, sec, idx[k])
-    return out
+    steps = np.array([halvings(*b) for b in zip(lo, hi, tol)])
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    return _bisect_lanes(diag, off2, lo, hi, steps, idx, np.full((steps.size, idx.size), np.nan))

@@ -19,6 +19,7 @@ class TridiagonalSymmetricMatrix:
 
     diag: np.ndarray
     offdiag: np.ndarray
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.ascontiguousarray(np.asarray(self.diag, dtype=np.float64))
@@ -31,27 +32,27 @@ class TridiagonalSymmetricMatrix:
             raise ValueError("entries must be finite")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
-        # bisection squares the off-diagonal entries, and its midpoints and
-        # shifted entries d - x are bounded by |lo| + |hi|
         with np.errstate(over="ignore"):
-            lo, hi = self.gershgorin()
+            r = np.zeros(d.size)
+            ae = np.abs(e)
+            r[:-1] += ae
+            r[1:] += ae
+            lo, hi = float(np.min(d - r)), float(np.max(d + r))
+            # bisection squares the off-diagonal entries, and its midpoints
+            # and shifted entries d - x are bounded by |lo| + |hi|
             if not (np.all(np.isfinite(e * e)) and np.isfinite(abs(lo) + abs(hi))):
                 raise ValueError("entries too large: the eigensolver would overflow")
+        # c*I gets one bound, so that its bisection, which takes no step,
+        # returns 0.5 * (c + c) == c; hi alone turns c = -0.0 into +0.0
+        object.__setattr__(self, "_bounds", (lo, hi if hi > lo else lo))
 
     @property
     def n(self):
         return self.diag.size
 
     def gershgorin(self):
-        """Inclusive eigenvalue bounds (lo, hi) from Gershgorin discs."""
-        r = np.zeros(self.n)
-        ae = np.abs(self.offdiag)
-        r[:-1] += ae
-        r[1:] += ae
-        lo, hi = float(np.min(self.diag - r)), float(np.max(self.diag + r))
-        # c*I gets one bound, so that its bisection, which takes no step,
-        # returns 0.5 * (c + c) == c; hi alone turns c = -0.0 into +0.0
-        return lo, hi if hi > lo else lo
+        """Inclusive eigenvalue bounds (lo, hi) from Gershgorin discs, computed once at construction."""
+        return self._bounds
 
     def to_dense(self):
         a = np.diag(self.diag)

@@ -28,7 +28,7 @@ def sum_spectrum_3x3(x):
 
 
 def test_criterion_1_counterexample_spectrum_and_selection():
-    sum_spectrum_3x3(0.01)  # warm the jitted kernels before timing
+    sum_spectrum_3x3(0.01)  # warm the kernels before timing
     t0 = time.perf_counter()
     values = sum_spectrum_3x3(0.01)
     elapsed = time.perf_counter() - t0

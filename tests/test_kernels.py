@@ -4,15 +4,15 @@ Every solve goes through ``sections_eigenvalues_at`` and the kernel entry
 point ``_kernels.bisect_sections``.  A solve restricted to some indices must
 give exactly the values the full solve gives there; a lockstep solve of many
 sections must give exactly the values of each section solved alone; the
-plain-Python bisection must match the vectorized numpy one; the jitted twin,
-where numba is installed, must match both; and ``rho_numeric``, which
-bisects only exterior eigenvalues, must match the full-spectrum pipeline
-``tridiag_eigenvalues`` + ``detect_outliers``.  Every Sturm count must be
-nondecreasing in the shift, and the plain-Python count, which stops walking
-a 2-periodic tail once its pivot repeats, must equal the full loop.  Values
-certified from tail guesses must equal plain lockstep bisection, whatever
-the guesses are, and a family spectrum must leave only about its exterior
-eigenvalues to bisect.
+plain-Python bisection must match the vectorized numpy one, also on either
+side of ``PY_MAX_INDICES`` lanes, where ``_bisect_lanes`` switches from one
+to the other; and ``rho_numeric``, which bisects only exterior eigenvalues,
+must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
+``detect_outliers``.  Every Sturm count must be nondecreasing in the shift,
+and the plain-Python count, which stops walking a 2-periodic tail once its
+pivot repeats, must equal the full loop.  Values certified from tail
+guesses must equal plain lockstep bisection, whatever the guesses are, and
+a family spectrum must leave only about its exterior eigenvalues to bisect.
 """
 
 import math
@@ -109,6 +109,18 @@ FIGURE_1_SECTIONS = [build_sum_truncation(PairFamily.head_omega(math.pi / 2, 0.1
 # the 31 sections of order 100 of figure 3, with 63 exterior eigenvalues
 FIGURE_3_SECTIONS = [build_sum_truncation(PairFamily.perturbed_heads(0.1 * k), 100) for k in range(1, 32)]
 
+# Lanes up to this bisect in Python, one more in numpy.  The batches on
+# either side of it below certify nothing, so every lane is bisected: the
+# largest eigenvalue of THRESHOLD or THRESHOLD + 1 sections of order 40, and
+# THRESHOLD or THRESHOLD + 1 indices of one order-70 section with no tail.
+THRESHOLD = _kernels.PY_MAX_INDICES
+THRESHOLD_SECTIONS = [
+    build_sum_truncation(PairFamily.head_omega(0.04 * k, 0.7), 40) for k in range(1, THRESHOLD + 2)
+]
+NO_TAIL_70 = TridiagonalSymmetricMatrix(
+    diag=np.random.default_rng(70).normal(size=70), offdiag=np.random.default_rng(71).normal(size=69)
+)
+
 
 def lanes(ms):
     n = ms[0].n
@@ -120,6 +132,9 @@ def lanes(ms):
 @example(case=(FIGURE_1_SECTIONS, np.arange(10)))
 @example(case=(FIGURE_1_SECTIONS, np.array([9])))
 @example(case=([TINY_PIVOT, TINY_PIVOT], np.arange(2)))
+@example(case=(THRESHOLD_SECTIONS[:THRESHOLD], np.array([39])))
+@example(case=(THRESHOLD_SECTIONS, np.array([39])))
+@example(case=(FIGURE_1_SECTIONS, np.array([], dtype=np.int64)))
 def test_lockstep_sections_equal_per_section_solves_bitwise(case):
     # up to PY_MAX_INDICES lanes (sections times indices) bisect in Python,
     # more in numpy arrays; both must give each section's own solve
@@ -341,6 +356,11 @@ def tolerances(ms):
 @example(case=(FIGURE_3_SECTIONS, np.arange(100), None))
 @example(case=([ODD_TAIL] * 9, np.arange(9), None))
 @example(case=([build_sum_truncation(PairFamily.head_omega(1.0, 2.0), 90)], np.arange(90), 1e-300))
+@example(case=([NO_TAIL_70], np.arange(THRESHOLD), None))
+@example(case=([NO_TAIL_70], np.arange(THRESHOLD + 1), None))
+@example(case=(THRESHOLD_SECTIONS[:THRESHOLD], np.array([39]), None))
+@example(case=(THRESHOLD_SECTIONS, np.array([39]), None))
+@example(case=(FIGURE_3_SECTIONS, np.array([], dtype=np.int64), None))
 def test_certified_solve_equals_plain_bisection_bitwise(case):
     ms, idx, tol = case
     assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
@@ -385,23 +405,3 @@ def test_family_spectrum_bisects_only_its_exterior_eigenvalues(monkeypatch, name
     a, b, c, d = sorted(band_edges(m.diag, m.offdiag**2))
     exterior = np.sum((eigs < a) | ((eigs > b) & (eigs < c)) | (eigs > d))
     assert sum(bisected) <= exterior + 2
-
-
-def test_numba_twin_equals_numpy_path_bitwise():
-    pytest.importorskip("numba")
-    rng = np.random.default_rng(20260824)
-    mats = [build_sum_truncation(PairFamily.head_omega(math.pi / 2, math.acos(-0.8)), 300)]
-    for n in (1, 2, 7, 40, 100):
-        mats.append(TridiagonalSymmetricMatrix(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1)))
-    for m in mats:
-        diag, off2, lo, hi, steps = kernel_args(m)
-        subset = np.unique(rng.integers(0, m.n, size=min(m.n, 5)))
-        for idx in (np.arange(m.n), subset):
-            jit = _kernels._bisect_jit(diag[0], off2[0], lo[0], hi[0], steps[0], idx)
-            lanes = [(0, j) for j in idx.tolist()]
-            py = _kernels._bisect_py(diag, off2, lo.tolist(), hi.tolist(), steps.tolist(), lanes)
-            vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx[None])[0]
-            assert jit.tobytes() == py.tobytes() == vec.tobytes()
-        for x in np.linspace(lo[0] - 1.0, hi[0] + 1.0, 7):
-            count = _kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x))
-            assert _kernels._sturm_count_jit(diag[0], off2[0], float(x)) == count

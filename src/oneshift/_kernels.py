@@ -16,19 +16,25 @@ walks the bisection tree to a leaf; two Sturm counts at the leaf's ends
 tell which indices bisection would bring to that leaf, and its midpoint is
 their value, bitwise (``_certify``).  This rests on one premise: counts
 never decrease as the shift rises.  Guesses only choose which leaves get
-counted, so a missing or wrong guess costs speed, not bits.  The lanes no
-leaf settles, chiefly the eigenvalues outside the bands and the sections
-with no tail to guess from, are bisected as before.
+counted, so a missing or wrong guess costs speed, not bits.  Up to
+``PY_MAX_INDICES`` lanes, the eigenvalues in the gaps around the bands are
+certified the same way, from guesses on the tail's closed-form last minor
+(``_tail.exterior_guess``) and plain-Python counts (``_settle_exterior``).
+The lanes no leaf settles, chiefly in-band eigenvalues asked for a few at
+a time and the sections with no tail to guess from, are bisected as before.
 
 ``_bisect_lanes`` is the one place that picks a path by the number of
-lanes: a few bisect in plain Python, and many go to the certificate first,
-with the lanes it leaves bisected in plain Python if few and in lockstep
-numpy arrays if many.  The plain-Python Sturm count stops walking a
-periodic tail once a period gives back its starting pivot and counts the
-remaining periods at once, which makes counts outside the bands cheap.  The lockstep
-count walks every row.  A repeated pivot repeats every later step, so both
-paths give bit-identical output.
+lanes: a few go to the exterior certificate and bisect in plain Python,
+and many go to the in-band certificate first, with the lanes it leaves
+taking the path of a few if few and bisected in lockstep numpy arrays if
+many.  The plain-Python Sturm count stops walking a periodic tail once a
+period gives back its starting pivot and counts the remaining periods at
+once, which makes counts outside the bands cheap.  The lockstep count walks
+every row.  A repeated pivot repeats every later step, so both paths give
+bit-identical output.
 """
+
+import functools
 
 import numpy as np
 
@@ -44,10 +50,14 @@ _TINY = 5e-324
 # Read only by bench/run.py, to name the kernel path: always numpy.
 HAVE_NUMBA = USE_NUMBA = False
 
-# Lane counts (sections times indices) up to this bisect in plain Python.
+# Lane counts (sections times indices) up to this are solved in plain Python.
 # Per matrix row and bisection step, numpy costs a near-fixed ~4 us and
 # Python ~0.05 us per lane, so they break even near 80-90 lanes at n = 100
 # and n = 600 (numpy 2.4, Python 3.11); 64 stays on the Python side.
+# These batches skip the in-band certificate, which pays from about 20
+# in-band lanes: a whole spectrum of one eq3 section (omega 1.2, theta 0.7)
+# took 0.23, 0.47, 1.5, 2.9 and 11.3 ms at n = 6, 10, 20, 30 and 64, and
+# 1.3, 1.35, 1.55, 1.54 and 1.83 ms with ``_certify`` run first (2 cores).
 PY_MAX_INDICES = 64
 
 # Lanes bisected together in lockstep, which holds a few float64 arrays of
@@ -130,13 +140,13 @@ def _sturm_count_py(d0, head, tail, tail_len, x):
     return count
 
 
-def _bisect_py(diag, off2, lo, hi, steps, lanes):
-    """Plain-Python bisection of each (section, index) pair of ``lanes``, one at a time."""
+def _bisect_py(rows, lo, hi, steps, lanes):
+    """Plain-Python bisection of each (section, index) pair of ``lanes``, one at a time.
+
+    ``rows`` maps each section to its ``_rows``.
+    """
     out = np.empty(len(lanes))
-    rows = {}
     for i, (b, j) in enumerate(lanes):
-        if b not in rows:
-            rows[b] = _rows(diag[b], off2[b])
         row, lo_j, hi_j = rows[b], lo[b], hi[b]
         for _ in range(steps[b]):
             mid = 0.5 * (lo_j + hi_j)
@@ -146,6 +156,46 @@ def _bisect_py(diag, off2, lo, hi, steps, lanes):
                 lo_j = mid
         out[i] = 0.5 * (lo_j + hi_j)
     return out
+
+
+def _settle_exterior(rows, lo, hi, steps, lanes):
+    """The value of each lane that an exterior guess certifies, else None.
+
+    ``_tail.exterior_guess`` places an eigenvalue that lies in a gap of its
+    section's tail bands; the guess walks the bisection tree to a leaf, and
+    plain-Python counts at the leaf's ends settle the lane by the leaf
+    argument of ``_certify``.  A leaf whose counts put the index to one
+    side is followed by the next leaf on that side.  Counts are kept per
+    section by shift, so a leaf end or gap end is counted once.
+    """
+    values, sections = [None] * len(lanes), {}
+    for i, (b, j) in enumerate(lanes):
+        if b not in sections:
+            gaps = _tail.gaps(rows[b], lo[b], hi[b])
+            # functools.cache costs a few microseconds to set up
+            count = functools.cache(functools.partial(_sturm_count_py, *rows[b])) if gaps else None
+            sections[b] = gaps, count
+        gaps, count = sections[b]
+        if not gaps:
+            continue
+        lo_b, hi_b, s = lo[b], hi[b], steps[b]
+        width = (hi_b - lo_b) * 0.5**s
+        guess = _tail.exterior_guess(rows[b], gaps, count, lo_b, hi_b, s, j)
+        for _ in range(2):
+            if guess is None:
+                break
+            l, h = lo_b, hi_b
+            for _ in range(s):
+                mid = 0.5 * (l + h)
+                if guess < mid:
+                    h = mid
+                else:
+                    l = mid
+            if count(l) <= j < count(h):
+                values[i] = 0.5 * (l + h)
+                break
+            guess += width if count(h) <= j else -width
+    return values
 
 
 def _sturm_counts_np(diag, off2, x):
@@ -295,17 +345,23 @@ def _bisect_lanes(diag, off2, lo, hi, steps, idx, out):
     eigenvalue at index ``idx[c]``.
 
     This is the one place that chooses a path by the number of lanes.  Up
-    to ``PY_MAX_INDICES`` lanes bisect in plain Python.  Above that,
-    ``_certify`` first settles what it can, and the lanes it leaves are
-    counted again: up to ``PY_MAX_INDICES`` bisect in Python, more in
-    lockstep, each section's indices padded to a common count with its last
-    one, in chunks of about ``MAX_LANES`` lanes.
+    to ``PY_MAX_INDICES`` lanes, ``_settle_exterior`` settles those outside
+    the bands and the rest bisect in plain Python, each section's rows
+    built once for both.  Above that, ``_certify`` first settles what it
+    can, and the lanes it leaves are counted again: up to
+    ``PY_MAX_INDICES`` take the path above, more bisect in lockstep, each
+    section's indices padded to a common count with its last one, in chunks
+    of about ``MAX_LANES`` lanes.
     """
     for certify in (True, False):
         sec, col = np.nonzero(np.isnan(out))
         if sec.size <= PY_MAX_INDICES:
             lanes = list(zip(sec.tolist(), idx[col].tolist()))
-            out[sec, col] = _bisect_py(diag, off2, lo.tolist(), hi.tolist(), steps.tolist(), lanes)
+            rows = {b: _rows(diag[b], off2[b]) for b in set(sec.tolist())}
+            bounds = lo.tolist(), hi.tolist(), steps.tolist()
+            values = _settle_exterior(rows, *bounds, lanes)
+            rest = iter(_bisect_py(rows, *bounds, [lane for lane, v in zip(lanes, values) if v is None]).tolist())
+            out[sec, col] = [next(rest) if v is None else v for v in values]
             return out
         if certify:
             _certify(diag, off2, lo, hi, steps, idx, out)

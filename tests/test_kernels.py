@@ -6,13 +6,15 @@ give exactly the values the full solve gives there; a lockstep solve of many
 sections must give exactly the values of each section solved alone; the
 plain-Python bisection must match the vectorized numpy one, also on either
 side of ``PY_MAX_INDICES`` lanes, where ``_bisect_lanes`` switches from one
-to the other; and ``rho_numeric``, which bisects only exterior eigenvalues,
+to the other; and ``rho_numeric``, which solves only exterior eigenvalues,
 must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
 ``detect_outliers``.  Every Sturm count must be nondecreasing in the shift,
 and the plain-Python count, which stops walking a 2-periodic tail once its
 pivot repeats, must equal the full loop.  Values certified from tail
-guesses must equal plain lockstep bisection, whatever the guesses are, and
-a family spectrum must leave only about its exterior eigenvalues to bisect.
+guesses, inside the bands or in the gaps around them, must equal plain
+bisection, whatever the guesses are; the sign of the exterior equation
+must follow the counts; and a family spectrum or ``rho_numeric`` must
+leave next to nothing to bisect.
 """
 
 import math
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneshift import _kernels, _tail
+from oneshift import _kernels, _tail, analysis
 from oneshift.analysis import OUTLIER_MARGIN, OUTLIER_ORDER_STEP, detect_outliers, family_params, rho_numeric
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.theory import LimitSet, RhoReport, rho_from_lambda, select_lambda0, two_angle_essential
@@ -31,6 +33,7 @@ from oneshift.tridiag import TridiagonalSymmetricMatrix, default_tol, sections_e
 
 entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(0.05, math.pi - 0.05)
+FAMILIES = ["constant", "head_omega", "perturbed_heads", "two_constant"]
 
 
 @st.composite
@@ -94,7 +97,8 @@ TINY_OFFDIAGONAL = TridiagonalSymmetricMatrix(
 def test_python_loop_equals_numpy_loop_bitwise(case):
     m, idx = case
     diag, off2, lo, hi, steps = kernel_args(m)
-    py = _kernels._bisect_py(diag, off2, lo.tolist(), hi.tolist(), steps.tolist(), [(0, j) for j in idx.tolist()])
+    rows = {0: _kernels._rows(diag[0], off2[0])}
+    py = _kernels._bisect_py(rows, lo.tolist(), hi.tolist(), steps.tolist(), [(0, j) for j in idx.tolist()])
     vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx[None])[0]
     assert py.tobytes() == vec.tobytes()
     shifts = np.linspace(lo[0] - 1.0, hi[0] + 1.0, 9)
@@ -180,7 +184,7 @@ def same_order_tail_sections(draw, max_n=120, max_sections=4):
 @st.composite
 def family_sections(draw):
     """Sections of one order from one family at a few drawn angles."""
-    name = draw(st.sampled_from(["constant", "head_omega", "perturbed_heads", "two_constant"]))
+    name = draw(st.sampled_from(FAMILIES))
     n = 2 * draw(st.integers(2, 90))
     pairs = draw(st.lists(st.tuples(angles, angles), min_size=1, max_size=3))
     return [build_sum_truncation(make_family(name, omega, theta), n) for omega, theta in pairs]
@@ -227,18 +231,6 @@ def test_sturm_counts_nondecreasing_in_shift(ms, xs):
         assert all(c0 <= c1 for c0, c1 in zip(scalar, scalar[1:]))
 
 
-def band_edges(diag, off2):
-    """Ends of the bands of the 2-periodic operator that repeats the last
-    two rows: (x - a)(x - b) = (|c| -+ |d|)^2 for diagonal entries a, b and
-    off-diagonal entries c, d."""
-    if diag.size < 3:
-        return []
-    a, b = diag[-2:].tolist()
-    c, d = np.sqrt(off2[-2:]).tolist()
-    mid, half = 0.5 * (a + b), 0.5 * (a - b)
-    return [mid + sign * math.hypot(half, c + way * d) for sign in (-1.0, 1.0) for way in (-1.0, 1.0)]
-
-
 # a head of three rows and a tail of five, whose last period is half done
 ODD_TAIL = TridiagonalSymmetricMatrix(
     diag=np.array([0.5, -2.0, 3.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]),
@@ -256,13 +248,39 @@ def test_periodic_tail_count_equals_full_loop(m):
     lo, hi = m.gershgorin()
     eigs = sections_eigenvalues_at([m], np.arange(m.n))[0]
     near = [eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]
-    x = np.concatenate([*near, band_edges(m.diag, off2[0]), [lo, hi]])
     rows = _kernels._rows(diag[0], off2[0])
+    x = np.concatenate([*near, _tail.band_edges(rows[2]), [lo, hi]])
     full = _kernels._sturm_counts_np(diag, off2, x[None])[0].tolist()
     assert [_kernels._sturm_count_py(*rows, v) for v in x.tolist()] == full
 
 
-@pytest.mark.parametrize("name", ["constant", "head_omega", "perturbed_heads", "two_constant"])
+@settings(max_examples=200, deadline=None)
+@given(m=periodic_tail_sections(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+@example(m=build_sum_truncation(PairFamily.perturbed_heads(0.4), 120), fractions=[0.0, 0.3, 0.6, 0.9, 1.0])
+@example(m=ODD_TAIL, fractions=[0.1, 0.5, 0.9])
+def test_exterior_minor_sign_follows_the_count(m, fractions):
+    # in each gap the sign of the scaled last minor is (-1)^count times one
+    # sign, so its roots there are the eigenvalues that counts certify
+    rows = _kernels._rows(m.diag, m.offdiag**2)
+    lo, hi = m.gershgorin()
+    e = math.frexp(max(abs(lo), abs(hi)))[1]
+    unit = _tail.scaled(rows, e)
+    eigs = sections_eigenvalues_at([m], np.arange(m.n))[0]
+    for a, b in _tail.gaps(rows, lo, hi):
+        x = a + (b - a) * np.array(fractions)
+        signs = set()
+        # off the eigenvalues, where rounding decides the sign; bisection
+        # places them to within its tolerance
+        for v in x[np.min(np.abs(x[:, None] - eigs), axis=1) > 1e-6 * (b - a) + 2.0 * default_tol(m)].tolist():
+            try:
+                minor = _tail.last_minor(unit, math.ldexp(v, -e))
+            except (ArithmeticError, ValueError):  # a scaled entry underflowed
+                continue
+            signs.add(math.copysign(1.0, minor) * (-1) ** _kernels._sturm_count_py(*rows, v))
+        assert len(signs) <= 1
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_family_head_length_does_not_depend_on_order(name):
     f = make_family(name, 1.2, 0.7)
     heads = set()
@@ -313,7 +331,7 @@ def outcome(fn, *args):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    name=st.sampled_from(["constant", "head_omega", "perturbed_heads", "two_constant"]),
+    name=st.sampled_from(FAMILIES),
     omega=angles,
     theta=angles,
     half_n=st.integers(2, 40),
@@ -332,11 +350,51 @@ def test_rho_numeric_equals_full_solve_pipeline_bitwise(name, omega, theta, half
 
 
 def plain_bisection(ms, idx, tol=None):
-    """Lockstep bisection of every lane, with no certificate."""
+    """Bisection of every lane, with no certificate: one order-2000 section
+    in plain Python, which counts outside the bands in a few periods, else
+    in lockstep."""
     diag, off2, lo, hi, _ = kernel_args(*ms)
     tols = [default_tol(m) if tol is None else tol for m in ms]
     steps = np.array([_kernels.halvings(*b) for b in zip(lo, hi, tols)])
+    if len(ms) == 1 and ms[0].n >= 2000:
+        rows = {0: _kernels._rows(diag[0], off2[0])}
+        return _kernels._bisect_py(rows, lo.tolist(), hi.tolist(), steps.tolist(), [(0, j) for j in idx.tolist()])[None]
     return _kernels._bisect_np(diag, off2, lo, hi, steps, np.broadcast_to(idx, (len(ms), idx.size)))
+
+
+def rho_slices(f, n):
+    """The (sections, indices, tol) that ``rho_numeric`` solves for ``f`` at order n."""
+    seen = []
+
+    def solve(ms, idx, tol=None):
+        seen.append((ms, np.asarray(idx, dtype=np.int64), tol))
+        return sections_eigenvalues_at(ms, idx, tol)
+
+    with mock.patch.object(analysis, "sections_eigenvalues_at", solve):
+        rho_numeric(f, n)
+    return seen
+
+
+# Batches of at most PY_MAX_INDICES lanes outside the tail's bands, which
+# exterior guesses settle with plain-Python counts
+EXTERIOR_BATCHES = [
+    *(case for name in FAMILIES for n in (600, 2000) for case in rho_slices(make_family(name, 1.2, 0.7), n)),
+    # the largest eigenvalue, 2, as the lambda_max column solves it
+    ([build_sum_truncation(PairFamily.head_omega(1.2, 0.7), 600)], np.array([599]), None),
+    # the isolated points -1.48883473, 1.48883473 and 2 of eq5 at theta 0.4
+    ([build_sum_truncation(PairFamily.perturbed_heads(0.4), 400)], np.array([0, 398, 399]), None),
+    # the point 2 of two-constant (2.4, 0.5), 0.015 above its band's end
+    ([build_sum_truncation(PairFamily.two_constant(2.4, 0.5), 400)], np.array([399]), None),
+    # the symmetric pair -1.5, 1.5 of the paper's anchor
+    ([build_sum_truncation(PairFamily.head_omega(math.pi / 2, math.acos(-0.8)), 400)], np.array([0, 399]), None),
+    # a middle gap holding 1.19 and a point within 1e-12 of 0, which ends
+    # the bracket of 1.19 where the minor is nearly zero
+    (
+        [build_sum_truncation(PairFamily.two_constant(2.973865883377624, 1.363774517826222), 688)],
+        np.array([343, 344]),
+        None,
+    ),
+]
 
 
 def tolerances(ms):
@@ -366,6 +424,12 @@ def test_certified_solve_equals_plain_bisection_bitwise(case):
     assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
 
 
+for batch in EXTERIOR_BATCHES:
+    test_certified_solve_equals_plain_bisection_bitwise = example(case=batch)(
+        test_certified_solve_equals_plain_bisection_bitwise
+    )
+
+
 WRONG_GUESSES = {
     "nan": lambda g: np.full_like(g, np.nan),
     "infinite": lambda g: np.where(np.arange(g.shape[1]) % 2, np.inf, -np.inf) * np.ones_like(g),
@@ -379,16 +443,23 @@ WRONG_GUESSES = {
 def test_wrong_guesses_give_the_same_bits(monkeypatch, wrong):
     # guesses only pick the leaves counted; a leaf certifies only what its
     # counts show, so wrong guesses leave more lanes to bisect, nothing else
-    guess = _tail.guesses
+    guess, exterior = _tail.guesses, _tail.exterior_guess
+
+    def wrong_exterior(*args):
+        g = exterior(*args)
+        return float(WRONG_GUESSES[wrong](np.array([[np.nan if g is None else g]]))[0, 0])
+
     monkeypatch.setattr(_tail, "guesses", lambda *args: WRONG_GUESSES[wrong](guess(*args)))
+    monkeypatch.setattr(_tail, "exterior_guess", wrong_exterior)
     for ms in (FIGURE_3_SECTIONS[::6], [build_sum_truncation(PairFamily.two_constant(0.3, 2.0), 240)]):
         idx = np.arange(ms[0].n)
         assert sections_eigenvalues_at(ms, idx).tobytes() == plain_bisection(ms, idx).tobytes()
+    for ms, idx, tol in EXTERIOR_BATCHES[-5:]:
+        assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
 
 
-@pytest.mark.parametrize("name", ["constant", "head_omega", "perturbed_heads", "two_constant"])
-def test_family_spectrum_bisects_only_its_exterior_eigenvalues(monkeypatch, name):
-    m = build_sum_truncation(make_family(name, 1.2, 0.7), 2000)
+def bisected_lanes(monkeypatch):
+    """A list that gathers the number of lanes handed to each plain bisection."""
     bisected = []
 
     def counted(solve, lanes):
@@ -401,7 +472,28 @@ def test_family_spectrum_bisects_only_its_exterior_eigenvalues(monkeypatch, name
     # the lanes are a list of pairs for _bisect_py and an index array for _bisect_np
     for kernel, lanes in (("_bisect_py", len), ("_bisect_np", np.size)):
         monkeypatch.setattr(_kernels, kernel, counted(getattr(_kernels, kernel), lanes))
-    eigs = tridiag_eigenvalues(m).values
-    a, b, c, d = sorted(band_edges(m.diag, m.offdiag**2))
-    exterior = np.sum((eigs < a) | ((eigs > b) & (eigs < c)) | (eigs > d))
-    assert sum(bisected) <= exterior + 2
+    return bisected
+
+
+# Lanes a family solve may leave to bisection: an eigenvalue between a band
+# end and the gap beyond it is guessed from neither side.
+MAX_BISECTED = 2
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_spectrum_bisects_only_its_exterior_eigenvalues(monkeypatch, name):
+    bisected = bisected_lanes(monkeypatch)
+    tridiag_eigenvalues(build_sum_truncation(make_family(name, 1.2, 0.7), 2000))
+    assert sum(bisected) <= MAX_BISECTED
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_rho_numeric_certifies_its_exterior_eigenvalues(monkeypatch, name):
+    # rho_numeric solves only eigenvalues outside the bands, at most 64 of
+    # each section, and exterior guesses settle them in plain Python
+    asked = []
+    settle = _kernels._settle_exterior
+    monkeypatch.setattr(_kernels, "_settle_exterior", lambda *args: asked.append(len(args[-1])) or settle(*args))
+    bisected = bisected_lanes(monkeypatch)
+    rho_numeric(make_family(name, 1.2, 0.7), 2000)
+    assert sum(asked) >= 2 and sum(bisected) <= MAX_BISECTED

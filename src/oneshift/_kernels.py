@@ -16,18 +16,19 @@ walks the bisection tree to a leaf; two Sturm counts at the leaf's ends
 tell which indices bisection would bring to that leaf, and its midpoint is
 their value, bitwise (``_certify``).  This rests on one premise: counts
 never decrease as the shift rises.  Guesses only choose which leaves get
-counted, so a missing or wrong guess costs speed, not bits.  Up to
-``PY_MAX_INDICES`` lanes, the eigenvalues in the gaps around the bands are
-certified the same way, from guesses on the tail's closed-form last minor
-(``_tail.exterior_guess``) and plain-Python counts (``_settle_exterior``).
+counted, so a missing or wrong guess costs speed, not bits.  When at
+most ``PY_MAX_INDICES`` lanes are left, the eigenvalues in the gaps around
+the bands are certified the same way, from guesses on the tail's
+closed-form last minor (``_tail.exterior_guess``) and plain-Python counts
+(``_settle_exterior``).
 The lanes no leaf settles, chiefly in-band eigenvalues asked for a few at
 a time and the sections with no tail to guess from, are bisected as before.
 
-``_bisect_lanes`` is the one place that picks a path by the number of
-lanes: a few go to the exterior certificate and bisect in plain Python,
-and many go to the in-band certificate first, with the lanes it leaves
-taking the path of a few if few and bisected in lockstep numpy arrays if
-many.  The plain-Python Sturm count stops walking a periodic tail once a
+``bisect_sections`` picks the path by the number of lanes, in one pass:
+above ``PY_MAX_INDICES`` the in-band certificate runs first; if at most
+``PY_MAX_INDICES`` lanes are then left, the exterior certificate runs and
+the rest bisect in plain Python, else they bisect in lockstep numpy
+arrays.  The plain-Python Sturm count stops walking a periodic tail once a
 period gives back its starting pivot and counts the remaining periods at
 once, which makes counts outside the bands cheap.  The lockstep count walks
 every row.  A repeated pivot repeats every later step, so both paths give
@@ -35,6 +36,7 @@ bit-identical output.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -171,16 +173,18 @@ def _settle_exterior(rows, lo, hi, steps, lanes):
     values, sections = [None] * len(lanes), {}
     for i, (b, j) in enumerate(lanes):
         if b not in sections:
-            gaps = _tail.gaps(rows[b], lo[b], hi[b])
-            # functools.cache costs a few microseconds to set up
+            e = math.frexp(max(abs(lo[b]), abs(hi[b])))[1]
+            gaps = _tail.gaps(rows[b], e, lo[b], hi[b])
+            # the scaled rows and functools.cache cost a few microseconds
+            # to set up, which a section with no gaps skips
             count = functools.cache(functools.partial(_sturm_count_py, *rows[b])) if gaps else None
-            sections[b] = gaps, count
-        gaps, count = sections[b]
-        if not gaps:
+            sections[b] = gaps and (_tail.scaled(rows[b], e), e, gaps, count)
+        if not sections[b]:
             continue
+        unit, e, gaps, count = sections[b]
         lo_b, hi_b, s = lo[b], hi[b], steps[b]
         width = (hi_b - lo_b) * 0.5**s
-        guess = _tail.exterior_guess(rows[b], gaps, count, lo_b, hi_b, s, j)
+        guess = _tail.exterior_guess(unit, e, gaps, count, lo_b, hi_b, s, j)
         for _ in range(2):
             if guess is None:
                 break
@@ -226,24 +230,19 @@ def _sturm_counts_np(diag, off2, x):
 def _bisect_np(diag, off2, lo, hi, steps, idx):
     """Lockstep bisection in numpy arrays of the indices ``idx[b]`` of each section b.
 
-    ``idx`` is (B, K).  Sections run in descending step count, so those
-    still halving are a prefix of the lane array; a section that has run
-    its steps stops moving.
+    ``idx`` is (B, K).  A section that has run its ``steps[b]`` steps stops
+    moving, as in ``_leaves``.
     """
-    order = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
-    diag, off2, want = diag[order], off2[order], idx[order] + 1
-    lo = np.repeat(lo[order, None], idx.shape[1], axis=1)
-    hi = np.repeat(hi[order, None], idx.shape[1], axis=1)
-    steps = [steps[b] for b in order]
-    for s in range(steps[0]):
-        b = sum(k > s for k in steps)
-        mid = 0.5 * (lo[:b] + hi[:b])
-        above = _sturm_counts_np(diag[:b], off2[:b], mid) >= want[:b]
-        np.copyto(hi[:b], mid, where=above)
-        np.copyto(lo[:b], mid, where=~above)
-    out = np.empty_like(lo)
-    out[order] = 0.5 * (lo + hi)
-    return out
+    want = idx + 1
+    lo = np.repeat(lo[:, None], idx.shape[1], axis=1)
+    hi = np.repeat(hi[:, None], idx.shape[1], axis=1)
+    for s in range(steps.max()):
+        mid = 0.5 * (lo + hi)
+        above = _sturm_counts_np(diag, off2, mid) >= want
+        live = (steps > s)[:, None]
+        np.copyto(hi, mid, where=above & live)
+        np.copyto(lo, mid, where=~above & live)
+    return 0.5 * (lo + hi)
 
 
 def sturm_count(diag, off2, x):
@@ -304,10 +303,12 @@ def _certify(diag, off2, lo, hi, steps, idx, out):
     holds stay NaN.
     """
     n = diag.shape[1]
+    if idx.size * steps.max() <= 2 * n:
+        return
     head = max(_tail.start(d, e) for d, e in zip(diag, off2))
     head += (n - head) % 2
     k = (n - head) // 2
-    if idx.size * steps.max() <= 2 * n or k < 2 or 2 * k <= head:
+    if k < 2 or 2 * k <= head:
         return
     column = np.full(n, -1)
     column[idx] = np.arange(idx.size)
@@ -340,31 +341,39 @@ def _certify(diag, off2, lo, hi, steps, idx, out):
             out[sec[asked], j[asked]] = value[asked]
 
 
-def _bisect_lanes(diag, off2, lo, hi, steps, idx, out):
-    """Fill in every lane of ``out`` still NaN: lane (b, c) is section b's
-    eigenvalue at index ``idx[c]``.
+def bisect_sections(diag, off2, lo, hi, tol, idx):
+    """Eigenvalues at the ascending indices ``idx`` of B sections of one order.
 
-    This is the one place that chooses a path by the number of lanes.  Up
-    to ``PY_MAX_INDICES`` lanes, ``_settle_exterior`` settles those outside
-    the bands and the rest bisect in plain Python, each section's rows
-    built once for both.  Above that, ``_certify`` first settles what it
-    can, and the lanes it leaves are counted again: up to
-    ``PY_MAX_INDICES`` take the path above, more bisect in lockstep, each
+    ``diag`` is (B, n) and ``off2`` (B, n-1), holding squared off-diagonals;
+    the sequences ``lo``, ``hi`` and ``tol`` give each section's
+    Gershgorin bounds and bisection tolerance.  Row b of the (B, K) result
+    holds section b's values in the order of ``idx``; lane (b, c) is
+    section b's eigenvalue at index ``idx[c]``.
+
+    This is the one place that chooses a path by the number of lanes.
+    Above ``PY_MAX_INDICES`` lanes, ``_certify`` first settles what it can.
+    If at most ``PY_MAX_INDICES`` lanes are left, ``_settle_exterior``
+    settles those outside the bands and the rest bisect in plain Python,
+    each section's rows built once for both.  More bisect in lockstep, each
     section's indices padded to a common count with its last one, in chunks
-    of about ``MAX_LANES`` lanes.
+    of about ``MAX_LANES`` lanes.  Each value is bitwise that of plain
+    bisection.
     """
-    for certify in (True, False):
-        sec, col = np.nonzero(np.isnan(out))
-        if sec.size <= PY_MAX_INDICES:
-            lanes = list(zip(sec.tolist(), idx[col].tolist()))
-            rows = {b: _rows(diag[b], off2[b]) for b in set(sec.tolist())}
-            bounds = lo.tolist(), hi.tolist(), steps.tolist()
-            values = _settle_exterior(rows, *bounds, lanes)
-            rest = iter(_bisect_py(rows, *bounds, [lane for lane, v in zip(lanes, values) if v is None]).tolist())
-            out[sec, col] = [next(rest) if v is None else v for v in values]
-            return out
-        if certify:
-            _certify(diag, off2, lo, hi, steps, idx, out)
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    steps = np.array([halvings(*b) for b in zip(lo, hi, tol)])
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    out = np.full((steps.size, idx.size), np.nan)
+    if out.size > PY_MAX_INDICES:
+        _certify(diag, off2, lo, hi, steps, idx, out)
+    sec, col = np.nonzero(np.isnan(out))
+    if sec.size <= PY_MAX_INDICES:
+        lanes = list(zip(sec.tolist(), idx[col].tolist()))
+        rows = {b: _rows(diag[b], off2[b]) for b in set(sec.tolist())}
+        bounds = lo.tolist(), hi.tolist(), steps.tolist()
+        values = _settle_exterior(rows, *bounds, lanes)
+        rest = iter(_bisect_py(rows, *bounds, [lane for lane, v in zip(lanes, values) if v is None]).tolist())
+        out[sec, col] = [next(rest) if v is None else v for v in values]
+        return out
     first = np.flatnonzero(np.diff(sec, prepend=-1))
     rows, count = sec[first], np.diff(first, append=sec.size)
     rank = np.repeat(np.arange(rows.size), count)
@@ -381,19 +390,3 @@ def _bisect_lanes(diag, off2, lo, hi, steps, idx, out):
     )
     out[sec, col] = solved[rank, slot]
     return out
-
-
-def bisect_sections(diag, off2, lo, hi, tol, idx):
-    """Eigenvalues at the ascending indices ``idx`` of B sections of one order.
-
-    ``diag`` is (B, n) and ``off2`` (B, n-1), holding squared off-diagonals;
-    the sequences ``lo``, ``hi`` and ``tol`` give each section's
-    Gershgorin bounds and bisection tolerance.  Row b of the
-    (B, K) result holds section b's values in the order of ``idx``.
-    ``_bisect_lanes`` settles what it can from tail guesses and bisects
-    the rest; either way each value is bitwise that of plain bisection.
-    """
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    steps = np.array([halvings(*b) for b in zip(lo, hi, tol)])
-    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-    return _bisect_lanes(diag, off2, lo, hi, steps, idx, np.full((steps.size, idx.size), np.nan))

@@ -127,32 +127,31 @@ def band_edges(tail, delta=0.0):
 EXTERIOR_DELTA = 0.0628
 
 
-def gaps(rows, lo, hi):
+def gaps(rows, e, lo, hi):
     """The stretches of [lo, hi] below, between and above the tail's bands
     where |Delta| >= 2 + EXTERIOR_DELTA.  There are none when the tail is a
     single period, as the last two rows of a section with no periodic tail
-    are, or when a squared off-diagonal entry of its period, scaled as
-    ``exterior_guess`` scales it, is zero or subnormal: ``last_minor``
+    are, or when a squared off-diagonal entry of its period, scaled by
+    2^-2e as ``scaled`` scales it, is zero or subnormal: ``last_minor``
     divides by their product."""
     if rows[3] < 4:
         return []
-    e = math.frexp(max(abs(lo), abs(hi)))[1]
-    tail = scaled(rows, e)[2]
+    tail = [_scaled_row(*r, e) for r in rows[2]]
     if not min(tail[0][1], tail[1][1]) >= sys.float_info.min:
         return []
     ends = [lo, *(math.ldexp(x, e) for x in band_edges(tail, EXTERIOR_DELTA)), hi]
     return [(x, y) for x, y in zip(ends[::2], ends[1::2]) if x < y]
 
 
+def _scaled_row(d, e2, e):
+    return math.ldexp(d, -e), math.ldexp(e2, -2 * e)
+
+
 def scaled(rows, e):
     """``rows`` with the diagonal entries scaled by 2^-e and the squared
     off-diagonal ones by 2^-2e, which is exact but for subnormals."""
     d0, head, tail, tail_len = rows
-
-    def row(d, e2):
-        return math.ldexp(d, -e), math.ldexp(e2, -2 * e)
-
-    return math.ldexp(d0, -e), [row(*r) for r in head], tuple(row(*r) for r in tail), tail_len
+    return math.ldexp(d0, -e), [_scaled_row(*r, e) for r in head], tuple(_scaled_row(*r, e) for r in tail), tail_len
 
 
 def last_minor(rows, x):
@@ -196,20 +195,20 @@ def last_minor(rows, x):
 EXTERIOR_STEPS = 60
 
 
-def exterior_guess(rows, gaps, count, lo, hi, steps, j):
+def exterior_guess(unit, e, gaps, count, lo, hi, steps, j):
     """A guess at eigenvalue j of a section when it lies in one of the
     section's ``gaps``, else None.
 
-    ``count(x)`` is the section's Sturm count, and ``lo``, ``hi`` and
-    ``steps`` its bisection bounds and steps; the counts at ``lo`` and
-    ``hi`` are taken as 0 and n.  Counts at the gaps' ends find the gap
-    that holds j, and counts at midpoints narrow it until it holds j alone;
-    every shift counted lies in a gap, where counts are cheap.  Regula falsi
-    on ``last_minor``, halving the weight of an end kept twice (Illinois),
-    then narrows the gap to a quarter of a bisection leaf.  A wrong guess
-    costs only speed.
+    ``unit`` is the section's rows scaled by 2^-e (``scaled``), ``count(x)``
+    its Sturm count, and ``lo``, ``hi`` and ``steps`` its bisection bounds
+    and steps; the counts at ``lo`` and ``hi`` are taken as 0 and n.  Counts
+    at the gaps' ends find the gap that holds j, and counts at midpoints
+    narrow it until it holds j alone; every shift counted lies in a gap,
+    where counts are cheap.  Regula falsi on ``last_minor``, halving the
+    weight of an end kept twice (Illinois), then narrows the gap to a
+    quarter of a bisection leaf.  A wrong guess costs only speed.
     """
-    n = 1 + len(rows[1]) + rows[3]
+    n = 1 + len(unit[1]) + unit[3]
     for a, b in gaps if 2 * j < n else gaps[::-1]:
         ca, cb = 0 if a == lo else count(a), n if b == hi else count(b)
         if ca <= j < cb:
@@ -228,16 +227,15 @@ def exterior_guess(rows, gaps, count, lo, hi, steps, j):
             a, ca = mid, cm
     if cb - ca > 1:
         return 0.5 * (a + b)
-    e = math.frexp(max(abs(lo), abs(hi)))[1]
-    rows, a, b, width = scaled(rows, e), math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(width, -e)
+    a, b, width = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(width, -e)
     try:
-        fa, fb = last_minor(rows, a), last_minor(rows, b)
+        fa, fb = last_minor(unit, a), last_minor(unit, b)
         if not fa * fb < 0.0:
             return None
         kept = 0
         for _ in range(EXTERIOR_STEPS):
             x = (a * fb - b * fa) / (fb - fa)
-            fx = last_minor(rows, x)
+            fx = last_minor(unit, x)
             if fx * fb > 0.0:
                 b, fb = x, fx
                 if kept == -1:

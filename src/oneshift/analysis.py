@@ -112,22 +112,21 @@ def _stabilized(values, ess, margin, nxt):
     return out
 
 
-def _exterior_eigenvalues(m, ess, dist, tol):
+def _exterior_eigenvalues(m, ess, dist):
     """Sorted eigenvalues of ``m`` at every index that can lie beyond ``dist``.
 
     An eigenvalue whose bisected value lies farther than ``dist`` from the
-    essential intervals has its exact value farther than ``dist - tol``, so
-    Sturm counts at the interval edges widened by ``dist - tol`` bound the
-    indices to bisect; the values are those of the full solve, bitwise.
+    essential intervals has its exact value farther than ``dist - tol``, for
+    tol = ``default_tol(m)``, so Sturm counts at the interval edges widened
+    by that bound the indices to bisect; values match the full solve bitwise.
     """
-    slack = default_tol(m) if tol is None else tol
-    reach = dist - slack
+    reach = dist - default_tol(m)
     edges = [x for lo, hi in ess.intervals for x in (lo - reach, hi + reach)]
     counts = [0] + sturm_count(m, edges) + [m.n]
     stretches = [np.arange(a, b) for a, b in zip(counts[::2], counts[1::2])]
     # the stretches overlap only when dist < tol
     idx = np.unique(np.concatenate(stretches))
-    return sections_eigenvalues_at([m], idx, tol)[0]
+    return sections_eigenvalues_at([m], idx)[0]
 
 
 def family_params(f):
@@ -135,7 +134,7 @@ def family_params(f):
     return TwoAngleParams.from_angles(f.omega.tail, f.theta.tail)
 
 
-def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN, tol=None):
+def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN):
     """Spectral-radius estimate from finite sections of the family.
 
     The essential band comes from the tail angles analytically; isolated
@@ -149,10 +148,10 @@ def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN, tol=None):
     if margin <= 0:
         raise ValueError("margin must be positive")
     ess = two_angle_essential(family_params(f))
-    v1 = _exterior_eigenvalues(build_sum_truncation(f, n), ess, margin, tol)
+    v1 = _exterior_eigenvalues(build_sum_truncation(f, n), ess, margin)
     # a neighbor within margin/10 of a kept value lies beyond margin - margin/10
     m2 = build_sum_truncation(f, n + OUTLIER_ORDER_STEP)
-    v2 = _exterior_eigenvalues(m2, ess, margin - margin / 10.0, tol)
+    v2 = _exterior_eigenvalues(m2, ess, margin - margin / 10.0)
     outliers = _stabilized(v1, ess, margin, v2)
     lam = LimitSet(intervals=ess.intervals, points=tuple(outliers))
     if exclusion is not None:
@@ -209,12 +208,12 @@ class Lcg:
         return 0.05 + self.next_float() * (math.pi - 0.1)
 
 
-def _random_pair(rng, blocks=3):
+def _random_pair(rng):
     from .forms import AngleSpec
 
-    omega = AngleSpec(tuple(rng.angle() for _ in range(blocks)), rng.angle())
-    theta = AngleSpec(tuple(rng.angle() for _ in range(max(1, blocks - 1))), rng.angle())
-    return build_dense_pair(PairFamily(omega, theta), blocks)
+    omega = AngleSpec(tuple(rng.angle() for _ in range(3)), rng.angle())
+    theta = AngleSpec(tuple(rng.angle() for _ in range(2)), rng.angle())
+    return build_dense_pair(PairFamily(omega, theta), 3)
 
 
 def tsirelson_suite(seed, trials):
@@ -230,11 +229,12 @@ def tsirelson_suite(seed, trials):
     return best
 
 
-def solve_lambda_max_crossing(omega=math.pi / 2, lo=2.36, hi=2.60, tol=1e-9):
-    """Angle where the largest isolated point of the one-head family meets 2|cos theta|."""
+def solve_lambda_max_crossing():
+    """Angle where the largest isolated point of the one-head family (omega pi/2) meets 2|cos theta|."""
+    lo, hi = 2.36, 2.60
 
     def gap(theta):
-        sols = outlier_solve_eq4(omega, theta)
+        sols = outlier_solve_eq4(math.pi / 2, theta)
         if not sols:
             raise ValueError(f"no isolated point at theta={theta}")
         return sols[-1].lam - 2.0 * abs(math.cos(theta))
@@ -243,7 +243,7 @@ def solve_lambda_max_crossing(omega=math.pi / 2, lo=2.36, hi=2.60, tol=1e-9):
     f_hi = gap(hi)
     if f_lo * f_hi > 0:
         raise ValueError("crossing not bracketed")
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         f_mid = gap(mid)
         if f_mid == 0.0:

@@ -105,7 +105,9 @@ def auto_exclusion(family, omega, theta):
 
 
 def read_pair_file(path):
-    """Plain-text pair: first line order k, k rows for A, blank line, k rows for B."""
+    """Plain-text pair from ``--input``: first line order k, k rows for A, blank line, k rows for B."""
+    if not path:
+        raise ValueError("family general-file requires --input")
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -139,8 +141,6 @@ def write_text(path, text):
 
 def cmd_spectrum(args):
     if args.family == "general-file":
-        if not args.input:
-            raise ValueError("family general-file requires --input")
         pair = read_pair_file(args.input)
         sample = tridiag.dense_sym_eigenvalues(
             tridiag.DenseSymmetricMatrix(pair.a.entries + pair.b.entries)
@@ -159,10 +159,7 @@ def cmd_spectrum(args):
 
 def cmd_rho(args):
     if args.family == "general-file":
-        if not args.input:
-            raise ValueError("family general-file requires --input")
-        pair = read_pair_file(args.input)
-        rho = analysis.rho_commutator_direct(pair)
+        rho = analysis.rho_commutator_direct(read_pair_file(args.input))
         payload = {"rho_low": fmt(rho), "rho_high": fmt(rho), "branch": "direct-commutator"}
     else:
         fam = build_family(args.family, args.omega, args.theta)
@@ -293,9 +290,10 @@ def build_parser():
         description="Spectral radii of commutators of involution pairs in one-shifted form.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    families = ("constant", "eq3", "eq5", "two-constant")
 
-    def common(p, families):
-        p.add_argument("--family", choices=families, required=True)
+    def common(p):
+        p.add_argument("--family", choices=(*families, "general-file"), required=True)
         p.add_argument("--omega", type=float, default=None)
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--input", default=None, help="pair file for family general-file")
@@ -303,15 +301,15 @@ def build_parser():
         p.add_argument("--out", default=None)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of one truncation")
-    common(p_spec, ("constant", "eq3", "eq5", "two-constant", "general-file"))
+    common(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_rho = sub.add_parser("rho", help="spectral radius of the commutator")
-    common(p_rho, ("constant", "eq3", "eq5", "two-constant", "general-file"))
+    common(p_rho)
     p_rho.set_defaults(func=cmd_rho)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over theta")
-    p_sweep.add_argument("--family", choices=("constant", "eq3", "eq5", "two-constant"), required=True)
+    p_sweep.add_argument("--family", choices=families, required=True)
     p_sweep.add_argument("--omega", type=float, default=None)
     p_sweep.add_argument("--theta", required=True, help='grid spec "start:step:stop"')
     p_sweep.add_argument("--n", type=int, default=600)

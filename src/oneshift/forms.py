@@ -65,9 +65,9 @@ class PairFamily:
         return cls(AngleSpec((omega,), theta), AngleSpec((), theta))
 
     @classmethod
-    def perturbed_heads(cls, theta, omega_head=(1.5, 2.0), theta_head=(2.5,)):
-        """Both sequences start with fixed perturbation angles, then theta."""
-        return cls(AngleSpec(tuple(omega_head), theta), AngleSpec(tuple(theta_head), theta))
+    def perturbed_heads(cls, theta):
+        """Head angles (1.5, 2.0) for omega and (2.5,) for theta, then the tail theta."""
+        return cls(AngleSpec((1.5, 2.0), theta), AngleSpec((2.5,), theta))
 
     @classmethod
     def two_constant(cls, omega, theta):

@@ -157,12 +157,10 @@ def select_lambda0(spec):
 
 
 def constant_angle_limit_set(theta):
-    """Exact spectrum of the constant-angle sum: [-2s, 2s], plus 2 below pi/2."""
-    if not (0.0 < theta < math.pi):
-        raise ValueError("theta must lie in (0, pi)")
-    s2 = 2.0 * math.sin(theta)
-    points = (2.0,) if theta < math.pi / 2 and s2 < 2.0 else ()
-    return LimitSet(intervals=((-s2, s2),), points=points)
+    """Exact spectrum of the constant-angle sum, the two-angle family with
+    omega = theta: [-2s, 2s], plus 2 below pi/2 (``outlier_solve_eq4``)."""
+    ess = two_angle_essential(TwoAngleParams.from_angles(theta, theta))
+    return LimitSet(intervals=ess.intervals, points=tuple(r.lam for r in outlier_solve_eq4(theta, theta)))
 
 
 def _decay_root(lam, s):
@@ -171,7 +169,7 @@ def _decay_root(lam, s):
     return 0.5 * (mu - math.copysign(math.sqrt(mu * mu - 4.0), mu))
 
 
-def wiener_hopf_outlier_check(theta, lam, tol=1e-9):
+def wiener_hopf_outlier_check(theta, lam):
     """Decide whether ``lam`` outside the essential band is an outlier.
 
     The factorization of the shifted symbol puts the decision into one
@@ -181,7 +179,7 @@ def wiener_hopf_outlier_check(theta, lam, tol=1e-9):
     if abs(lam) <= 2.0 * s:
         raise ValueError("lam lies inside the essential band [-2s, 2s]")
     q2 = 1.0 / _decay_root(lam, s)
-    return abs(1.0 - (1.0 + c) / (s * q2)) <= tol
+    return abs(1.0 - (1.0 + c) / (s * q2)) <= 1e-9
 
 
 def rho_constant_angle(theta):
@@ -259,7 +257,7 @@ def rho_two_constant_angles(omega, theta=None):
     return RhoReport(rho, rho, p.lambda2, "outer-band-edge")
 
 
-def theorem_bounds_general(p, lam, exclusion_tol=1e-9):
+def theorem_bounds_general(p, lam):
     """Spectral-radius bounds from a limit set of a two-angle family.
 
     Exact whenever sqrt(2) lies in the essential band or the selected point
@@ -271,10 +269,10 @@ def theorem_bounds_general(p, lam, exclusion_tol=1e-9):
         return RhoReport(2.0, 2.0, SQRT2, "sqrt2-in-band")
     lam0 = select_lambda0(lam)
     special = p.c - p.gamma
-    if abs(lam0 - special) > exclusion_tol:
+    if abs(lam0 - special) > 1e-9:
         rho = rho_from_lambda(lam0)
         return RhoReport(rho, rho, lam0, "limit-set-point")
-    reduced = lam.without_point(special, exclusion_tol)
+    reduced = lam.without_point(special, 1e-9)
     lam_star = select_lambda0(reduced)
     return RhoReport(
         rho_from_lambda(lam_star),

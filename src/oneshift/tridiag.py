@@ -186,6 +186,6 @@ def householder_tridiagonalize(m):
     return TridiagonalSymmetricMatrix(diag=np.diag(a).copy(), offdiag=np.diag(a, 1).copy())
 
 
-def dense_sym_eigenvalues(m, tol=None):
+def dense_sym_eigenvalues(m):
     """Eigenvalues of a dense symmetric matrix via Householder + bisection."""
-    return tridiag_eigenvalues(householder_tridiagonalize(m), tol=tol)
+    return tridiag_eigenvalues(householder_tridiagonalize(m))

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, forms, theory, tridiag
-
-SQRT2 = math.sqrt(2.0)
+from .theory import SQRT2
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ point ``_kernels.bisect_sections``.  A solve restricted to some indices must
 give exactly the values the full solve gives there; a lockstep solve of many
 sections must give exactly the values of each section solved alone; the
 plain-Python bisection must match the vectorized numpy one, also on either
-side of ``PY_MAX_INDICES`` lanes, where ``_bisect_lanes`` switches from one
-to the other; and ``rho_numeric``, which solves only exterior eigenvalues,
+side of ``PY_MAX_INDICES`` lanes, where ``bisect_sections`` switches from
+one to the other; and ``rho_numeric``, which solves only exterior eigenvalues,
 must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
 ``detect_outliers``.  Every Sturm count must be nondecreasing in the shift,
 and the plain-Python count, which stops walking a 2-periodic tail once its
@@ -14,7 +14,8 @@ pivot repeats, must equal the full loop.  Values certified from tail
 guesses, inside the bands or in the gaps around them, must equal plain
 bisection, whatever the guesses are; the sign of the exterior equation
 must follow the counts; and a family spectrum or ``rho_numeric`` must
-leave next to nothing to bisect.
+leave next to nothing to bisect, and a batch the in-band certificate
+declines must not be scanned for a tail.
 """
 
 import math
@@ -266,7 +267,7 @@ def test_exterior_minor_sign_follows_the_count(m, fractions):
     e = math.frexp(max(abs(lo), abs(hi)))[1]
     unit = _tail.scaled(rows, e)
     eigs = sections_eigenvalues_at([m], np.arange(m.n))[0]
-    for a, b in _tail.gaps(rows, lo, hi):
+    for a, b in _tail.gaps(rows, e, lo, hi):
         x = a + (b - a) * np.array(fractions)
         signs = set()
         # off the eigenvalues, where rounding decides the sign; bisection
@@ -478,6 +479,19 @@ def bisected_lanes(monkeypatch):
 # Lanes a family solve may leave to bisection: an eigenvalue between a band
 # end and the gap beyond it is guessed from neither side.
 MAX_BISECTED = 2
+
+
+def test_declined_certificate_scans_no_tail(monkeypatch):
+    # one index of 65 order-100 sections takes fewer bisection steps than
+    # the 2n counts a certificate costs, so _certify declines the batch
+    # before it looks for any section's tail
+    ms = [build_sum_truncation(PairFamily.head_omega(0.04 * k, 0.7), 100) for k in range(1, THRESHOLD + 2)]
+    certified, starts = [], []
+    certify, start = _kernels._certify, _tail.start
+    monkeypatch.setattr(_kernels, "_certify", lambda *args: certified.append(args[-1].size) or certify(*args))
+    monkeypatch.setattr(_tail, "start", lambda *args: starts.append(args) or start(*args))
+    sections_eigenvalues_at(ms, [99])
+    assert certified == [THRESHOLD + 1] and not starts
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -93,6 +93,20 @@ class TestConstantAngleLimitSet:
         assert ls.points == ()
         assert ls.intervals == ((-2.0, 2.0),)
 
+    def test_equals_the_closed_form(self):
+        # built from the two-angle band and the outlier solver, the set must
+        # be the closed form exactly, also on the 50 doubles on each side of
+        # pi/2, where sin(theta) rounds to 1 and tan(theta/2) is 1 to 1e-13
+        below, above = [math.pi / 2], [math.pi / 2]
+        for _ in range(50):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], 4.0))
+        for theta in np.linspace(0.0, math.pi, 20_001)[1:-1].tolist() + below + above[1:]:
+            s2 = 2.0 * math.sin(theta)
+            ls = constant_angle_limit_set(theta)
+            assert ls.intervals == ((-s2, s2),)
+            assert ls.points == ((2.0,) if theta < math.pi / 2 and s2 < 2.0 else ())
+
 
 class TestWienerHopfCheck:
     def test_point_two_is_in_spectrum_below_half_pi(self):

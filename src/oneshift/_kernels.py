@@ -31,8 +31,8 @@ the rest bisect in plain Python, else they bisect in lockstep numpy
 arrays.  The plain-Python Sturm count stops walking a periodic tail once a
 period gives back its starting pivot and counts the remaining periods at
 once, which makes counts outside the bands cheap.  The lockstep count walks
-every row.  A repeated pivot repeats every later step, so both paths give
-bit-identical output.
+every row, in four array passes a tail row.  A repeated pivot repeats every
+later step, so both paths give bit-identical output.
 """
 
 import functools
@@ -54,8 +54,8 @@ HAVE_NUMBA = USE_NUMBA = False
 
 # Lane counts (sections times indices) up to this are solved in plain Python.
 # Per matrix row and bisection step, numpy costs a near-fixed ~4 us and
-# Python ~0.05 us per lane, so they break even near 80-90 lanes at n = 100
-# and n = 600 (numpy 2.4, Python 3.11); 64 stays on the Python side.
+# Python ~0.065 us per lane, so they break even near 60-65 lanes at n = 100
+# and n = 600 (numpy 2.4, Python 3.11; 64 shifts, best of 200 and 50 counts).
 # These batches skip the in-band certificate, which pays from about 20
 # in-band lanes: a whole spectrum of one eq3 section (omega 1.2, theta 0.7)
 # took 0.23, 0.47, 1.5, 2.9 and 11.3 ms at n = 6, 10, 20, 30 and 64, and
@@ -202,29 +202,43 @@ def _settle_exterior(rows, lo, hi, steps, lanes):
     return values
 
 
-def _sturm_counts_np(diag, off2, x):
+def _sturm_counts_np(diag, off2, x, tail=None):
     """``_sturm_count_py`` at every shift of ``x``, one row of shifts per section.
 
-    ``diag`` is (B, n), ``off2`` (B, n-1) and ``x`` (B, K).
-    Row i of every section is broadcast as a (B, 1) column against ``x``.
+    ``diag`` is (B, n), ``off2`` (B, n-1) and ``x`` (B, K); row i of every
+    section is broadcast as a (B, 1) column against ``x``.  Diagonal rows
+    from ``tail`` on (by default none) repeat with period 2, so the shifts
+    are subtracted from them once.  A zero pivot, which counts as ``_TINY``
+    does, is replaced by it only when dividing by it raises.
     """
-    d = diag.T[:, :, None]
-    e = off2.T[:, :, None]
-    smallest = np.array(_TINY)  # np.copyto converts a float on every call
+    n = diag.shape[1]
+    tail = n if tail is None else tail
+    d, e = diag.T[:, :, None], off2.T[:, :, None]
+    period = [d[i] - x for i in range(tail, min(tail + 2, n))]
     p = d[0] - x
-    np.copyto(p, smallest, where=p == 0.0)
-    count = (p < 0.0).astype(np.int64)
     q = np.empty_like(p)
-    # a tiny pivot overflows the next quotient to inf, which counts as in
-    # the plain-Python count
-    with np.errstate(over="ignore"):
-        for i in range(1, d.shape[0]):
-            np.divide(e[i - 1], p, out=q)
-            np.subtract(d[i], x, out=p)
-            p -= q
-            np.copyto(p, smallest, where=p == 0.0)
-            count += p < 0.0
-    return count
+    neg = p < 0.0
+    count = neg.astype(np.int64)
+    pending = np.zeros(p.shape, dtype=np.uint8)  # negative pivots of up to 255 rows
+    # a tiny pivot overflows the next quotient to inf, as in the Python count
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        for i in range(1, n):
+            try:
+                np.divide(e[i - 1], p, out=q)
+            except FloatingPointError:  # p holds zeros: e/0 or 0/0
+                p[p == 0.0] = _TINY
+                np.divide(e[i - 1], p, out=q)
+            if i < tail:
+                np.subtract(d[i], x, out=p)
+                p -= q
+            else:
+                np.subtract(period[(i - tail) % 2], q, out=p)
+            np.less(p, 0.0, out=neg)
+            pending += neg
+            if i % 255 == 0:
+                count += pending
+                pending[...] = 0
+    return count + pending
 
 
 def _bisect_np(diag, off2, lo, hi, steps, idx):
@@ -330,7 +344,7 @@ def _certify(diag, off2, lo, hi, steps, idx, out):
             lower, upper = _leaves(guesses, lo[rows], hi[rows], steps[rows])
             if not lower.size:
                 continue
-            counts = _sturm_counts_np(diag[rows], off2[rows], np.concatenate([lower, upper], axis=1))
+            counts = _sturm_counts_np(diag[rows], off2[rows], np.concatenate([lower, upper], axis=1), head)
             first, stop = np.split(counts, 2, axis=1)
             sizes = np.maximum(stop - first, 0).ravel()
             within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)

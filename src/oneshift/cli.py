@@ -151,8 +151,7 @@ def cmd_spectrum(args):
             forms.build_sum_truncation(fam, even_order(args.n))
         )
     lines = ["index,eigenvalue"]
-    for i, v in enumerate(sample.values):
-        lines.append(f"{i},{fmt(v)}")
+    lines += [f"{i},{v:.15g}" for i, v in enumerate(sample.values.tolist())]
     write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -184,14 +183,15 @@ def _spectrum_lines(fam_for_theta, thetas, n, with_commutator):
     else:
         lines = ["theta," + ",".join(f"eig_{i + 1}" for i in range(n))]
     sections = [forms.build_sum_truncation(fam_for_theta(theta), n) for theta in thetas]
+    # the values are Python floats, which an f-string formats as fmt does
     for theta, row in zip(thetas, tridiag.sections_eigenvalues_at(sections, np.arange(n))):
-        values = row.tolist()
+        values, t = row.tolist(), fmt(theta)
         if with_commutator:
             for i, lam in enumerate(values):
                 mu = math.sqrt(max(0.0, lam * lam * (4.0 - lam * lam)))
-                lines.append(f"{fmt(theta)},{i},{fmt(lam)},{fmt(mu)}")
+                lines.append(f"{t},{i},{lam:.15g},{mu:.15g}")
         else:
-            lines.append(fmt(theta) + "," + ",".join(fmt(v) for v in values))
+            lines.append(t + "," + ",".join(f"{v:.15g}" for v in values))
     return lines
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -191,6 +192,24 @@ class TestFigureCommand:
         assert len(lines) == 32
         for theta, line in zip(parse_grid(THETA_GRID_DEFAULT), lines[1:]):
             assert line.split(",")[1] == full_lambda_max(PairFamily.head_omega(math.pi / 2, theta), 100)
+
+
+# SHA-256 of whole output files.  Any change to the solver or to the
+# formatting that alters one byte of them fails here.
+OUTPUT_DIGESTS = {
+    ("figure", "3"): "013714b08f62087f0f2ec4dac911779538d81abafd3cddbd70c5eb32c3c7ecec",
+    ("figure", "4", "--panel", "left"): "0fcb46f475559cf4a025c0b4077900a513702a6b2eeb3cacc8be35052b0b96f2",
+    ("spectrum", "--family", "eq5", "--theta", "1.0", "--n", "100"): (
+        "c91c8e855945b1515e92266b340a8307b9740f14c2ebd1ab087b9603d21eb4eb"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS), ids=" ".join)
+def test_output_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_DIGESTS[argv]
 
 
 class TestValidateCommand:

@@ -10,12 +10,14 @@ one to the other; and ``rho_numeric``, which solves only exterior eigenvalues,
 must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
 ``detect_outliers``.  Every Sturm count must be nondecreasing in the shift,
 and the plain-Python count, which stops walking a 2-periodic tail once its
-pivot repeats, must equal the full loop.  Values certified from tail
-guesses, inside the bands or in the gaps around them, must equal plain
-bisection, whatever the guesses are; the sign of the exterior equation
-must follow the counts; and a family spectrum or ``rho_numeric`` must
-leave next to nothing to bisect, and a batch the in-band certificate
-declines must not be scanned for a tail.
+pivot repeats, must equal the full loop, and so must the lockstep count,
+which meets a zero pivot only when dividing by it raises and sums negative
+pivots in bytes, from any tail start and beyond 255 rows.  Values
+certified from tail guesses, inside the bands or in the gaps around them,
+must equal plain bisection, whatever the guesses are; the sign of the
+exterior equation must follow the counts; and a family spectrum or
+``rho_numeric`` must leave next to nothing to bisect, and a batch the
+in-band certificate declines must not be scanned for a tail.
 """
 
 import math
@@ -156,30 +158,35 @@ OFF_ENTRIES = st.one_of(entries, st.sampled_from([0.0, 5e-324, 1e-300, 1e-160]))
 
 
 @st.composite
-def periodic_tail_sections(draw, order=None):
+def periodic_tail_sections(draw, order=None, values=None):
     """A first entry and a drawn head of rows, then a 2-periodic tail of
     drawn length, or of the length that makes the section ``order`` rows,
-    all scaled by one factor."""
-    scale = draw(st.sampled_from(SCALES))
+    all scaled by one factor; or, with ``values``, every entry drawn from
+    ``values`` and left unscaled."""
+    if values is None:
+        scale, on, off_on = draw(st.sampled_from(SCALES)), entries, OFF_ENTRIES
+    else:
+        scale, on, off_on = 1.0, values, values
     if order is None:
         head, tail_len = draw(st.integers(0, 7)), draw(st.integers(0, 41))
     else:
         head = draw(st.integers(0, min(7, order - 1)))
         tail_len = order - 1 - head
-    diag = draw(st.lists(entries, min_size=1 + head, max_size=1 + head))
-    off = draw(st.lists(OFF_ENTRIES, min_size=head, max_size=head))
-    diag += (draw(st.lists(entries, min_size=2, max_size=2)) * tail_len)[:tail_len]
-    off += (draw(st.lists(OFF_ENTRIES, min_size=2, max_size=2)) * tail_len)[:tail_len]
+    diag = draw(st.lists(on, min_size=1 + head, max_size=1 + head))
+    off = draw(st.lists(off_on, min_size=head, max_size=head))
+    diag += (draw(st.lists(on, min_size=2, max_size=2)) * tail_len)[:tail_len]
+    off += (draw(st.lists(off_on, min_size=2, max_size=2)) * tail_len)[:tail_len]
     return TridiagonalSymmetricMatrix(diag=scale * np.array(diag), offdiag=scale * np.array(off))
 
 
 @st.composite
-def same_order_tail_sections(draw, max_n=120, max_sections=4):
+def same_order_tail_sections(draw, max_n=120, max_sections=4, values=None):
     """Periodic-tail sections of one order, each with its own head length,
     so the common head is longer than some and the tails differ in parity,
-    and each with its own scale."""
+    and each with its own scale (or ``values``, as in
+    ``periodic_tail_sections``)."""
     n = draw(st.integers(1, max_n))
-    return [draw(periodic_tail_sections(order=n)) for _ in range(draw(st.integers(1, max_sections)))]
+    return [draw(periodic_tail_sections(order=n, values=values)) for _ in range(draw(st.integers(1, max_sections)))]
 
 
 @st.composite
@@ -253,6 +260,59 @@ def test_periodic_tail_count_equals_full_loop(m):
     x = np.concatenate([*near, _tail.band_edges(rows[2]), [lo, hi]])
     full = _kernels._sturm_counts_np(diag, off2, x[None])[0].tolist()
     assert [_kernels._sturm_count_py(*rows, v) for v in x.tolist()] == full
+
+
+# Entries and shifts that are small integers or signed zeros: pivots come
+# out exactly zero, of either sign, in the head and in the tail.
+SMALL_INTEGERS = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+# at the shift 0, zero pivots in the head (row 2) and in the tail (rows 4,
+# 6 and 8), each the divisor of a nonzero squared off-diagonal entry
+ZERO_PIVOTS = TridiagonalSymmetricMatrix(
+    diag=np.array([1.0, 2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
+    offdiag=np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+)
+# at the shift 0, a -0.0 pivot (row 1) and +0.0 pivots (rows 3 and 5), each
+# the divisor of the next zero squared off-diagonal entry: 0/0
+SIGNED_ZERO_PIVOTS = TridiagonalSymmetricMatrix(
+    diag=np.array([1.0, -0.0, -1.0, -0.0, -1.0, -0.0, -1.0]), offdiag=np.zeros(6)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ms=same_order_tail_sections(max_n=40, values=SMALL_INTEGERS),
+    xs=st.lists(SMALL_INTEGERS, max_size=8),
+    later=st.integers(0, 50),
+)
+@example(ms=[ZERO_PIVOTS], xs=[], later=0)
+@example(ms=[SIGNED_ZERO_PIVOTS], xs=[], later=0)
+def test_zero_pivots_count_as_in_plain_python(ms, xs, later):
+    # the lockstep count finds a zero pivot only when the next row divides
+    # by it; from any row on or after the common tail start, and walking
+    # every row, it must equal the plain-Python count
+    diag, off2 = kernel_args(*ms)[:2]
+    n = diag.shape[1]
+    tail = min(n, max(_tail.start(d, e) for d, e in zip(diag, off2)) + later)
+    x = np.tile([*xs, -0.0, 0.0, 1.0], (len(ms), 1))
+    errors = np.geterr()
+    counts = _kernels._sturm_counts_np(diag, off2, x, tail)
+    walk = _kernels._sturm_counts_np(diag, off2, x, n)
+    assert np.geterr() == errors
+    for b in range(len(ms)):
+        scalar = [_kernels._sturm_count_py(*_kernels._rows(diag[b], off2[b]), v) for v in x[b].tolist()]
+        assert counts[b].tolist() == walk[b].tolist() == scalar
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_count_above_the_spectrum_is_the_order(n):
+    # every pivot is negative, more of them than a byte holds
+    ms = [build_sum_truncation(make_family(name, 1.2, 0.7), n) for name in FAMILIES]
+    diag, off2, _, hi, _ = kernel_args(*ms)
+    x = np.repeat(np.nextafter(hi, np.inf)[:, None], 3, axis=1)
+    tail = max(_tail.start(d, e) for d, e in zip(diag, off2))
+    for batch in (slice(0, 1), slice(None)):
+        for start in (tail, n):
+            assert np.all(_kernels._sturm_counts_np(diag[batch], off2[batch], x[batch], start) == n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -241,22 +241,26 @@ def _sturm_counts_np(diag, off2, x, tail=None):
     return count + pending
 
 
-def _bisect_np(diag, off2, lo, hi, steps, idx):
-    """Lockstep bisection in numpy arrays of the indices ``idx[b]`` of each section b.
+def _walk(lo, hi, steps, width, left):
+    """(B, ``width``) lower and upper ends of lanes walking each section's bisection tree.
 
-    ``idx`` is (B, K).  A section that has run its ``steps[b]`` steps stops
-    moving, as in ``_leaves``.
+    A lane goes left where ``left(mid)`` holds, and a section that has run
+    its ``steps[b]`` steps stops moving.
     """
-    want = idx + 1
-    lo = np.repeat(lo[:, None], idx.shape[1], axis=1)
-    hi = np.repeat(hi[:, None], idx.shape[1], axis=1)
+    lower = np.repeat(lo[:, None], width, axis=1)
+    upper = np.repeat(hi[:, None], width, axis=1)
     for s in range(steps.max()):
-        mid = 0.5 * (lo + hi)
-        above = _sturm_counts_np(diag, off2, mid) >= want
-        live = (steps > s)[:, None]
-        np.copyto(hi, mid, where=above & live)
-        np.copyto(lo, mid, where=~above & live)
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lower + upper)
+        go, live = left(mid), (steps > s)[:, None]
+        np.copyto(upper, mid, where=go & live)
+        np.copyto(lower, mid, where=~go & live)
+    return lower, upper
+
+
+def _bisect_np(diag, off2, lo, hi, steps, idx):
+    """Lockstep bisection in numpy arrays of the indices ``idx[b]`` of each section b; ``idx`` is (B, K)."""
+    lower, upper = _walk(lo, hi, steps, idx.shape[1], lambda mid: _sturm_counts_np(diag, off2, mid) > idx)
+    return 0.5 * (lower + upper)
 
 
 def sturm_count(diag, off2, x):
@@ -273,19 +277,12 @@ def sturm_count(diag, off2, x):
 def _leaves(guesses, lo, hi, steps):
     """Distinct bisection leaves that the guesses of each section fall in.
 
-    Each guess walks its section's midpoint tree, left where it lies below
-    the midpoint, for the section's number of steps.  Guesses that are not
-    finite are dropped.  Returns the (B, U) lower and upper leaf ends; a
-    section with fewer than U leaves repeats one of them.
+    Each guess walks its section's tree (``_walk``), left where it lies
+    below the midpoint.  Guesses that are not finite are dropped.  Returns
+    the (B, U) lower and upper leaf ends; a section with fewer than U
+    leaves repeats one of them.
     """
-    lower = np.repeat(lo[:, None], guesses.shape[1], axis=1)
-    upper = np.repeat(hi[:, None], guesses.shape[1], axis=1)
-    for s in range(steps.max()):
-        mid = 0.5 * (lower + upper)
-        left = guesses < mid
-        live = (steps > s)[:, None]
-        np.copyto(upper, mid, where=left & live)
-        np.copyto(lower, mid, where=~left & live)
+    lower, upper = _walk(lo, hi, steps, guesses.shape[1], lambda mid: guesses < mid)
     # _tail.guesses puts the guesses of one eigenvalue within three columns
     # of each other, so a leaf met again that close is counted once
     keep = np.isfinite(guesses)

@@ -16,7 +16,6 @@ from .theory import (
     RhoReport,
     TwoAngleParams,
     bell_chsh_rho,
-    outlier_solve_eq4,
     rho_from_lambda,
     select_lambda0,
     two_angle_essential,
@@ -230,26 +229,13 @@ def tsirelson_suite(seed, trials):
 
 
 def solve_lambda_max_crossing():
-    """Angle where the largest isolated point of the one-head family (omega pi/2) meets 2|cos theta|."""
-    lo, hi = 2.36, 2.60
+    """Angle where the largest isolated point of the one-head family (omega pi/2) meets 2|cos theta|.
 
-    def gap(theta):
-        sols = outlier_solve_eq4(math.pi / 2, theta)
-        if not sols:
-            raise ValueError(f"no isolated point at theta={theta}")
-        return sols[-1].lam - 2.0 * abs(math.cos(theta))
-
-    f_lo = gap(lo)
-    f_hi = gap(hi)
-    if f_lo * f_hi > 0:
-        raise ValueError("crossing not bracketed")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        f_mid = gap(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    At omega = pi/2 (gamma = 0) the isolated points +-lam of ``outlier_solve_eq4``
+    have q^2 = (1 + c) / (-c), so lam^2 = s^2 (q + 1/q)^2 = (1 - c) / (-c).
+    Setting lam = 2|cos theta| = -2c gives 4c^3 - c + 1 = 0, whose one real
+    root is c* = cbrt(-1/8 + sqrt(26/1728)) + cbrt(-1/8 - sqrt(26/1728)),
+    by Cardano's formula; the crossing is theta* = arccos c*.
+    """
+    r = math.sqrt(26.0 / 1728.0)
+    return math.acos(float(np.cbrt(-0.125 + r) + np.cbrt(-0.125 - r)))

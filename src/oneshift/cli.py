@@ -88,20 +88,16 @@ def build_family(family, omega, theta):
     raise ValueError(f"unknown family {family!r}")
 
 
-def closed_form_rho(family, omega, theta):
-    if family == "constant":
-        return theory.rho_constant_angle(theta).rho
-    if family == "two-constant":
-        return theory.rho_two_constant_angles(omega, theta).rho
-    return None
+def closed_forms(fam):
+    """``rho_closed`` and the limit-set point to exclude, c - gamma when s > delta.
 
-
-def auto_exclusion(family, omega, theta):
-    """The limit-set point to drop for two-constant families with s > delta."""
-    if family != "two-constant":
-        return None
-    p = theory.TwoAngleParams.from_angles(omega, theta)
-    return theory.tilde_point(p)
+    Both exist for a family with no head angles, whose two constant angles
+    are its tail's; any other family gives (None, None).
+    """
+    if fam.omega.head or fam.theta.head:
+        return None, None
+    p = analysis.family_params(fam)
+    return theory.rho_two_constant_angles(p).rho, theory.tilde_point(p)
 
 
 def read_pair_file(path):
@@ -116,6 +112,8 @@ def read_pair_file(path):
     if not lines:
         raise ValueError("pair file is empty")
     k = int(lines[0].strip())
+    if k < 1:
+        raise ValueError(f"pair file order must be >= 1, got {k}")
     if len(lines) < 1 + k:
         raise ValueError(f"pair file has fewer than {k} rows for A")
     a_rows = [[float(v) for v in lines[1 + i].split()] for i in range(k)]
@@ -162,7 +160,7 @@ def cmd_rho(args):
         payload = {"rho_low": fmt(rho), "rho_high": fmt(rho), "branch": "direct-commutator"}
     else:
         fam = build_family(args.family, args.omega, args.theta)
-        exclusion = auto_exclusion(args.family, args.omega, args.theta)
+        closed, exclusion = closed_forms(fam)
         rep = analysis.rho_numeric(fam, even_order(args.n), exclusion=exclusion)
         payload = {
             "rho_low": fmt(rep.rho_low),
@@ -170,7 +168,6 @@ def cmd_rho(args):
             "lambda0": fmt(rep.lambda0),
             "branch": rep.branch,
         }
-        closed = closed_form_rho(args.family, args.omega, args.theta)
         if closed is not None:
             payload["rho_closed"] = fmt(closed)
     write_text(args.out, json.dumps(payload, indent=2) + "\n")
@@ -222,8 +219,8 @@ def cmd_sweep(args):
         lines = ["theta,lambda_max,rho_numeric,rho_closed"]
         fams = [fam_for(theta) for theta in thetas]
         for theta, fam, lam in zip(thetas, fams, _lambda_max_column(fams, n)):
-            rep = analysis.rho_numeric(fam, n, exclusion=auto_exclusion(args.family, omega, theta))
-            closed = closed_form_rho(args.family, omega, theta)
+            closed, exclusion = closed_forms(fam)
+            rep = analysis.rho_numeric(fam, n, exclusion=exclusion)
             closed_txt = fmt(closed) if closed is not None else ""
             lines.append(f"{fmt(theta)},{fmt(lam)},{fmt(rep.rho)},{closed_txt}")
     write_text(args.out, "\n".join(lines) + "\n")

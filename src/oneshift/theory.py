@@ -285,6 +285,6 @@ def theorem_bounds_general(p, lam):
 def bell_chsh_rho(rho1, rho2):
     """Combined Bell-CHSH spectral radius sqrt(4 + rho1 * rho2)."""
     for r in (rho1, rho2):
-        if not (0.0 <= r <= 2.0 + 1e-12):
+        if not (0.0 <= r <= 2.0):
             raise ValueError("commutator spectral radii must lie in [0, 2]")
     return math.sqrt(4.0 + rho1 * rho2)

@@ -270,3 +270,12 @@ class TestLambdaMaxCrossing:
     def test_reference_value(self):
         x3 = analysis.solve_lambda_max_crossing()
         assert abs(x3 - 2.4352) < 1e-3
+
+    def test_closed_form_is_the_sign_change_of_the_gap(self):
+        def gap(theta):
+            return outlier_solve_eq4(math.pi / 2, theta)[-1].lam - 2.0 * abs(math.cos(theta))
+
+        x3 = analysis.solve_lambda_max_crossing()
+        assert abs(gap(x3)) <= 1e-12
+        # the gap falls through zero, by about 1.67e-9 at each side
+        assert gap(x3 - 1e-9) > 0.0 > gap(x3 + 1e-9)

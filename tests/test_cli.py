@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oneshift
-from oneshift import cli, forms
+from oneshift import cli, forms, theory
 from oneshift.cli import MAX_GRID_POINTS, MAX_ORDER, MAX_SWEEP_ROWS, THETA_GRID_DEFAULT, fmt, main, parse_grid
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.tridiag import tridiag_eigenvalues
@@ -93,8 +93,13 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize(
         "content, message",
-        [("", "empty"), ("3\n1 0 0\n0 1 0\n", "rows for A"), ("2\n1 0\n0 1\n\n1 0\n", "rows for B")],
-        ids=["empty", "short-a", "short-b"],
+        [
+            ("", "empty"),
+            ("3\n1 0 0\n0 1 0\n", "rows for A"),
+            ("2\n1 0\n0 1\n\n1 0\n", "rows for B"),
+            ("-3\n", "order must be >= 1"),
+        ],
+        ids=["empty", "short-a", "short-b", "negative-order"],
     )
     def test_short_general_file_exits_2(self, tmp_path, capsys, content, message):
         pair_file = tmp_path / "pair.txt"
@@ -130,6 +135,27 @@ class TestRhoCommand:
         closed = 2 * abs(math.sin(1.7))
         assert abs(float(payload["rho_high"]) - closed) < 5e-3
         assert abs(float(payload["rho_closed"]) - closed) < 1e-12
+
+
+def _name_switches(family, omega, theta):
+    """``rho_closed`` and the excluded point as chosen by family name before ``cli.closed_forms``."""
+    if family == "constant":
+        return theory.rho_constant_angle(theta).rho, None
+    if family == "two-constant":
+        p = theory.TwoAngleParams.from_angles(omega, theta)
+        return theory.rho_two_constant_angles(omega, theta).rho, theory.tilde_point(p)
+    return None, None
+
+
+@pytest.mark.parametrize("family", ["constant", "eq3", "eq5", "two-constant"])
+def test_closed_forms_match_the_family_name_switches(family):
+    angles = parse_grid(THETA_GRID_DEFAULT) + [0.05, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 3.1]
+    for omega in angles:
+        for theta in angles:
+            got = cli.closed_forms(cli.build_family(family, omega, theta))
+            want = _name_switches(family, omega, theta)
+            # float.hex tells -0.0 from 0.0, so the match is bitwise
+            assert [v if v is None else v.hex() for v in got] == [v if v is None else v.hex() for v in want]
 
 
 class TestSweepCommand:
@@ -344,7 +370,7 @@ def _opt(flag, values):
 @st.composite
 def pair_texts(draw):
     """Pair files: a drawn order, then two blocks of drawn rows."""
-    k = draw(st.integers(-1, 4))
+    k = draw(st.integers(-5, 4))
     blocks = [
         [" ".join(draw(st.lists(ENTRIES, min_size=k, max_size=k + 1))) for _ in range(k)]
         for _ in range(2)
@@ -393,6 +419,7 @@ def fuzz_dir(tmp_path_factory):
     ),
 )
 @example(argv=["spectrum", "--family", "general-file", "--input", "{pair}"], text=HUGE_PAIR)
+@example(argv=["spectrum", "--family", "general-file", "--input", "{pair}"], text="-3\n")
 @settings(max_examples=60, deadline=None)
 def test_cli_fuzz_exit_codes_and_one_line_errors(fuzz_dir, argv, text):
     pair = fuzz_dir / "pair.txt"

@@ -303,6 +303,8 @@ class TestBellChsh:
             bell_chsh_rho(-0.1, 1.0)
         with pytest.raises(ValueError):
             bell_chsh_rho(1.0, 2.5)
+        with pytest.raises(ValueError):
+            bell_chsh_rho(1.0, math.nextafter(2.0, 3.0))
 
 
 class TestLimitSet:

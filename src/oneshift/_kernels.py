@@ -8,31 +8,30 @@ index) lane runs its section's fixed number of halvings, so an eigenvalue
 comes out bitwise the same whichever other sections and indices are solved
 with it.
 
-Above ``PY_MAX_INDICES`` lanes a certificate settles most eigenvalues
-without bisecting them.  Every section of the pair families is a short head
-followed by a 2-periodic tail, and the tail's transfer matrix places each
-eigenvalue inside a band to within rounding (``_tail.guesses``).  A guess
+A certificate settles most eigenvalues without bisecting them.  A guess
 walks the bisection tree to a leaf; two Sturm counts at the leaf's ends
 tell which indices bisection would bring to that leaf, and its midpoint is
 their value, bitwise (``_certify``).  This rests on one premise: counts
 never decrease as the shift rises.  Guesses only choose which leaves get
-counted, so a missing or wrong guess costs speed, not bits.  When at
-most ``PY_MAX_INDICES`` lanes are left, the eigenvalues in the gaps around
-the bands are certified the same way, from guesses on the tail's
-closed-form last minor (``_tail.exterior_guess``) and plain-Python counts
-(``_settle_exterior``).
+counted, so a missing or wrong guess costs speed, not bits.  A family
+section's 2-periodic tail places each eigenvalue inside a band
+(``_tail.guesses``) or in a gap around them (``_tail.exterior_guess``); a
+section with no periodic tail, such as a Householder section, is guessed
+whole by LAPACK (``_dense_guesses``) where that costs less than bisection.
 The lanes no leaf settles, chiefly in-band eigenvalues asked for a few at
-a time and the sections with no tail to guess from, are bisected as before.
+a time, are bisected as before.
 
-``bisect_sections`` picks the path by the number of lanes, in one pass:
-above ``PY_MAX_INDICES`` the in-band certificate runs first; if at most
-``PY_MAX_INDICES`` lanes are then left, the exterior certificate runs and
-the rest bisect in plain Python, else they bisect in lockstep numpy
-arrays.  The plain-Python Sturm count stops walking a periodic tail once a
-period gives back its starting pivot and counts the remaining periods at
-once, which makes counts outside the bands cheap.  The lockstep count walks
-every row, in four array passes a tail row.  A repeated pivot repeats every
-later step, so both paths give bit-identical output.
+``bisect_sections`` picks the path in one pass.  Above ``PY_MAX_INDICES``
+lanes the in-band certificate runs first, and if more lanes than that are
+left, the dense guesses are settled in lockstep (``_settle_np``).  At most
+``PY_MAX_INDICES`` lanes left are settled from exterior and dense guesses
+with plain-Python counts (``_settle``) and the rest bisect in plain Python,
+else they bisect in lockstep numpy arrays.  The plain-Python Sturm count
+stops walking a periodic tail once a period gives back its starting pivot
+and counts the remaining periods at once, which makes counts outside the
+bands cheap.  The lockstep count walks every row, in four array passes a
+tail row.  A repeated pivot repeats every later step, so both paths give
+bit-identical output.
 """
 
 import functools
@@ -52,14 +51,16 @@ _TINY = 5e-324
 # Read only by bench/run.py, to name the kernel path: always numpy.
 HAVE_NUMBA = USE_NUMBA = False
 
-# Lane counts (sections times indices) up to this are solved in plain Python.
+# Lane counts (sections times indices) up to this are counted in plain
+# Python, at leaves and in bisection, more in lockstep numpy arrays; the
+# in-band certificate runs only above it, the exterior one only up to it.
 # Per matrix row and bisection step, numpy costs a near-fixed ~4 us and
 # Python ~0.065 us per lane, so they break even near 60-65 lanes at n = 100
-# and n = 600 (numpy 2.4, Python 3.11; 64 shifts, best of 200 and 50 counts).
-# These batches skip the in-band certificate, which pays from about 20
-# in-band lanes: a whole spectrum of one eq3 section (omega 1.2, theta 0.7)
-# took 0.23, 0.47, 1.5, 2.9 and 11.3 ms at n = 6, 10, 20, 30 and 64, and
-# 1.3, 1.35, 1.55, 1.54 and 1.83 ms with ``_certify`` run first (2 cores).
+# and n = 600 (numpy 2.4, Python 3.11; 64 shifts, best of 200 and 50
+# counts).  The in-band certificate pays from about 20 in-band lanes: a
+# whole spectrum of one eq3 section (omega 1.2, theta 0.7) took 0.23, 0.47,
+# 1.5, 2.9 and 11.3 ms at n = 6, 10, 20, 30 and 64, and 1.3, 1.35, 1.55,
+# 1.54 and 1.83 ms with ``_certify`` run first (2 cores).
 PY_MAX_INDICES = 64
 
 # Lanes bisected together in lockstep, which holds a few float64 arrays of
@@ -67,6 +68,16 @@ PY_MAX_INDICES = 64
 # sweeps, and were no slower than one chunk on the 31 sections of order 600
 # of figure 1.
 MAX_LANES = 1 << 16
+
+# Sections with no periodic tail get dense guesses when n^2 <= DENSE_ROWS *
+# K * steps for K indices, an O(n^3) solve against K * steps * n count rows.
+# Guessing took 0.6-0.8 of bisection's time for the top eigenvalue of one
+# Householder section up to n = 64 (n^2 = 100 K steps), 0.5-0.9 for that of
+# 100 sections in lockstep up to n = 32 (25 K steps) but 1.07 at n = 48 (56
+# K steps), and 0.2-0.4 for 3 indices of 10 sections up to n = 64.  Above
+# order 64 OpenBLAS solves with threads, which on a loaded host took 5-40
+# ms, not 0.3-2 ms (OpenBLAS 0.3.31, 2 cores).
+DENSE_ROWS, DENSE_MAX_ORDER = 50, 64
 
 
 def halvings(lo, hi, tol):
@@ -86,10 +97,14 @@ def _rows(diag, off2):
     all of it; the head holds the rows before the tail.
     """
     n = diag.size
-    start = _tail.start(diag, off2)
-    head = list(zip(diag[1:start].tolist(), off2[: start - 1].tolist()))
-    tail = tuple(zip(diag[start : start + 2].tolist(), off2[start - 1 : start + 1].tolist()))
-    return float(diag[0]), head, tail, n - start
+    if n <= 32:  # cheaper than numpy's start there
+        d, e = diag.tolist(), off2.tolist()
+        start = _tail.start_py(d, e)
+    else:
+        start = _tail.start(diag, off2)
+        d, e = diag[: start + 2].tolist(), off2[: start + 1].tolist()
+    head = list(zip(d[1:start], e[: start - 1]))
+    return d[0], head, tuple(zip(d[start : start + 2], e[start - 1 : start + 1])), n - start
 
 
 def _sturm_count_py(d0, head, tail, tail_len, x):
@@ -160,45 +175,70 @@ def _bisect_py(rows, lo, hi, steps, lanes):
     return out
 
 
-def _settle_exterior(rows, lo, hi, steps, lanes):
-    """The value of each lane that an exterior guess certifies, else None.
-
-    ``_tail.exterior_guess`` places an eigenvalue that lies in a gap of its
-    section's tail bands; the guess walks the bisection tree to a leaf, and
-    plain-Python counts at the leaf's ends settle the lane by the leaf
-    argument of ``_certify``.  A leaf whose counts put the index to one
-    side is followed by the next leaf on that side.  Counts are kept per
-    section by shift, so a leaf end or gap end is counted once.
-    """
-    values, sections = [None] * len(lanes), {}
-    for i, (b, j) in enumerate(lanes):
+def _exterior_guesses(rows, lo, hi, steps, lanes, counts):
+    """``_tail.exterior_guess`` of each lane, None where its section has no
+    gaps; each such section's count, cached by shift, goes into ``counts``."""
+    guesses, sections = [], {}
+    for b, j in lanes:
         if b not in sections:
             e = math.frexp(max(abs(lo[b]), abs(hi[b])))[1]
             gaps = _tail.gaps(rows[b], e, lo[b], hi[b])
             # the scaled rows and functools.cache cost a few microseconds
             # to set up, which a section with no gaps skips
-            count = functools.cache(functools.partial(_sturm_count_py, *rows[b])) if gaps else None
-            sections[b] = gaps and (_tail.scaled(rows[b], e), e, gaps, count)
-        if not sections[b]:
+            if gaps:
+                counts[b] = functools.cache(functools.partial(_sturm_count_py, *rows[b]))
+            sections[b] = gaps and (_tail.scaled(rows[b], e), e, gaps, counts[b])
+        guesses.append(_tail.exterior_guess(*sections[b], lo[b], hi[b], steps[b], j) if sections[b] else None)
+    return guesses
+
+
+def _dense_guesses(diag, off2):
+    """Every eigenvalue of each section, ascending, from LAPACK on its dense tridiagonal."""
+    a = np.zeros(diag.shape + diag.shape[1:])
+    i = np.arange(diag.shape[1])
+    a[:, i, i], a[:, i[1:], i[:-1]] = diag, np.sqrt(off2)
+    return np.linalg.eigvalsh(a, UPLO="L")
+
+
+def _settle_np(diag, off2, lo, hi, steps, idx, guesses):
+    """``_settle`` in lockstep for the (B, K) ``guesses`` of ``idx``, with
+    lo and hi counted as they are and no neighbouring leaf."""
+    lower, upper = _walk(lo, hi, steps, idx.size, lambda mid: guesses < mid)
+    below, above = np.split(_sturm_counts_np(diag, off2, np.concatenate([lower, upper], axis=1)), 2, axis=1)
+    return np.where((below <= idx) & (idx < above), 0.5 * (lower + upper), np.nan)
+
+
+def _settle(rows, lo, hi, steps, lanes, guesses, counts):
+    """The value of each lane that its guess certifies, else None.
+
+    A guess walks the lane's bisection tree to a leaf [l, h], and plain
+    Python counts at its ends settle the lane by the leaf argument of
+    ``_certify``.  An end that no step moved is counted as bisection takes
+    it, 0 at lo and n at hi, which settles an eigenvalue on a Gershgorin
+    bound and, with no guess needed, every lane of a section that takes no
+    step.  A leaf that puts its index to one side is followed by the next
+    leaf on that side, once.  ``counts`` holds cached counts of some
+    sections; the rest count from ``rows``.
+    """
+    values = [None] * len(lanes)
+    for i, ((b, j), guess) in enumerate(zip(lanes, guesses)):
+        row, s = rows[b], steps[b]
+        if s and (guess is None or guess != guess):
             continue
-        unit, e, gaps, count = sections[b]
-        lo_b, hi_b, s = lo[b], hi[b], steps[b]
-        width = (hi_b - lo_b) * 0.5**s
-        guess = _tail.exterior_guess(unit, e, gaps, count, lo_b, hi_b, s, j)
+        count, n = counts.get(b) or functools.partial(_sturm_count_py, *row), 1 + len(row[1]) + row[3]
         for _ in range(2):
-            if guess is None:
-                break
-            l, h = lo_b, hi_b
+            l, h, below, above = lo[b], hi[b], 0, n
             for _ in range(s):
                 mid = 0.5 * (l + h)
                 if guess < mid:
-                    h = mid
+                    h, above = mid, None
                 else:
-                    l = mid
-            if count(l) <= j < count(h):
+                    l, below = mid, None
+            below, above = count(l) if below is None else below, count(h) if above is None else above
+            if below <= j < above:
                 values[i] = 0.5 * (l + h)
                 break
-            guess += width if count(h) <= j else -width
+            guess += (hi[b] - lo[b]) * 0.5**s * (1.0 if above <= j else -1.0)
     return values
 
 
@@ -316,11 +356,13 @@ def _certify(diag, off2, lo, hi, steps, idx, out):
     n = diag.shape[1]
     if idx.size * steps.max() <= 2 * n:
         return
-    head = max(_tail.start(d, e) for d, e in zip(diag, off2))
-    head += (n - head) % 2
-    k = (n - head) // 2
-    if k < 2 or 2 * k <= head:
-        return
+    head = 0
+    for d, e in zip(diag, off2):  # a section with too long a head ends the scan
+        head = max(head, _tail.start(d, e))
+        head += (n - head) % 2
+        k = (n - head) // 2
+        if k < 2 or 2 * k <= head:
+            return
     column = np.full(n, -1)
     column[idx] = np.arange(idx.size)
     scale = np.maximum(np.abs(lo), np.abs(hi))
@@ -362,13 +404,15 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     section b's eigenvalue at index ``idx[c]``.
 
     This is the one place that chooses a path by the number of lanes.
-    Above ``PY_MAX_INDICES`` lanes, ``_certify`` first settles what it can.
-    If at most ``PY_MAX_INDICES`` lanes are left, ``_settle_exterior``
-    settles those outside the bands and the rest bisect in plain Python,
-    each section's rows built once for both.  More bisect in lockstep, each
-    section's indices padded to a common count with its last one, in chunks
-    of about ``MAX_LANES`` lanes.  Each value is bitwise that of plain
-    bisection.
+    Above ``PY_MAX_INDICES`` lanes, ``_certify`` first settles what it can,
+    and so does ``_settle_np`` from the dense guesses of the sections with
+    no periodic tail, when their order and the cost allow (``DENSE_ROWS``).
+    If at most ``PY_MAX_INDICES`` lanes are left, ``_settle`` settles those
+    that an exterior or dense guess places, and the rest bisect in plain
+    Python, each section's rows built once for both.  More bisect in
+    lockstep, each section's indices padded to a common count with its last
+    one, in chunks of about ``MAX_LANES`` lanes.  Each value is bitwise that
+    of plain bisection.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     steps = np.array([halvings(*b) for b in zip(lo, hi, tol)])
@@ -376,12 +420,26 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     out = np.full((steps.size, idx.size), np.nan)
     if out.size > PY_MAX_INDICES:
         _certify(diag, off2, lo, hi, steps, idx, out)
+    n = diag.shape[1]
+    dense = n <= DENSE_MAX_ORDER and n * n <= DENSE_ROWS * idx.size * steps.max()
     sec, col = np.nonzero(np.isnan(out))
+    if sec.size > PY_MAX_INDICES and dense:
+        tailless, per = np.flatnonzero(_tail.tailless(diag, off2)), max(1, MAX_LANES // (n * n))
+        for c in (tailless[a : a + per] for a in range(0, tailless.size, per)):
+            guesses = _dense_guesses(diag[c], off2[c])[:, idx]
+            out[c] = _settle_np(diag[c], off2[c], lo[c], hi[c], steps[c], idx, guesses)
+        sec, col = np.nonzero(np.isnan(out))
     if sec.size <= PY_MAX_INDICES:
-        lanes = list(zip(sec.tolist(), idx[col].tolist()))
         rows = {b: _rows(diag[b], off2[b]) for b in set(sec.tolist())}
         bounds = lo.tolist(), hi.tolist(), steps.tolist()
-        values = _settle_exterior(rows, *bounds, lanes)
+        lanes, counts = list(zip(sec.tolist(), idx[col].tolist())), {}
+        guesses = _exterior_guesses(rows, *bounds, lanes, counts)
+        # sections with no periodic tail: all their lanes, or those that
+        # _settle_np left, such as one on a Gershgorin bound
+        if dense and (guessed := [b for b in rows if rows[b][3] < 4]):
+            eigs = dict(zip(guessed, _dense_guesses(diag[guessed], off2[guessed]).tolist()))
+            guesses = [eigs[b][j] if b in eigs else g for (b, j), g in zip(lanes, guesses)]
+        values = _settle(rows, *bounds, lanes, guesses, counts)
         rest = iter(_bisect_py(rows, *bounds, [lane for lane, v in zip(lanes, values) if v is None]).tolist())
         out[sec, col] = [next(rest) if v is None else v for v in values]
         return out

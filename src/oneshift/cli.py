@@ -59,14 +59,15 @@ def parse_grid(spec):
 
 
 def even_order(n):
-    """Truncation orders must be even; odd requests are bumped up."""
+    """Truncation orders must be even; odd requests are bumped up, and
+    orders too small to become 4 are rejected before any warning."""
     if n > MAX_ORDER:
         raise ValueError(f"order must be <= {MAX_ORDER}")
+    if n < 3:
+        raise ValueError("order must be >= 4")
     if n % 2:
         print(f"warning: order {n} is odd; using {n + 1}", file=sys.stderr)
         n += 1
-    if n < 4:
-        raise ValueError("order must be >= 4")
     return n
 
 

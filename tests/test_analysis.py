@@ -26,6 +26,7 @@ from oneshift.forms import (
 from oneshift.theory import (
     LimitSet,
     TwoAngleParams,
+    bell_chsh_rho,
     constant_angle_limit_set,
     outlier_solve_eq4,
     rho_two_constant_angles,
@@ -240,6 +241,19 @@ class TestTsirelson:
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError):
             tsirelson_suite(1, 0)
+
+    @pytest.mark.parametrize("seed", [20260824, 99])
+    @pytest.mark.parametrize("trials", [1, 50, 500])
+    def test_batch_equals_per_pair_loop_bitwise(self, seed, trials):
+        # the suite as it was, one pair and one solve at a time: the
+        # reference for the batched suite (validate runs 50, criterion 7 500)
+        rng = Lcg(seed)
+        best = 0.0
+        for _ in range(trials):
+            r1 = rho_commutator_direct(analysis._random_pair(rng))
+            r2 = rho_commutator_direct(analysis._random_pair(rng))
+            best = max(best, bell_chsh_rho(min(2.0, r1), min(2.0, r2)))
+        assert tsirelson_suite(seed, trials).hex() == best.hex()
 
 
 class TestBoundsPipelineConsistency:

@@ -273,6 +273,20 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "requires --theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [-5, 1])
+    def test_order_below_bound_exits_2_with_one_line(self, tmp_path, capsys, n):
+        # an odd order too small to become 4 gets no warning before its error
+        out = tmp_path / "r.json"
+        assert run(["rho", "--family", "constant", "--theta", "1.0", "--n", str(n), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: order must be >= 4\n"
+        assert not out.exists()
+
+    def test_order_three_is_bumped_to_four(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["rho", "--family", "constant", "--theta", "1.0", "--n", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: order 3 is odd; using 4\n"
+        assert "rho_closed" in json.loads(out.read_text())
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -30,9 +30,17 @@ from hypothesis import strategies as st
 
 from oneshift import _kernels, _tail, analysis
 from oneshift.analysis import OUTLIER_MARGIN, OUTLIER_ORDER_STEP, detect_outliers, family_params, rho_numeric
-from oneshift.forms import PairFamily, build_sum_truncation
+from oneshift.forms import PairFamily, build_sum_truncation, paper_example_3x3
 from oneshift.theory import LimitSet, RhoReport, rho_from_lambda, select_lambda0, two_angle_essential
-from oneshift.tridiag import TridiagonalSymmetricMatrix, default_tol, sections_eigenvalues_at, tridiag_eigenvalues
+from oneshift.tridiag import (
+    DenseSymmetricMatrix,
+    TridiagonalSymmetricMatrix,
+    default_tol,
+    dense_sym_eigenvalues,
+    householder_tridiagonalize,
+    sections_eigenvalues_at,
+    tridiag_eigenvalues,
+)
 
 entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(0.05, math.pi - 0.05)
@@ -303,6 +311,35 @@ def test_zero_pivots_count_as_in_plain_python(ms, xs, later):
         assert counts[b].tolist() == walk[b].tolist() == scalar
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ms=st.one_of(
+        same_order_tail_sections(max_n=40),
+        same_order_tail_sections(max_n=12, values=SMALL_INTEGERS),
+        same_order_sections(max_n=12),
+    )
+)
+@example(ms=[SIGNED_ZERO_PIVOTS])
+@example(ms=[ODD_TAIL])
+# a tail whose zero entries alternate in sign, which is still one tail
+@example(
+    ms=[
+        TridiagonalSymmetricMatrix(
+            diag=np.array([1.0, -0.0, 2.0, 0.0, 2.0, -0.0, 2.0]), offdiag=np.array([1.0, 0.0, -0.0, 0.0, -0.0, 0.0])
+        )
+    ]
+)
+def test_list_tail_start_equals_numpy_start(ms):
+    # short sections find their tail start from lists, where -0.0 == 0.0 as
+    # in numpy; tailless reads the same from the last four rows
+    diag, off2 = kernel_args(*ms)[:2]
+    tailless = _tail.tailless(diag, off2)
+    for b in range(len(ms)):
+        start = _tail.start(diag[b], off2[b])
+        assert _tail.start_py(diag[b].tolist(), off2[b].tolist()) == start
+        assert tailless[b] == (_kernels._rows(diag[b], off2[b])[3] < 4) == (diag.shape[1] - start < 4)
+
+
 @pytest.mark.parametrize("n", [600, 2000])
 def test_count_above_the_spectrum_is_the_order(n):
     # every pivot is negative, more of them than a byte holds
@@ -491,6 +528,73 @@ for batch in EXTERIOR_BATCHES:
     )
 
 
+def involution(gen, k):
+    """A random symmetric involution Q diag(+-1) Q^T of order k."""
+    q, _ = np.linalg.qr(gen.standard_normal((k, k)))
+    a = (q * np.where(np.arange(k) < gen.integers(0, k + 1), 1.0, -1.0)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def householder_section(m, scale=1.0):
+    t = householder_tridiagonalize(DenseSymmetricMatrix(m))
+    return TridiagonalSymmetricMatrix(diag=scale * t.diag, offdiag=scale * t.offdiag)
+
+
+@st.composite
+def tailless_sections(draw, max_n=16, max_sections=12):
+    """Sections of one order that the dense guess serves: Householder
+    sections of S = A + B and of -C^2, C = AB - BA, for random involution
+    pairs, c*I sections and diagonal sections with repeated eigenvalues,
+    each scaled by its own factor.  Some (c*I, -C^2 = 0) have a periodic
+    tail after all, and go the other ways."""
+    n = draw(st.integers(1, max_n))
+    sections = []
+    for _ in range(draw(st.integers(1, max_sections))):
+        kind = draw(st.sampled_from(["sum", "commutator", "flat", "diagonal"]))
+        scale = draw(st.sampled_from([1e-300, 1e-150, 1e-3, 1.0, 1e4]))
+        if kind in ("sum", "commutator"):
+            gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            a, b = involution(gen, n), involution(gen, n)
+            c = a @ b - b @ a
+            sections.append(householder_section(a + b if kind == "sum" else -(c @ c), scale))
+        else:
+            values = [draw(entries)] if kind == "flat" else [-1.0, 0.0, 0.0, 2.0]
+            diag = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+            sections.append(TridiagonalSymmetricMatrix(diag=scale * np.array(diag), offdiag=np.zeros(n - 1)))
+    return sections
+
+
+# the criterion-1 3x3, whose eigenvalue 2.0 is its Gershgorin bound hi
+THREE_BY_THREE = householder_section(paper_example_3x3(0.01).a.entries + paper_example_3x3(0.01).b.entries)
+# the top eigenvalues of 100 random order-6 -C^2 sections, as tsirelson_suite solves them
+COMMUTATOR_SECTIONS = [
+    householder_section(-(c @ c))
+    for gen in [np.random.default_rng(6)]
+    for a, b in ((involution(gen, 6), involution(gen, 6)) for _ in range(100))
+    for c in [a @ b - b @ a]
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=tailless_sections().flatmap(
+        lambda ms: st.tuples(
+            st.just(ms), st.one_of(st.just(np.arange(ms[0].n)), index_subsets(ms[0].n)), tolerances(ms)
+        )
+    )
+)
+@example(case=([THREE_BY_THREE], np.arange(3), None))
+@example(case=([THREE_BY_THREE] * 30, np.arange(3), None))
+@example(case=(COMMUTATOR_SECTIONS, np.array([5]), None))
+@example(case=(COMMUTATOR_SECTIONS[:64], np.array([5]), None))
+@example(case=(COMMUTATOR_SECTIONS[:12], np.arange(6), 1e-300))
+def test_tailless_certificate_equals_plain_bisection_bitwise(case):
+    # up to PY_MAX_INDICES lanes the dense guesses are settled in plain
+    # Python, more in lockstep; both must give plain bisection's bits
+    ms, idx, tol = case
+    assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
+
+
 WRONG_GUESSES = {
     "nan": lambda g: np.full_like(g, np.nan),
     "infinite": lambda g: np.where(np.arange(g.shape[1]) % 2, np.inf, -np.inf) * np.ones_like(g),
@@ -504,7 +608,7 @@ WRONG_GUESSES = {
 def test_wrong_guesses_give_the_same_bits(monkeypatch, wrong):
     # guesses only pick the leaves counted; a leaf certifies only what its
     # counts show, so wrong guesses leave more lanes to bisect, nothing else
-    guess, exterior = _tail.guesses, _tail.exterior_guess
+    guess, exterior, dense = _tail.guesses, _tail.exterior_guess, _kernels._dense_guesses
 
     def wrong_exterior(*args):
         g = exterior(*args)
@@ -512,11 +616,15 @@ def test_wrong_guesses_give_the_same_bits(monkeypatch, wrong):
 
     monkeypatch.setattr(_tail, "guesses", lambda *args: WRONG_GUESSES[wrong](guess(*args)))
     monkeypatch.setattr(_tail, "exterior_guess", wrong_exterior)
+    monkeypatch.setattr(_kernels, "_dense_guesses", lambda *args: WRONG_GUESSES[wrong](dense(*args)))
     for ms in (FIGURE_3_SECTIONS[::6], [build_sum_truncation(PairFamily.two_constant(0.3, 2.0), 240)]):
         idx = np.arange(ms[0].n)
         assert sections_eigenvalues_at(ms, idx).tobytes() == plain_bisection(ms, idx).tobytes()
     for ms, idx, tol in EXTERIOR_BATCHES[-5:]:
         assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
+    # sections with no tail, in batches settled in Python and in lockstep
+    for ms, idx in (([THREE_BY_THREE], np.arange(3)), (COMMUTATOR_SECTIONS[:20], np.arange(6))):
+        assert sections_eigenvalues_at(ms, idx).tobytes() == plain_bisection(ms, idx).tobytes()
 
 
 def bisected_lanes(monkeypatch):
@@ -554,6 +662,17 @@ def test_declined_certificate_scans_no_tail(monkeypatch):
     assert certified == [THRESHOLD + 1] and not starts
 
 
+def test_three_by_three_bisects_no_lane(monkeypatch):
+    # the dense guess settles all three lanes, the eigenvalue 2.0 on the
+    # Gershgorin bound included, and the leaves give bisection's bits
+    bisected = bisected_lanes(monkeypatch)
+    pair = paper_example_3x3(0.01)
+    values = dense_sym_eigenvalues(DenseSymmetricMatrix(pair.a.entries + pair.b.entries)).values
+    assert THREE_BY_THREE.gershgorin()[1] == 2.0
+    assert sum(bisected) == 0
+    assert values.tobytes() == plain_bisection([THREE_BY_THREE], np.arange(3))[0].tobytes()
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_family_spectrum_bisects_only_its_exterior_eigenvalues(monkeypatch, name):
     bisected = bisected_lanes(monkeypatch)
@@ -566,8 +685,8 @@ def test_rho_numeric_certifies_its_exterior_eigenvalues(monkeypatch, name):
     # rho_numeric solves only eigenvalues outside the bands, at most 64 of
     # each section, and exterior guesses settle them in plain Python
     asked = []
-    settle = _kernels._settle_exterior
-    monkeypatch.setattr(_kernels, "_settle_exterior", lambda *args: asked.append(len(args[-1])) or settle(*args))
+    guesses = _kernels._exterior_guesses
+    monkeypatch.setattr(_kernels, "_exterior_guesses", lambda *args: asked.append(len(args[4])) or guesses(*args))
     bisected = bisected_lanes(monkeypatch)
     rho_numeric(make_family(name, 1.2, 0.7), 2000)
     assert sum(asked) >= 2 and sum(bisected) <= MAX_BISECTED

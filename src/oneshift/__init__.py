@@ -7,8 +7,6 @@ finite-section experiments, and a CLI.
 """
 
 from .analysis import (
-    ConvergenceRecord,
-    convergence_study,
     detect_outliers,
     hausdorff_distance,
     rho_commutator_direct,

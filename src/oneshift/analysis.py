@@ -1,16 +1,15 @@
 """Numerical experiments tying finite sections to the closed forms.
 
-Finite truncation spectra, Hausdorff-distance convergence records, outlier
-stabilization filtering, the numeric spectral-radius estimator with the
-special-point exclusion rule, and the Bell-CHSH bound stress suite.
+Hausdorff distances between spectra and limit sets, outlier stabilization
+filtering, the numeric spectral-radius estimator with the special-point
+exclusion rule, and the Bell-CHSH bound stress suite.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import PairFamily, build_dense_pair, build_sum_truncation, commutator
+from .forms import build_sum_truncation, involution_error
 from .theory import (
     LimitSet,
     RhoReport,
@@ -21,23 +20,15 @@ from .theory import (
     two_angle_essential,
 )
 from .tridiag import (
-    DenseSymmetricMatrix,
     SpectrumSample,
     default_tol,
-    householder_tridiagonalize,
+    dense_eigenvalues_at,
     sections_eigenvalues_at,
     sturm_count,
-    tridiag_eigenvalues,
 )
 
 OUTLIER_MARGIN = 0.02
 OUTLIER_ORDER_STEP = 200
-
-
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    n: int
-    hausdorff_to_limit: float
 
 
 def _as_intervals(obj):
@@ -160,35 +151,22 @@ def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN):
     return RhoReport(rho, rho, lam0, "finite-section")
 
 
-def _commutator_radii(pairs):
-    """Direct spectral radii of the commutators of finite pairs of one order.
+def _commutator_radii(a, b):
+    """Direct spectral radii of the commutators C = AB - BA of the pairs of
+    matrices of the (B, n, n) stacks ``a`` and ``b``.
 
     A commutator is skew-symmetric, hence normal; its spectral radius is
-    the square root of the largest eigenvalue of minus its square, the only
-    one solved, of all the pairs' Householder sections in one batch.
+    the square root of the largest eigenvalue of -C^2, the only one solved,
+    of all the pairs' Householder sections in one batch.
     """
-    sections = []
-    for p in pairs:
-        c = commutator(p)
-        sections.append(householder_tridiagonalize(DenseSymmetricMatrix(-(c @ c))))
-    tops = sections_eigenvalues_at(sections, [sections[0].n - 1])[:, 0]
+    c = a @ b - b @ a
+    tops = dense_eigenvalues_at(-(c @ c), [a.shape[1] - 1])[:, 0]
     return [math.sqrt(max(0.0, top)) for top in tops.tolist()]
 
 
 def rho_commutator_direct(p):
     """Direct spectral radius of the commutator of a finite pair (``_commutator_radii``)."""
-    return _commutator_radii([p])[0]
-
-
-def convergence_study(f, orders, limit):
-    """Hausdorff distance of each truncation spectrum to the limit set."""
-    if list(orders) != sorted(set(orders)):
-        raise ValueError("orders must be strictly increasing")
-    records = []
-    for n in orders:
-        sample = tridiag_eigenvalues(build_sum_truncation(f, n))
-        records.append(ConvergenceRecord(n=n, hausdorff_to_limit=hausdorff_distance(sample, limit)))
-    return records
+    return _commutator_radii(p.a.entries[None], p.b.entries[None])[0]
 
 
 class Lcg:
@@ -214,21 +192,38 @@ class Lcg:
         return 0.05 + self.next_float() * (math.pi - 0.1)
 
 
-def _random_pair(rng):
-    from .forms import AngleSpec
+def _random_pairs(rng, count):
+    """``count`` random order-6 involution pairs as two (count, 6, 6) stacks.
 
-    omega = AngleSpec(tuple(rng.angle() for _ in range(3)), rng.angle())
-    theta = AngleSpec(tuple(rng.angle() for _ in range(2)), rng.angle())
-    return build_dense_pair(PairFamily(omega, theta), 3)
+    Each pair is ``build_dense_pair(f, 3)``, entry for entry, of the family f
+    of its seven draws (see ``tsirelson_suite``), with cosines and sines from
+    ``math`` as there; the omega and theta tails lie beyond order 6.
+    """
+    angles = [rng.angle() for _ in range(7 * count)]
+    cos = np.array([math.cos(t) for t in angles]).reshape(count, 7)
+    sin = np.array([math.sin(t) for t in angles]).reshape(count, 7)
+    pairs = np.zeros((2, count, 6, 6))
+    a, b = pairs
+    b[:, 0, 0], b[:, 5, 5] = 1.0, -1.0
+    for m, i, k in ((a, np.arange(0, 6, 2), [0, 1, 2]), (b, np.arange(1, 5, 2), [4, 5])):
+        c, s = cos[:, k], sin[:, k]
+        m[:, i, i], m[:, i, i + 1], m[:, i + 1, i], m[:, i + 1, i + 1] = c, s, s, -c
+    if np.max(involution_error(pairs)) > 1e-12:
+        raise ValueError("pair member is not an involution at 1e-12")
+    return a, b
 
 
 def tsirelson_suite(seed, trials):
-    """Max Bell-CHSH spectral radius over random finite involution pairs."""
+    """Max Bell-CHSH spectral radius over random finite involution pairs.
+
+    Trial t takes pairs 2t and 2t + 1 of ``_random_pairs(Lcg(seed), 2 *
+    trials)``, seven draws a pair in the order omega_1..3, omega tail,
+    theta_1..2, theta tail.  All are reduced and solved as stacks, bitwise
+    as one at a time.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = Lcg(seed)
-    # every pair has order 6, so all of them are solved in one batch
-    radii = [min(2.0, r) for r in _commutator_radii([_random_pair(rng) for _ in range(2 * trials)])]
+    radii = [min(2.0, r) for r in _commutator_radii(*_random_pairs(Lcg(seed), 2 * trials))]
     return max(bell_chsh_rho(r1, r2) for r1, r2 in zip(radii[::2], radii[1::2]))
 
 

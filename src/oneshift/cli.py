@@ -112,7 +112,10 @@ def read_pair_file(path):
         raise ValueError(f"cannot read pair file: {exc}") from exc
     if not lines:
         raise ValueError("pair file is empty")
-    k = int(lines[0].strip())
+    try:
+        k = int(lines[0].strip())
+    except ValueError:
+        raise ValueError(f"pair file order must be an integer, got {lines[0].strip()!r}") from None
     if k < 1:
         raise ValueError(f"pair file order must be >= 1, got {k}")
     if len(lines) < 1 + k:
@@ -124,6 +127,10 @@ def read_pair_file(path):
     if len(lines) < offset + k:
         raise ValueError(f"pair file has fewer than {k} rows for B")
     b_rows = [[float(v) for v in lines[offset + i].split()] for i in range(k)]
+    for name, rows in (("A", a_rows), ("B", b_rows)):
+        for i, row in enumerate(rows, 1):
+            if len(row) != k:
+                raise ValueError(f"pair file row {i} of {name} has {len(row)} entries, expected {k}")
     return forms.GeneralPair(
         a=tridiag.DenseSymmetricMatrix(np.array(a_rows)),
         b=tridiag.DenseSymmetricMatrix(np.array(b_rows)),

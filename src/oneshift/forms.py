@@ -95,12 +95,16 @@ def rotation_block(eta):
     return np.array([[c, s], [s, -c]])
 
 
+def involution_error(a):
+    """Max-norm of a@a - I for each square matrix in the last two axes of ``a``."""
+    return np.abs(a @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
+
+
 def validate_involution(m, tol):
     """True iff max-norm of m@m - I is at most tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = m.entries
-    return float(np.max(np.abs(a @ a - np.eye(a.shape[0])))) <= tol
+    return float(involution_error(m.entries)) <= tol
 
 
 def build_sum_truncation(f, n):

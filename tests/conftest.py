@@ -1,8 +1,8 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and inputs for the test suite.
 
-These deliberately avoid the package's own eigensolver path: tridiagonal
-spectra come from characteristic-polynomial roots, dense spectra from a
-determinant sign-change scan.
+The oracles deliberately avoid the package's own eigensolver path:
+tridiagonal spectra come from characteristic-polynomial roots, dense
+spectra from a determinant sign-change scan.
 """
 
 import numpy as np
@@ -22,6 +22,13 @@ def charpoly_tridiag_eigs(diag, off):
         )
     roots = np.roots(poly[::-1])
     return np.sort(roots.real)
+
+
+def involution(gen, k):
+    """A random symmetric involution Q diag(+-1) Q^T of order k."""
+    q, _ = np.linalg.qr(gen.standard_normal((k, k)))
+    a = (q * np.where(np.arange(k) < gen.integers(0, k + 1), 1.0, -1.0)) @ q.T
+    return 0.5 * (a + a.T)
 
 
 def detscan_dense_eigs(a, npoints=6001):

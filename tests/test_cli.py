@@ -98,8 +98,10 @@ class TestSpectrumCommand:
             ("3\n1 0 0\n0 1 0\n", "rows for A"),
             ("2\n1 0\n0 1\n\n1 0\n", "rows for B"),
             ("-3\n", "order must be >= 1"),
+            ("2\n1 0\n0 1\n\n1 0\n0\n", "pair file row 2 of B has 1 entries, expected 2"),
+            ("x\n", "pair file order must be an integer, got 'x'"),
         ],
-        ids=["empty", "short-a", "short-b", "negative-order"],
+        ids=["empty", "short-a", "short-b", "negative-order", "ragged-row", "non-integer-order"],
     )
     def test_short_general_file_exits_2(self, tmp_path, capsys, content, message):
         pair_file = tmp_path / "pair.txt"

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import involution
 from oneshift import _kernels, _tail, analysis
 from oneshift.analysis import OUTLIER_MARGIN, OUTLIER_ORDER_STEP, detect_outliers, family_params, rho_numeric
 from oneshift.forms import PairFamily, build_sum_truncation, paper_example_3x3
@@ -526,13 +527,6 @@ for batch in EXTERIOR_BATCHES:
     test_certified_solve_equals_plain_bisection_bitwise = example(case=batch)(
         test_certified_solve_equals_plain_bisection_bitwise
     )
-
-
-def involution(gen, k):
-    """A random symmetric involution Q diag(+-1) Q^T of order k."""
-    q, _ = np.linalg.qr(gen.standard_normal((k, k)))
-    a = (q * np.where(np.arange(k) < gen.integers(0, k + 1), 1.0, -1.0)) @ q.T
-    return 0.5 * (a + a.T)
 
 
 def householder_section(m, scale=1.0):

@@ -9,7 +9,10 @@ from conftest import charpoly_tridiag_eigs, detscan_dense_eigs
 from oneshift.tridiag import (
     DenseSymmetricMatrix,
     TridiagonalSymmetricMatrix,
+    _reflect,
+    _reflect_lockstep,
     dense_sym_eigenvalues,
+    householder_stack,
     householder_tridiagonalize,
     sturm_count,
     tridiag_eigenvalues,
@@ -139,6 +142,49 @@ class TestDenseEigenvalues:
         assert abs(np.sum(t.diag) - np.trace(a)) <= 1e-10
         frob_t = np.sum(t.diag**2) + 2 * np.sum(t.offdiag**2)
         assert abs(frob_t - np.sum(a**2)) <= 1e-9
+
+
+@st.composite
+def reduction_stacks(draw):
+    """Stacks of 1-8 symmetric matrices of one order 1-16.  Some lanes
+    take the reduction's zero-norm skip, through zero columns or entries
+    whose squares underflow at 1e-170, and others do not; some have -0.0
+    leading entries in every column."""
+    n = draw(st.integers(1, 16))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lanes = []
+    for _ in range(draw(st.integers(1, 8))):
+        a = gen.standard_normal((n, n))
+        kind = draw(st.sampled_from(["dense", "zero column", "diagonal", "negative zero lead"]))
+        if kind == "zero column":
+            j = draw(st.integers(0, n - 1))
+            a[j, :] = a[:, j] = 0.0
+        elif kind == "diagonal":
+            a = np.diag(np.diag(a))
+        elif kind == "negative zero lead":
+            i = np.arange(n - 1)
+            a[i + 1, i] = a[i, i + 1] = -0.0
+        lanes.append(draw(st.sampled_from([1.0, 1e-3, 1e4, 1e-160, 1e-170])) * a)
+    stack = np.array(lanes)
+    return 0.5 * (stack + stack.transpose(0, 2, 1))
+
+
+class TestLockstepReduction:
+    @settings(max_examples=100, deadline=None)
+    @given(stack=reduction_stacks())
+    def test_lockstep_reduction_equals_loop_bitwise(self, stack):
+        # every entry, the skipped columns' included; lanes left out of a
+        # step divide by nothing, and a RuntimeWarning would fail the test
+        lockstep = stack.copy()
+        _reflect_lockstep(lockstep)
+        for lane, m in zip(lockstep, stack):
+            loop = m.copy()
+            _reflect(loop)
+            assert lane.tobytes() == loop.tobytes()
+        d, e = householder_stack(stack)
+        for k, m in enumerate(stack):
+            t = householder_tridiagonalize(DenseSymmetricMatrix(m))
+            assert d[k].tobytes() == t.diag.tobytes() and e[k].tobytes() == t.offdiag.tobytes()
 
 
 class TestTypes:

@@ -13,25 +13,26 @@ walks the bisection tree to a leaf; two Sturm counts at the leaf's ends
 tell which indices bisection would bring to that leaf, and its midpoint is
 their value, bitwise (``_certify``).  This rests on one premise: counts
 never decrease as the shift rises.  Guesses only choose which leaves get
-counted, so a missing or wrong guess costs speed, not bits.  A family
-section's 2-periodic tail places each eigenvalue inside a band
-(``_tail.guesses``) or in a gap around them (``_tail.exterior_guess``); a
-section with no periodic tail, such as a Householder section, is guessed
-whole by LAPACK (``_dense_guesses``) where that costs less than bisection.
-The lanes no leaf settles, chiefly in-band eigenvalues asked for a few at
-a time, are bisected as before.
+counted, so a missing or wrong guess costs speed, not bits.  Guesses come
+from one of two sources, chosen by cost alone.  Where a dense solve costs
+less than bisection, LAPACK guesses every section of the batch whole
+(``_dense_guesses``), whatever its shape.  Elsewhere a family section's
+2-periodic tail places each eigenvalue inside a band (``_tail.guesses``)
+or in a gap around them (``_tail.exterior_guess``).  The lanes no leaf
+settles, chiefly in-band eigenvalues asked for a few at a time, are
+bisected as before.
 
-``bisect_sections`` picks the path in one pass.  Above ``PY_MAX_INDICES``
-lanes the in-band certificate runs first, and if more lanes than that are
-left, the dense guesses are settled in lockstep (``_settle_np``).  At most
-``PY_MAX_INDICES`` lanes left are settled from exterior and dense guesses
-with plain-Python counts (``_settle``) and the rest bisect in plain Python,
-else they bisect in lockstep numpy arrays.  The plain-Python Sturm count
-stops walking a periodic tail once a period gives back its starting pivot
-and counts the remaining periods at once, which makes counts outside the
-bands cheap.  The lockstep count walks every row, in four array passes a
-tail row.  A repeated pivot repeats every later step, so both paths give
-bit-identical output.
+``bisect_sections`` picks the path in one pass of three stages.  Above
+``PY_MAX_INDICES`` lanes the dense or in-band guesses are certified in
+lockstep (``_certify``).  At most ``PY_MAX_INDICES`` lanes left are
+settled from dense or exterior guesses with plain-Python counts
+(``_settle``) and the rest bisect in plain Python, else they bisect in
+lockstep numpy arrays.  The plain-Python Sturm count stops walking a
+periodic tail once a period gives back its starting pivot and counts the
+remaining periods at once, which makes counts outside the bands cheap.
+The lockstep count walks every row, in four array passes a tail row.  A
+repeated pivot repeats every later step, so both paths give bit-identical
+output.
 """
 
 import functools
@@ -53,14 +54,16 @@ HAVE_NUMBA = USE_NUMBA = False
 
 # Lane counts (sections times indices) up to this are counted in plain
 # Python, at leaves and in bisection, more in lockstep numpy arrays; the
-# in-band certificate runs only above it, the exterior one only up to it.
-# Per matrix row and bisection step, numpy costs a near-fixed ~4 us and
-# Python ~0.065 us per lane, so they break even near 60-65 lanes at n = 100
-# and n = 600 (numpy 2.4, Python 3.11; 64 shifts, best of 200 and 50
-# counts).  The in-band certificate pays from about 20 in-band lanes: a
-# whole spectrum of one eq3 section (omega 1.2, theta 0.7) took 0.23, 0.47,
-# 1.5, 2.9 and 11.3 ms at n = 6, 10, 20, 30 and 64, and 1.3, 1.35, 1.55,
-# 1.54 and 1.83 ms with ``_certify`` run first (2 cores).
+# tail's in-band certificate runs only above it, its exterior one only up
+# to it, and dense guesses on either side.  Per matrix row and bisection
+# step, numpy costs a near-fixed ~4 us and Python ~0.065 us per lane, so
+# they break even near 60-65 lanes at n = 100 and n = 600 (numpy 2.4,
+# Python 3.11; 64 shifts, best of 200 and 50 counts).  The in-band
+# certificate pays from about 20 in-band lanes: a whole spectrum of one eq3
+# section (omega 1.2, theta 0.7) took 0.23, 0.47, 1.5, 2.9 and 11.3 ms at
+# n = 6, 10, 20, 30 and 64, and 1.3, 1.35, 1.55, 1.54 and 1.83 ms with
+# ``_certify`` run first (2 cores).  Up to order 64 dense guesses take such
+# a spectrum at any lane count, in 0.9-1.5 ms at n = 64.
 PY_MAX_INDICES = 64
 
 # Lanes bisected together in lockstep, which holds a few float64 arrays of
@@ -69,14 +72,16 @@ PY_MAX_INDICES = 64
 # of figure 1.
 MAX_LANES = 1 << 16
 
-# Sections with no periodic tail get dense guesses when n^2 <= DENSE_ROWS *
-# K * steps for K indices, an O(n^3) solve against K * steps * n count rows.
-# Guessing took 0.6-0.8 of bisection's time for the top eigenvalue of one
-# Householder section up to n = 64 (n^2 = 100 K steps), 0.5-0.9 for that of
-# 100 sections in lockstep up to n = 32 (25 K steps) but 1.07 at n = 48 (56
-# K steps), and 0.2-0.4 for 3 indices of 10 sections up to n = 64.  Above
-# order 64 OpenBLAS solves with threads, which on a loaded host took 5-40
-# ms, not 0.3-2 ms (OpenBLAS 0.3.31, 2 cores).
+# A batch gets dense guesses, for every section and whatever its tail, when
+# n^2 <= DENSE_ROWS * K * steps for K indices, an O(n^3) solve against
+# K * steps * n count rows.  Guessing took 0.6-0.8 of bisection's time for
+# the top eigenvalue of one Householder section up to n = 64 (n^2 = 100 K
+# steps), 0.5-0.9 for that of 100 sections in lockstep up to n = 32 (25 K
+# steps) but 1.07 at n = 48 (56 K steps), and 0.2-0.4 for 3 indices of 10
+# sections up to n = 64.  One exterior lane of a family section at n = 40
+# took 130-205 us this way, against 87-96 us from its tail.  Above order
+# 64 OpenBLAS solves with threads, which on a loaded host took 5-40 ms, not
+# 0.3-2 ms (OpenBLAS 0.3.31, 2 cores).
 DENSE_ROWS, DENSE_MAX_ORDER = 50, 64
 
 
@@ -96,15 +101,10 @@ def _rows(diag, off2):
     The two rows of the tail's first period (see ``_tail.start``) stand for
     all of it; the head holds the rows before the tail.
     """
-    n = diag.size
-    if n <= 32:  # cheaper than numpy's start there
-        d, e = diag.tolist(), off2.tolist()
-        start = _tail.start_py(d, e)
-    else:
-        start = _tail.start(diag, off2)
-        d, e = diag[: start + 2].tolist(), off2[: start + 1].tolist()
+    start = _tail.start(diag, off2)
+    d, e = diag[: start + 2].tolist(), off2[: start + 1].tolist()
     head = list(zip(d[1:start], e[: start - 1]))
-    return d[0], head, tuple(zip(d[start : start + 2], e[start - 1 : start + 1])), n - start
+    return d[0], head, tuple(zip(d[start : start + 2], e[start - 1 : start + 1])), diag.size - start
 
 
 def _sturm_count_py(d0, head, tail, tail_len, x):
@@ -200,23 +200,18 @@ def _dense_guesses(diag, off2):
     return np.linalg.eigvalsh(a, UPLO="L")
 
 
-def _settle_np(diag, off2, lo, hi, steps, idx, guesses):
-    """``_settle`` in lockstep for the (B, K) ``guesses`` of ``idx``, with
-    lo and hi counted as they are and no neighbouring leaf."""
-    lower, upper = _walk(lo, hi, steps, idx.size, lambda mid: guesses < mid)
-    below, above = np.split(_sturm_counts_np(diag, off2, np.concatenate([lower, upper], axis=1)), 2, axis=1)
-    return np.where((below <= idx) & (idx < above), 0.5 * (lower + upper), np.nan)
-
-
 def _settle(rows, lo, hi, steps, lanes, guesses, counts):
     """The value of each lane that its guess certifies, else None.
 
     A guess walks the lane's bisection tree to a leaf [l, h], and plain
     Python counts at its ends settle the lane by the leaf argument of
-    ``_certify``.  An end that no step moved is counted as bisection takes
+    ``_certify``.  An end still at its bound is counted as bisection takes
     it, 0 at lo and n at hi, which settles an eigenvalue on a Gershgorin
     bound and, with no guess needed, every lane of a section that takes no
-    step.  A leaf that puts its index to one side is followed by the next
+    step.  Such an end was moved by no step, or by midpoints that rounded
+    onto the bound; in the latter case the leaf's midpoint is the bound
+    too, and so is the value bisection gives, whichever way its count turns
+    there.  A leaf that puts its index to one side is followed by the next
     leaf on that side, once.  ``counts`` holds cached counts of some
     sections; the rest count from ``rows``.
     """
@@ -227,14 +222,14 @@ def _settle(rows, lo, hi, steps, lanes, guesses, counts):
             continue
         count, n = counts.get(b) or functools.partial(_sturm_count_py, *row), 1 + len(row[1]) + row[3]
         for _ in range(2):
-            l, h, below, above = lo[b], hi[b], 0, n
+            l, h = lo[b], hi[b]
             for _ in range(s):
                 mid = 0.5 * (l + h)
                 if guess < mid:
-                    h, above = mid, None
+                    h = mid
                 else:
-                    l, below = mid, None
-            below, above = count(l) if below is None else below, count(h) if above is None else above
+                    l = mid
+            below, above = 0 if l == lo[b] else count(l), n if h == hi[b] else count(h)
             if below <= j < above:
                 values[i] = 0.5 * (l + h)
                 break
@@ -338,8 +333,33 @@ def _leaves(guesses, lo, hi, steps):
     return ends
 
 
-def _certify(diag, off2, lo, hi, steps, idx, out):
-    """Write into ``out`` each eigenvalue at ``idx`` that a tail guess certifies.
+def _settle_leaves(diag, off2, lo, hi, steps, guesses, column, out, tail=None):
+    """Write into ``out`` every index of ``column`` that a leaf of ``guesses`` holds.
+
+    ``guesses`` is (B, G), ``column`` maps an eigenvalue index to its column
+    of ``out`` (-1 for an index not asked for), and ``tail`` is as in
+    ``_sturm_counts_np``.  Both ends of every distinct leaf (``_leaves``)
+    are counted in one lockstep pass, and a leaf [l, h] holds the indices j
+    with count(l) <= j < count(h) (see ``_certify``).  An end at its bound
+    is counted as in ``_settle``.
+    """
+    lower, upper = _leaves(guesses, lo, hi, steps)
+    if not lower.size:
+        return
+    first, stop = np.split(_sturm_counts_np(diag, off2, np.concatenate([lower, upper], axis=1), tail), 2, axis=1)
+    first[lower == lo[:, None]] = 0
+    stop[upper == hi[:, None]] = diag.shape[1]
+    sizes = np.maximum(stop - first, 0).ravel()
+    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    j = column[np.repeat(first.ravel(), sizes) + within]
+    sec = np.repeat(np.arange(len(lower)).repeat(lower.shape[1]), sizes)
+    value = np.repeat((0.5 * (lower + upper)).ravel(), sizes)
+    asked = j >= 0
+    out[sec[asked], j[asked]] = value[asked]
+
+
+def _certify(diag, off2, lo, hi, steps, idx, out, dense):
+    """Write into ``out`` each eigenvalue at ``idx`` that a guess certifies.
 
     A guess's leaf [l, h] holds index j exactly when count(l) <= j <
     count(h), and then 0.5 * (l + h) is bitwise what bisecting j gives:
@@ -347,13 +367,23 @@ def _certify(diag, off2, lo, hi, steps, idx, out):
     and every one where it went right is <= l, so its count is <= j; with
     counts nondecreasing in the shift, bisecting j takes the same turns.
     One lockstep count at both ends of every distinct leaf therefore
-    settles all the indices its leaves hold.  Guessing costs about two
+    settles all the indices its leaves hold (``_settle_leaves``).  The
+    guesses are ``dense``, the (B, K) LAPACK guesses at ``idx`` when the
+    batch has them, else the tail's in-band guesses.  These cost about two
     counts per eigenvalue, where bisecting K indices costs K * steps, so
-    sections are guessed from only when K * steps exceeds 2n, and only when
-    their common tail is longer than their common head.  Lanes no leaf
-    holds stay NaN.
+    the tails are guessed from only when K * steps exceeds 2n, and only
+    when their common tail is longer than their common head.  Lanes no
+    leaf holds stay NaN.
     """
     n = diag.shape[1]
+    column = np.full(n, -1)
+    column[idx] = np.arange(idx.size)
+    if dense is not None:
+        per = max(1, MAX_LANES // idx.size)
+        for b in range(0, len(steps), per):
+            r = slice(b, b + per)
+            _settle_leaves(diag[r], off2[r], lo[r], hi[r], steps[r], dense[r], column, out[r])
+        return
     if idx.size * steps.max() <= 2 * n:
         return
     head = 0
@@ -363,8 +393,6 @@ def _certify(diag, off2, lo, hi, steps, idx, out):
         k = (n - head) // 2
         if k < 2 or 2 * k <= head:
             return
-    column = np.full(n, -1)
-    column[idx] = np.arange(idx.size)
     scale = np.maximum(np.abs(lo), np.abs(hi))
     scale[scale == 0.0] = 1.0
     # Candidates m per chunk, each giving four guesses and up to eight
@@ -375,23 +403,12 @@ def _certify(diag, off2, lo, hi, steps, idx, out):
     per = min(len(steps), max(1, budget // (k + 2)))
     span = max(1, budget // per)
     for b in range(0, len(steps), per):
-        rows = slice(b, b + per)
+        r = slice(b, b + per)
         for m in range(0, k + 2, span):
             guesses = _tail.guesses(
-                diag[rows, : head + 2], off2[rows, : head + 1], scale[rows], k, np.arange(m, min(m + span, k + 2))
+                diag[r, : head + 2], off2[r, : head + 1], scale[r], k, np.arange(m, min(m + span, k + 2))
             )
-            lower, upper = _leaves(guesses, lo[rows], hi[rows], steps[rows])
-            if not lower.size:
-                continue
-            counts = _sturm_counts_np(diag[rows], off2[rows], np.concatenate([lower, upper], axis=1), head)
-            first, stop = np.split(counts, 2, axis=1)
-            sizes = np.maximum(stop - first, 0).ravel()
-            within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            j = column[np.repeat(first.ravel(), sizes) + within]
-            sec = np.repeat(np.arange(b, b + len(lower)).repeat(lower.shape[1]), sizes)
-            value = np.repeat((0.5 * (lower + upper)).ravel(), sizes)
-            asked = j >= 0
-            out[sec[asked], j[asked]] = value[asked]
+            _settle_leaves(diag[r], off2[r], lo[r], hi[r], steps[r], guesses, column, out[r], head)
 
 
 def bisect_sections(diag, off2, lo, hi, tol, idx):
@@ -403,42 +420,38 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     holds section b's values in the order of ``idx``; lane (b, c) is
     section b's eigenvalue at index ``idx[c]``.
 
-    This is the one place that chooses a path by the number of lanes.
-    Above ``PY_MAX_INDICES`` lanes, ``_certify`` first settles what it can,
-    and so does ``_settle_np`` from the dense guesses of the sections with
-    no periodic tail, when their order and the cost allow (``DENSE_ROWS``).
-    If at most ``PY_MAX_INDICES`` lanes are left, ``_settle`` settles those
-    that an exterior or dense guess places, and the rest bisect in plain
-    Python, each section's rows built once for both.  More bisect in
-    lockstep, each section's indices padded to a common count with its last
-    one, in chunks of about ``MAX_LANES`` lanes.  Each value is bitwise that
-    of plain bisection.
+    This is the one place that chooses a path.  The guess source goes by
+    cost alone: where a dense solve costs less than bisection
+    (``DENSE_MAX_ORDER``, ``DENSE_ROWS``), LAPACK guesses every section of
+    the batch, once, tail or no tail; elsewhere each section's tail does.
+    The rest goes by the number of lanes.  Above ``PY_MAX_INDICES`` lanes,
+    ``_certify`` settles in lockstep what the dense or in-band guesses
+    place.  If at most ``PY_MAX_INDICES`` lanes are left, ``_settle``
+    settles those that a dense or exterior guess places, and the rest
+    bisect in plain Python, each section's rows built once for both.  More
+    bisect in lockstep, each section's indices padded to a common count
+    with its last one, in chunks of about ``MAX_LANES`` lanes.  Each value
+    is bitwise that of plain bisection.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     steps = np.array([halvings(*b) for b in zip(lo, hi, tol)])
     lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     out = np.full((steps.size, idx.size), np.nan)
-    if out.size > PY_MAX_INDICES:
-        _certify(diag, off2, lo, hi, steps, idx, out)
     n = diag.shape[1]
-    dense = n <= DENSE_MAX_ORDER and n * n <= DENSE_ROWS * idx.size * steps.max()
+    dense = None
+    if n <= DENSE_MAX_ORDER and n * n <= DENSE_ROWS * idx.size * steps.max():
+        per = max(1, MAX_LANES // (n * n))
+        dense = np.concatenate(
+            [_dense_guesses(diag[a : a + per], off2[a : a + per])[:, idx] for a in range(0, steps.size, per)]
+        )
+    if out.size > PY_MAX_INDICES:
+        _certify(diag, off2, lo, hi, steps, idx, out, dense)
     sec, col = np.nonzero(np.isnan(out))
-    if sec.size > PY_MAX_INDICES and dense:
-        tailless, per = np.flatnonzero(_tail.tailless(diag, off2)), max(1, MAX_LANES // (n * n))
-        for c in (tailless[a : a + per] for a in range(0, tailless.size, per)):
-            guesses = _dense_guesses(diag[c], off2[c])[:, idx]
-            out[c] = _settle_np(diag[c], off2[c], lo[c], hi[c], steps[c], idx, guesses)
-        sec, col = np.nonzero(np.isnan(out))
     if sec.size <= PY_MAX_INDICES:
         rows = {b: _rows(diag[b], off2[b]) for b in set(sec.tolist())}
         bounds = lo.tolist(), hi.tolist(), steps.tolist()
         lanes, counts = list(zip(sec.tolist(), idx[col].tolist())), {}
-        guesses = _exterior_guesses(rows, *bounds, lanes, counts)
-        # sections with no periodic tail: all their lanes, or those that
-        # _settle_np left, such as one on a Gershgorin bound
-        if dense and (guessed := [b for b in rows if rows[b][3] < 4]):
-            eigs = dict(zip(guessed, _dense_guesses(diag[guessed], off2[guessed]).tolist()))
-            guesses = [eigs[b][j] if b in eigs else g for (b, j), g in zip(lanes, guesses)]
+        guesses = _exterior_guesses(rows, *bounds, lanes, counts) if dense is None else dense[sec, col].tolist()
         values = _settle(rows, *bounds, lanes, guesses, counts)
         rest = iter(_bisect_py(rows, *bounds, [lane for lane, v in zip(lanes, values) if v is None]).tolist())
         out[sec, col] = [next(rest) if v is None else v for v in values]

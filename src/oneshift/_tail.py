@@ -1,13 +1,14 @@
 """Where a section's 2-periodic tail starts, and where its eigenvalues lie.
 
 Every section of the pair families is a short head followed by a tail whose
-rows repeat with period 2.  ``start`` finds the tail; ``tailless`` marks,
-across many sections at once, those whose tail is shorter than four rows.
-One period's transfer matrix places the eigenvalues at a cost that does not
-grow with the tail's length: ``guesses`` those inside the tail's bands, and
-``exterior_guess`` those in the gaps around them (``band_edges``).  The
-guesses are only as good as floating point allows; ``_kernels`` certifies
-them with Sturm counts before any is used.
+rows repeat with period 2.  ``start`` finds the tail, for the plain-Python
+count and for the in-band certificate.  One period's transfer matrix places
+the eigenvalues at a cost that does not grow with the tail's length:
+``guesses`` those inside the tail's bands, and ``exterior_guess`` those in
+the gaps around them (``band_edges``).  ``_kernels`` asks for these guesses
+only where a dense LAPACK solve of the section would cost more.  They are
+only as good as floating point allows; ``_kernels`` certifies them with
+Sturm counts before any is used.
 """
 
 import math
@@ -30,26 +31,6 @@ def start(diag, off2):
     breaks = np.flatnonzero((diag[3:] != diag[1:-2]) | (off2[2:] != off2[:-2]))
     row = int(breaks[-1]) + 2 if breaks.size else 1
     return n if n - row < 2 else row
-
-
-def start_py(diag, off2):
-    """``start`` on lists, walking back over the tail: no numpy call, but a
-    step a tail row.  At order 8 it took 0.7-1.0 us against 3.5 us; at
-    order 32 the two broke even on a section that is all tail."""
-    n = len(diag)
-    row = n - 3
-    while row >= 1 and diag[row] == diag[row + 2] and off2[row - 1] == off2[row + 1]:
-        row -= 1
-    row = max(row, 0) + 1
-    return n if n - row < 2 else row
-
-
-def tailless(diag, off2):
-    """Which of the (B, n) sections have no tail of four rows or more by
-    ``start``: rows n-4 and n-3 unlike the rows two after them."""
-    if diag.shape[1] < 5:
-        return np.ones(len(diag), dtype=bool)
-    return np.any(diag[:, -4:-2] != diag[:, -2:], axis=1) | np.any(off2[:, -4:-2] != off2[:, -2:], axis=1)
 
 
 # Newton steps per tail guess.  On the 31 sections each of figure 1 (right

@@ -182,12 +182,12 @@ def cmd_rho(args):
     return 0
 
 
-def _spectrum_lines(fam_for_theta, thetas, n, with_commutator):
+def _spectrum_lines(fams, thetas, n, with_commutator):
     if with_commutator:
         lines = ["theta,index,eigenvalue,i_commutator_eig"]
     else:
         lines = ["theta," + ",".join(f"eig_{i + 1}" for i in range(n))]
-    sections = [forms.build_sum_truncation(fam_for_theta(theta), n) for theta in thetas]
+    sections = [forms.build_sum_truncation(f, n) for f in fams]
     # the values are Python floats, which an f-string formats as fmt does
     for theta, row in zip(thetas, tridiag.sections_eigenvalues_at(sections, np.arange(n))):
         values, t = row.tolist(), fmt(theta)
@@ -213,19 +213,18 @@ def cmd_sweep(args):
     for t in thetas:
         if not (0.0 < t < math.pi):
             raise ValueError("theta grid must lie inside (0, pi)")
+    # the row cap is checked before any family is built (an order above
+    # MAX_ORDER is left to even_order's message), and the families before
+    # the odd-order warning, so that a bad request prints one line
+    even = args.n + args.n % 2
+    if args.n <= MAX_ORDER and len(thetas) * even > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep of {len(thetas)} points at order {even} exceeds {MAX_SWEEP_ROWS} section rows")
+    fams = [build_family(args.family, args.omega, theta) for theta in thetas]
     n = even_order(args.n)
-    if len(thetas) * n > MAX_SWEEP_ROWS:
-        raise ValueError(f"sweep of {len(thetas)} points at order {n} exceeds {MAX_SWEEP_ROWS} section rows")
-    omega = args.omega
-
-    def fam_for(theta):
-        return build_family(args.family, omega, theta)
-
     if args.mode == "spectrum":
-        lines = _spectrum_lines(fam_for, thetas, n, with_commutator=False)
+        lines = _spectrum_lines(fams, thetas, n, with_commutator=False)
     else:
         lines = ["theta,lambda_max,rho_numeric,rho_closed"]
-        fams = [fam_for(theta) for theta in thetas]
         for theta, fam, lam in zip(thetas, fams, _lambda_max_column(fams, n)):
             closed, exclusion = closed_forms(fam)
             rep = analysis.rho_numeric(fam, n, exclusion=exclusion)
@@ -241,7 +240,7 @@ def cmd_figure(args):
     if args.number == 1:
         n = 10 if args.panel == "left" else 600
         lines = _spectrum_lines(
-            lambda t: forms.PairFamily.head_omega(half_pi, t), thetas, n, with_commutator=True
+            [forms.PairFamily.head_omega(half_pi, t) for t in thetas], thetas, n, with_commutator=True
         )
     elif args.number == 2:
         n = 100
@@ -256,12 +255,12 @@ def cmd_figure(args):
             lines += [f"{fmt(om)},{fmt(t)},{fmt(lam)}" for (om, t), lam in zip(grid, lams)]
     elif args.number == 3:
         lines = _spectrum_lines(
-            lambda t: forms.PairFamily.perturbed_heads(t), thetas, 100, with_commutator=True
+            [forms.PairFamily.perturbed_heads(t) for t in thetas], thetas, 100, with_commutator=True
         )
     elif args.number == 4:
         om = 0.3 if args.panel == "left" else 2.4
         lines = _spectrum_lines(
-            lambda t: forms.PairFamily.two_constant(om, t), thetas, 200, with_commutator=True
+            [forms.PairFamily.two_constant(om, t) for t in thetas], thetas, 200, with_commutator=True
         )
     else:
         raise ValueError("figure number must be 1..4")

@@ -105,7 +105,6 @@ class SpectrumSample:
     """Sorted eigenvalues of one finite truncation."""
 
     values: np.ndarray
-    order: int = field(default=0)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -114,10 +113,10 @@ class SpectrumSample:
         if np.any(np.diff(v) < 0):
             raise ValueError("values must be nondecreasing")
         object.__setattr__(self, "values", v)
-        n = self.order if self.order else v.size
-        if n != v.size:
-            raise ValueError("order must equal the number of eigenvalues")
-        object.__setattr__(self, "order", n)
+
+    @property
+    def order(self):
+        return self.values.size
 
 
 def _bounds_tol(lo, hi):
@@ -179,7 +178,7 @@ def tridiag_eigenvalues(m, tol=None):
     vals = sections_eigenvalues_at([m], np.arange(m.n), tol)[0]
     # two indices bisect the same points until one count splits them, the
     # lower index going left, so the values come out nondecreasing
-    return SpectrumSample(values=vals, order=m.n)
+    return SpectrumSample(values=vals)
 
 
 def _reflect(a):

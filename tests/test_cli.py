@@ -283,6 +283,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: order must be >= 4\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--family", "eq3", "--theta", "1:0.1:1.2", "--n", "5"],
+            ["sweep", "--family", "eq3", "--omega", "4", "--theta", "1", "--n", "7"],
+        ],
+        ids=["missing-omega", "omega-out-of-range"],
+    )
+    def test_bad_sweep_family_at_odd_order_exits_2_with_one_line(self, capsys, argv):
+        # the families are checked before the odd-order warning
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_order_three_is_bumped_to_four(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(["rho", "--family", "constant", "--theta", "1.0", "--n", "3", "--out", str(out)]) == 0

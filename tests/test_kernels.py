@@ -118,7 +118,8 @@ def test_python_loop_equals_numpy_loop_bitwise(case):
     assert scalar == _kernels._sturm_counts_np(diag, off2, shifts[None])[0].tolist()
 
 
-# the 31 sections of order 10 of figure 1, bisected in 40 and 41 steps
+# the 31 sections of order 10 of figure 1, left panel, whose bisection trees
+# take 40 and 41 steps; their dense guesses settle every lane
 FIGURE_1_SECTIONS = [build_sum_truncation(PairFamily.head_omega(math.pi / 2, 0.1 * k), 10) for k in range(1, 32)]
 
 
@@ -127,12 +128,14 @@ FIGURE_3_SECTIONS = [build_sum_truncation(PairFamily.perturbed_heads(0.1 * k), 1
 
 # Lanes up to this bisect in Python, one more in numpy.  The batches on
 # either side of it below certify nothing, so every lane is bisected: the
-# largest eigenvalue of THRESHOLD or THRESHOLD + 1 sections of order 40, and
-# THRESHOLD or THRESHOLD + 1 indices of one order-70 section with no tail.
+# in-band middle eigenvalue of THRESHOLD or THRESHOLD + 1 sections of order
+# 70, and THRESHOLD or THRESHOLD + 1 indices of one order-70 section with no
+# tail.  Order 70 lies above DENSE_MAX_ORDER, so no dense guess settles them.
 THRESHOLD = _kernels.PY_MAX_INDICES
 THRESHOLD_SECTIONS = [
-    build_sum_truncation(PairFamily.head_omega(0.04 * k, 0.7), 40) for k in range(1, THRESHOLD + 2)
+    build_sum_truncation(PairFamily.head_omega(0.04 * k, 0.7), 70) for k in range(1, THRESHOLD + 2)
 ]
+THRESHOLD_INDEX = np.array([35])
 NO_TAIL_70 = TridiagonalSymmetricMatrix(
     diag=np.random.default_rng(70).normal(size=70), offdiag=np.random.default_rng(71).normal(size=69)
 )
@@ -148,8 +151,8 @@ def lanes(ms):
 @example(case=(FIGURE_1_SECTIONS, np.arange(10)))
 @example(case=(FIGURE_1_SECTIONS, np.array([9])))
 @example(case=([TINY_PIVOT, TINY_PIVOT], np.arange(2)))
-@example(case=(THRESHOLD_SECTIONS[:THRESHOLD], np.array([39])))
-@example(case=(THRESHOLD_SECTIONS, np.array([39])))
+@example(case=(THRESHOLD_SECTIONS[:THRESHOLD], THRESHOLD_INDEX))
+@example(case=(THRESHOLD_SECTIONS, THRESHOLD_INDEX))
 @example(case=(FIGURE_1_SECTIONS, np.array([], dtype=np.int64)))
 def test_lockstep_sections_equal_per_section_solves_bitwise(case):
     # up to PY_MAX_INDICES lanes (sections times indices) bisect in Python,
@@ -331,14 +334,16 @@ def test_zero_pivots_count_as_in_plain_python(ms, xs, later):
     ]
 )
 def test_list_tail_start_equals_numpy_start(ms):
-    # short sections find their tail start from lists, where -0.0 == 0.0 as
-    # in numpy; tailless reads the same from the last four rows
+    # the tail start found in numpy is the one a walk back over lists finds,
+    # where -0.0 == 0.0 as in numpy: the first row of the longest run of last
+    # rows that each equal the row two after them, at least two rows long
     diag, off2 = kernel_args(*ms)[:2]
-    tailless = _tail.tailless(diag, off2)
-    for b in range(len(ms)):
-        start = _tail.start(diag[b], off2[b])
-        assert _tail.start_py(diag[b].tolist(), off2[b].tolist()) == start
-        assert tailless[b] == (_kernels._rows(diag[b], off2[b])[3] < 4) == (diag.shape[1] - start < 4)
+    for d, e in zip(diag.tolist(), off2.tolist()):
+        n, row = len(d), len(d) - 3
+        while row >= 1 and d[row] == d[row + 2] and e[row - 1] == e[row + 1]:
+            row -= 1
+        row = max(row, 0) + 1
+        assert _tail.start(np.array(d), np.array(e)) == (n if n - row < 2 else row)
 
 
 @pytest.mark.parametrize("n", [600, 2000])
@@ -515,8 +520,8 @@ def tolerances(ms):
 @example(case=([build_sum_truncation(PairFamily.head_omega(1.0, 2.0), 90)], np.arange(90), 1e-300))
 @example(case=([NO_TAIL_70], np.arange(THRESHOLD), None))
 @example(case=([NO_TAIL_70], np.arange(THRESHOLD + 1), None))
-@example(case=(THRESHOLD_SECTIONS[:THRESHOLD], np.array([39]), None))
-@example(case=(THRESHOLD_SECTIONS, np.array([39]), None))
+@example(case=(THRESHOLD_SECTIONS[:THRESHOLD], THRESHOLD_INDEX, None))
+@example(case=(THRESHOLD_SECTIONS, THRESHOLD_INDEX, None))
 @example(case=(FIGURE_3_SECTIONS, np.array([], dtype=np.int64), None))
 def test_certified_solve_equals_plain_bisection_bitwise(case):
     ms, idx, tol = case
@@ -539,8 +544,9 @@ def tailless_sections(draw, max_n=16, max_sections=12):
     """Sections of one order that the dense guess serves: Householder
     sections of S = A + B and of -C^2, C = AB - BA, for random involution
     pairs, c*I sections and diagonal sections with repeated eigenvalues,
-    each scaled by its own factor.  Some (c*I, -C^2 = 0) have a periodic
-    tail after all, and go the other ways."""
+    each scaled by its own factor.  Batches of c*I sections (and -C^2 = 0)
+    take no bisection step, so no dense guess either, and settle without
+    one."""
     n = draw(st.integers(1, max_n))
     sections = []
     for _ in range(draw(st.integers(1, max_sections))):
@@ -589,6 +595,10 @@ def test_tailless_certificate_equals_plain_bisection_bitwise(case):
     assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
 
 
+# eq3 sections up to DENSE_MAX_ORDER, which take dense guesses despite their tails
+EQ3_SECTIONS = [build_sum_truncation(PairFamily.head_omega(1.2, 0.7), n) for n in (10, 30, 64)]
+
+
 WRONG_GUESSES = {
     "nan": lambda g: np.full_like(g, np.nan),
     "infinite": lambda g: np.where(np.arange(g.shape[1]) % 2, np.inf, -np.inf) * np.ones_like(g),
@@ -616,8 +626,14 @@ def test_wrong_guesses_give_the_same_bits(monkeypatch, wrong):
         assert sections_eigenvalues_at(ms, idx).tobytes() == plain_bisection(ms, idx).tobytes()
     for ms, idx, tol in EXTERIOR_BATCHES[-5:]:
         assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
-    # sections with no tail, in batches settled in Python and in lockstep
-    for ms, idx in (([THREE_BY_THREE], np.arange(3)), (COMMUTATOR_SECTIONS[:20], np.arange(6))):
+    # dense guesses of sections with no tail and of family sections up to
+    # order 64, in batches settled in Python and in lockstep
+    for ms, idx in (
+        ([THREE_BY_THREE], np.arange(3)),
+        (COMMUTATOR_SECTIONS[:20], np.arange(6)),
+        (EQ3_SECTIONS[-1:], np.arange(64)),
+        (FIGURE_1_SECTIONS, np.arange(10)),
+    ):
         assert sections_eigenvalues_at(ms, idx).tobytes() == plain_bisection(ms, idx).tobytes()
 
 
@@ -650,7 +666,7 @@ def test_declined_certificate_scans_no_tail(monkeypatch):
     ms = [build_sum_truncation(PairFamily.head_omega(0.04 * k, 0.7), 100) for k in range(1, THRESHOLD + 2)]
     certified, starts = [], []
     certify, start = _kernels._certify, _tail.start
-    monkeypatch.setattr(_kernels, "_certify", lambda *args: certified.append(args[-1].size) or certify(*args))
+    monkeypatch.setattr(_kernels, "_certify", lambda *args: certified.append(args[6].size) or certify(*args))
     monkeypatch.setattr(_tail, "start", lambda *args: starts.append(args) or start(*args))
     sections_eigenvalues_at(ms, [99])
     assert certified == [THRESHOLD + 1] and not starts
@@ -665,6 +681,48 @@ def test_three_by_three_bisects_no_lane(monkeypatch):
     assert THREE_BY_THREE.gershgorin()[1] == 2.0
     assert sum(bisected) == 0
     assert values.tobytes() == plain_bisection([THREE_BY_THREE], np.arange(3))[0].tobytes()
+
+
+# eigenvalues 0.1 +- 0.2, with a Sturm count of 1 at its Gershgorin bound
+# lo = -0.1: the rounded bound lies above the lower eigenvalue
+BELOW_LO = TridiagonalSymmetricMatrix(diag=np.array([0.1, 0.1]), offdiag=np.array([0.2]))
+
+
+@pytest.mark.parametrize("ms", [[THREE_BY_THREE] * 30, [BELOW_LO] * 40], ids=["3x3", "below-lo"])
+def test_dense_batch_takes_one_solve_and_settles_in_lockstep(monkeypatch, ms):
+    # a batch's dense guesses are solved once; the lockstep leaves settle
+    # every lane, those on the Gershgorin bounds included (the 3x3's 2.0 at
+    # hi, BELOW_LO's lower eigenvalue at lo), and leave none to the
+    # plain-Python leaves
+    calls, settled = [], []
+    dense, settle = _kernels._dense_guesses, _kernels._settle
+    monkeypatch.setattr(_kernels, "_dense_guesses", lambda *args: calls.append(len(args[0])) or dense(*args))
+    monkeypatch.setattr(_kernels, "_settle", lambda *args: settled.append(len(args[4])) or settle(*args))
+    bisected = bisected_lanes(monkeypatch)
+    idx = np.arange(ms[0].n)
+    values = sections_eigenvalues_at(ms, idx)
+    assert calls == [len(ms)] and settled == [0] and sum(bisected) == 0
+    assert values.tobytes() == plain_bisection(ms, idx).tobytes()
+
+
+@pytest.mark.parametrize("ms", [*([m] for m in EQ3_SECTIONS), FIGURE_1_SECTIONS], ids=["10", "30", "64", "figure-1"])
+def test_family_spectra_up_to_order_64_bisect_no_lane(monkeypatch, ms):
+    # dense guesses serve family sections up to DENSE_MAX_ORDER, tail or no
+    # tail: in plain Python up to 64 lanes, in lockstep above
+    bisected = bisected_lanes(monkeypatch)
+    idx = np.arange(ms[0].n)
+    values = sections_eigenvalues_at(ms, idx)
+    assert sum(bisected) == 0
+    assert values.tobytes() == plain_bisection(ms, idx).tobytes()
+
+
+def test_threshold_batches_bisect_in_python_and_in_lockstep(monkeypatch):
+    # one lane more than PY_MAX_INDICES moves bisection from Python to numpy
+    bisected = bisected_lanes(monkeypatch)
+    sections_eigenvalues_at(THRESHOLD_SECTIONS[:THRESHOLD], THRESHOLD_INDEX)
+    assert bisected == [THRESHOLD]
+    sections_eigenvalues_at(THRESHOLD_SECTIONS, THRESHOLD_INDEX)
+    assert bisected == [THRESHOLD, THRESHOLD + 1]
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -26,10 +26,11 @@ bisected as before.
 ``PY_MAX_INDICES`` lanes the dense or in-band guesses are certified in
 lockstep (``_certify``).  At most ``PY_MAX_INDICES`` lanes left are
 settled from dense or exterior guesses with plain-Python counts
-(``_settle``) and the rest bisect in plain Python, else they bisect in
-lockstep numpy arrays.  The plain-Python Sturm count stops walking a
-periodic tail once a period gives back its starting pivot and counts the
-remaining periods at once, which makes counts outside the bands cheap.
+(``_settle``) and the rest bisect in plain Python (``bisect_rows``, which
+needs only each section's rows), else they bisect in lockstep numpy
+arrays.  The plain-Python Sturm count stops walking a periodic tail once
+a period gives back its starting pivot and counts the remaining periods
+at once, which makes counts outside the bands cheap.
 The lockstep count walks every row, in four array passes a tail row.  A
 repeated pivot repeats every later step, so both paths give bit-identical
 output.
@@ -237,6 +238,24 @@ def _settle(rows, lo, hi, steps, lanes, guesses, counts):
     return values
 
 
+def bisect_rows(rows, lo, hi, steps, lanes, guesses=None):
+    """Eigenvalue of each (section, index) pair of ``lanes``, in plain Python.
+
+    ``rows`` maps each section to its ``_rows`` and the lists ``lo``, ``hi``
+    and ``steps`` give its bisection bounds and steps, so no section need
+    be built at its full order.  ``_settle`` settles the lanes that their
+    ``guesses`` place, by default each lane's ``_tail.exterior_guess``, and
+    the rest bisect (``_bisect_py``); each value is bitwise that of plain
+    bisection.
+    """
+    counts = {}
+    if guesses is None:
+        guesses = _exterior_guesses(rows, lo, hi, steps, lanes, counts)
+    values = _settle(rows, lo, hi, steps, lanes, guesses, counts)
+    rest = iter(_bisect_py(rows, lo, hi, steps, [lane for lane, v in zip(lanes, values) if v is None]).tolist())
+    return [next(rest) if v is None else v for v in values]
+
+
 def _sturm_counts_np(diag, off2, x, tail=None):
     """``_sturm_count_py`` at every shift of ``x``, one row of shifts per section.
 
@@ -426,9 +445,9 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     the batch, once, tail or no tail; elsewhere each section's tail does.
     The rest goes by the number of lanes.  Above ``PY_MAX_INDICES`` lanes,
     ``_certify`` settles in lockstep what the dense or in-band guesses
-    place.  If at most ``PY_MAX_INDICES`` lanes are left, ``_settle``
-    settles those that a dense or exterior guess places, and the rest
-    bisect in plain Python, each section's rows built once for both.  More
+    place.  If at most ``PY_MAX_INDICES`` lanes are left, ``bisect_rows``
+    settles those that a dense or exterior guess places and bisects the
+    rest in plain Python, each section's rows built once for both.  More
     bisect in lockstep, each section's indices padded to a common count
     with its last one, in chunks of about ``MAX_LANES`` lanes.  Each value
     is bitwise that of plain bisection.
@@ -449,12 +468,9 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     sec, col = np.nonzero(np.isnan(out))
     if sec.size <= PY_MAX_INDICES:
         rows = {b: _rows(diag[b], off2[b]) for b in set(sec.tolist())}
-        bounds = lo.tolist(), hi.tolist(), steps.tolist()
-        lanes, counts = list(zip(sec.tolist(), idx[col].tolist())), {}
-        guesses = _exterior_guesses(rows, *bounds, lanes, counts) if dense is None else dense[sec, col].tolist()
-        values = _settle(rows, *bounds, lanes, guesses, counts)
-        rest = iter(_bisect_py(rows, *bounds, [lane for lane, v in zip(lanes, values) if v is None]).tolist())
-        out[sec, col] = [next(rest) if v is None else v for v in values]
+        lanes = list(zip(sec.tolist(), idx[col].tolist()))
+        guesses = None if dense is None else dense[sec, col].tolist()
+        out[sec, col] = bisect_rows(rows, lo.tolist(), hi.tolist(), steps.tolist(), lanes, guesses)
         return out
     first = np.flatnonzero(np.diff(sec, prepend=-1))
     rows, count = sec[first], np.diff(first, append=sec.size)

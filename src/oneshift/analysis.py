@@ -5,10 +5,12 @@ filtering, the numeric spectral-radius estimator with the special-point
 exclusion rule, and the Bell-CHSH bound stress suite.
 """
 
+import functools
 import math
 
 import numpy as np
 
+from . import _kernels
 from .forms import build_sum_truncation, involution_error
 from .theory import (
     LimitSet,
@@ -19,13 +21,7 @@ from .theory import (
     select_lambda0,
     two_angle_essential,
 )
-from .tridiag import (
-    SpectrumSample,
-    default_tol,
-    dense_eigenvalues_at,
-    sections_eigenvalues_at,
-    sturm_count,
-)
+from .tridiag import SpectrumSample, default_tol, dense_eigenvalues_at
 
 OUTLIER_MARGIN = 0.02
 OUTLIER_ORDER_STEP = 200
@@ -92,31 +88,101 @@ def _stabilized(values, ess, margin, nxt):
     # the filter of detect_outliers on sorted values; ``nxt`` needs to hold
     # only the next-order eigenvalues that can lie within margin/10 of one
     # of them, and may then be empty
+    return _kept(values, ess, margin, lambda v: nxt.size and np.min(np.abs(nxt - v)) < margin / 10.0)
+
+
+def _kept(values, ess, margin, near):
+    # the values beyond margin for which near(v) holds, repeats within 1e-9
+    # of the last kept one dropped
     out = []
     for v in values:
-        if ess.distance(v) <= margin:
-            continue
-        if nxt.size and np.min(np.abs(nxt - v)) < margin / 10.0:
-            if not out or abs(v - out[-1]) > 1e-9:
-                out.append(float(v))
+        if ess.distance(v) > margin and near(v) and (not out or abs(v - out[-1]) > 1e-9):
+            out.append(float(v))
     return out
 
 
-def _exterior_eigenvalues(m, ess, dist):
-    """Sorted eigenvalues of ``m`` at every index that can lie beyond ``dist``.
+class _Undecided(Exception):
+    """Sturm counts leave open whether a value has a next-order neighbor."""
+
+
+def _family_sections(f, *orders):
+    """(rows, lo, hi, tol) of the family's sections of the even ``orders``.
+
+    The rows are ``_kernels._rows`` of ``build_sum_truncation(f, order)``,
+    and lo, hi and tol its Gershgorin bounds and ``default_tol``, all
+    bitwise, but no section longer than S = 2h + 8 is built, for the longer
+    head h of the family's angles, and each shorter order once.  Rows from
+    2h + 1 on repeat with period 2, so the order-S section ends in at least
+    7 tail rows, and a longer one differs from it only in the length of its
+    periodic tail, which the rows give as a number; as the short tail holds
+    every distinct interior row, the longer tail's discs add no new end to
+    the Gershgorin bounds.
+    """
+    short, built, out = 2 * max(len(f.omega.head), len(f.theta.head)) + 8, {}, []
+    for order in orders:
+        k = min(order, short)
+        if k not in built:
+            m = build_sum_truncation(f, k)
+            built[k] = _kernels._rows(m.diag, m.offdiag**2), *m.gershgorin(), default_tol(m)
+        (d0, head, tail, tail_len), lo, hi, tol = built[k]
+        out.append(((d0, head, tail, tail_len + order - k), lo, hi, tol))
+    return out
+
+
+def _exterior_values(section, ess, dist):
+    """Sorted eigenvalues of a ``_family_sections`` section at every index
+    that can lie beyond ``dist``.
 
     An eigenvalue whose bisected value lies farther than ``dist`` from the
-    essential intervals has its exact value farther than ``dist - tol``, for
-    tol = ``default_tol(m)``, so Sturm counts at the interval edges widened
-    by that bound the indices to bisect; values match the full solve bitwise.
+    essential intervals has its exact value farther than ``dist - tol``, so
+    plain-Python Sturm counts at the interval edges widened by that bound
+    the indices to solve; values match the full solve bitwise.
     """
-    reach = dist - default_tol(m)
-    edges = [x for lo, hi in ess.intervals for x in (lo - reach, hi + reach)]
-    counts = [0] + sturm_count(m, edges) + [m.n]
-    stretches = [np.arange(a, b) for a, b in zip(counts[::2], counts[1::2])]
+    rows, lo, hi, tol = section
+    reach = dist - tol
+    counts = [_kernels._sturm_count_py(*rows, x) for a, b in ess.intervals for x in (a - reach, b + reach)]
+    counts = [0, *counts, 1 + len(rows[1]) + rows[3]]
     # the stretches overlap only when dist < tol
-    idx = np.unique(np.concatenate(stretches))
-    return sections_eigenvalues_at([m], idx)[0]
+    idx = sorted({j for a, b in zip(counts[::2], counts[1::2]) for j in range(a, b)})
+    steps = [_kernels.halvings(lo, hi, tol)]
+    return _kernels.bisect_rows({0: rows}, [lo], [hi], steps, [(0, j) for j in idx])
+
+
+def _near_by_counts(section, r):
+    """Whether ``section`` has an eigenvalue bisected within ``r`` of v, by Sturm counts.
+
+    With t the section's tolerance, a bisected value lies within t/2 of a
+    point where the count steps.  So a count that steps within r - 2t of v
+    puts a value within r of it, and none that steps within r + 2t puts
+    every value farther; anything else raises ``_Undecided``.
+    """
+    rows, _, _, t = section
+    count = functools.partial(_kernels._sturm_count_py, *rows)
+
+    def near(v):
+        if count(v + r - 2.0 * t) > count(v - r + 2.0 * t):
+            return True
+        if count(v + r + 2.0 * t) == count(v - r - 2.0 * t):
+            return False
+        raise _Undecided
+
+    return near
+
+
+def _outliers(values, ess, margin, section):
+    """``_stabilized`` of ``values`` against the next-order ``section``.
+
+    Counts on the section's rows decide each value beyond ``margin``
+    (``_near_by_counts``); if one is left undecided, the section's
+    eigenvalues that can lie within margin/10 of such a value are solved
+    from its rows and filter as in ``detect_outliers``.
+    """
+    r = margin / 10.0
+    try:
+        return _kept(values, ess, margin, _near_by_counts(section, r))
+    except _Undecided:
+        # a neighbor within margin/10 of a kept value lies beyond margin - margin/10
+        return _stabilized(values, ess, margin, np.array(_exterior_values(section, ess, margin - r)))
 
 
 def family_params(f):
@@ -128,21 +194,28 @@ def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN):
     """Spectral-radius estimate from finite sections of the family.
 
     The essential band comes from the tail angles analytically; isolated
-    points are the stabilized exterior eigenvalues of truncations at orders
-    n and n+200, found as ``detect_outliers`` finds them but bisecting only
-    the eigenvalues that can lie outside the band.  Points within 1e-6 of
-    ``exclusion`` are removed before the selection step.
+    points are the exterior eigenvalues of the order-n section that
+    stabilize at order n+200, as ``detect_outliers`` keeps them, but
+    solving only the order-n eigenvalues that can lie outside the band.
+    Both sections are read off one short build (``_family_sections``):
+    they differ from it only in the length of their periodic tail, so their
+    rows, Gershgorin bounds and tolerance are bitwise those of the full
+    builds.  The order-(n+200) section is not solved: with r = margin/10
+    and t its tolerance, a value v is kept when its Sturm count steps
+    within r - 2t of v and dropped when it does not step within r + 2t,
+    at most four counts each.  Only if some value falls between the two is
+    the longer section's exterior solved and the nearest-neighbor filter
+    run, so the kept points are always those of the two-section filter.
+    Points within 1e-6 of ``exclusion`` are removed before the selection
+    step.
     """
     if n < 4 or n % 2 != 0:
         raise ValueError("truncation order must be even and >= 4")
     if margin <= 0:
         raise ValueError("margin must be positive")
     ess = two_angle_essential(family_params(f))
-    v1 = _exterior_eigenvalues(build_sum_truncation(f, n), ess, margin)
-    # a neighbor within margin/10 of a kept value lies beyond margin - margin/10
-    m2 = build_sum_truncation(f, n + OUTLIER_ORDER_STEP)
-    v2 = _exterior_eigenvalues(m2, ess, margin - margin / 10.0)
-    outliers = _stabilized(v1, ess, margin, v2)
+    first, second = _family_sections(f, n, n + OUTLIER_ORDER_STEP)
+    outliers = _outliers(_exterior_values(first, ess, margin), ess, margin, second)
     lam = LimitSet(intervals=ess.intervals, points=tuple(outliers))
     if exclusion is not None:
         lam = lam.without_point(exclusion, 1e-6)

@@ -168,9 +168,3 @@ def paper_example_3x3(x):
         ]
     )
     return GeneralPair(a=DenseSymmetricMatrix(a), b=DenseSymmetricMatrix(b))
-
-
-def commutator(p):
-    """AB - BA; skew-symmetric up to floating rounding."""
-    a, b = p.a.entries, p.b.entries
-    return a @ b - b @ a

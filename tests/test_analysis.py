@@ -22,7 +22,6 @@ from oneshift.forms import (
     PairFamily,
     build_dense_pair,
     build_sum_truncation,
-    commutator,
     paper_example_3x3,
     rotation_block,
 )
@@ -213,6 +212,12 @@ class TestConvergence:
         limit = LimitSet(points=(0.0, 2.0))
         sample = SpectrumSample(values=np.array([0.0, 2.0]))
         assert hausdorff_distance(sample, limit) == 0.0
+
+
+def commutator(p):
+    """AB - BA of a pair; skew-symmetric up to floating rounding."""
+    a, b = p.a.entries, p.b.entries
+    return a @ b - b @ a
 
 
 def random_pair(rng):

@@ -9,12 +9,17 @@ from oneshift.forms import (
     PairFamily,
     build_dense_pair,
     build_sum_truncation,
-    commutator,
     paper_example_3x3,
     rotation_block,
     validate_involution,
 )
 from oneshift.tridiag import DenseSymmetricMatrix, tridiag_eigenvalues
+
+
+def commutator(p):
+    """AB - BA of a pair; skew-symmetric up to floating rounding."""
+    a, b = p.a.entries, p.b.entries
+    return a @ b - b @ a
 
 
 def dense_corner(f, n):

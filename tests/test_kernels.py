@@ -1,23 +1,28 @@
 """Fast paths of the eigensolver pinned bitwise to the slow paths they replace.
 
 Every solve goes through ``sections_eigenvalues_at`` and the kernel entry
-point ``_kernels.bisect_sections``.  A solve restricted to some indices must
+point ``_kernels.bisect_sections``, or, for ``rho_numeric``'s sections
+given as rows, through its plain-Python stage ``bisect_rows``.  A solve restricted to some indices must
 give exactly the values the full solve gives there; a lockstep solve of many
 sections must give exactly the values of each section solved alone; the
 plain-Python bisection must match the vectorized numpy one, also on either
 side of ``PY_MAX_INDICES`` lanes, where ``bisect_sections`` switches from
 one to the other; and ``rho_numeric``, which solves only exterior eigenvalues,
 must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
-``detect_outliers``.  Every Sturm count must be nondecreasing in the shift,
-and the plain-Python count, which stops walking a 2-periodic tail once its
+``detect_outliers``.  Its short build must give the rows, Gershgorin bounds
+and tolerance of the full build of any order, and its Sturm-count rule must
+keep the points of the two-section filter or leave the value to that
+filter.  Every Sturm count must be nondecreasing in the shift, and the
+plain-Python count, which stops walking a 2-periodic tail once its
 pivot repeats, must equal the full loop, and so must the lockstep count,
 which meets a zero pivot only when dividing by it raises and sums negative
 pivots in bytes, from any tail start and beyond 255 rows.  Values
 certified from tail guesses, inside the bands or in the gaps around them,
 must equal plain bisection, whatever the guesses are; the sign of the
 exterior equation must follow the counts; and a family spectrum or
-``rho_numeric`` must leave next to nothing to bisect, and a batch the
-in-band certificate declines must not be scanned for a tail.
+``rho_numeric`` must leave next to nothing to bisect, ``rho_numeric`` must
+build no long section and run no lockstep kernel, and a batch the in-band
+certificate declines must not be scanned for a tail.
 """
 
 import math
@@ -31,7 +36,7 @@ from hypothesis import strategies as st
 from conftest import involution
 from oneshift import _kernels, _tail, analysis
 from oneshift.analysis import OUTLIER_MARGIN, OUTLIER_ORDER_STEP, detect_outliers, family_params, rho_numeric
-from oneshift.forms import PairFamily, build_sum_truncation, paper_example_3x3
+from oneshift.forms import AngleSpec, PairFamily, build_sum_truncation, paper_example_3x3
 from oneshift.theory import LimitSet, RhoReport, rho_from_lambda, select_lambda0, two_angle_essential
 from oneshift.tridiag import (
     DenseSymmetricMatrix,
@@ -40,6 +45,7 @@ from oneshift.tridiag import (
     dense_sym_eigenvalues,
     householder_tridiagonalize,
     sections_eigenvalues_at,
+    sturm_count,
     tridiag_eigenvalues,
 )
 
@@ -412,6 +418,15 @@ def make_family(name, omega, theta):
     return PairFamily.two_constant(omega, theta)
 
 
+def exterior_indices(m, ess, dist):
+    """Indices of the section ``m`` whose bisected values can lie beyond
+    ``dist`` from the intervals of ``ess``: those outside the intervals
+    widened by ``dist - default_tol(m)``, by the reference Sturm count."""
+    reach = dist - default_tol(m)
+    counts = [0, *sturm_count(m, [x for a, b in ess.intervals for x in (a - reach, b + reach)]), m.n]
+    return np.unique(np.concatenate([np.arange(a, b) for a, b in zip(counts[::2], counts[1::2])]))
+
+
 def full_solve_rho(f, n, exclusion, margin):
     """The estimator as a full-spectrum pipeline: every eigenvalue of both sections."""
     ess = two_angle_essential(family_params(f))
@@ -446,11 +461,133 @@ def outcome(fn, *args):
 @example("head_omega", math.pi / 2, math.acos(-0.8), 40, False, OUTLIER_MARGIN)
 @example("two_constant", 0.3, 2.0, 40, True, OUTLIER_MARGIN)
 @example("two_constant", 0.3, 2.0, 40, False, OUTLIER_MARGIN)
+@example("perturbed_heads", 1.0, 0.4, 300, False, OUTLIER_MARGIN)
+@example("two_constant", 2.4, 0.5, 650, False, OUTLIER_MARGIN)
+@example("head_omega", 2.33057, 2.61978, 1000, False, OUTLIER_MARGIN)
 def test_rho_numeric_equals_full_solve_pipeline_bitwise(name, omega, theta, half_n, excluded, margin):
     f = make_family(name, omega, theta)
     n = 2 * half_n
     exclusion = math.cos(f.theta.tail) - math.cos(f.omega.tail) if excluded else None
     assert outcome(rho_numeric, f, n, exclusion, margin) == outcome(full_solve_rho, f, n, exclusion, margin)
+
+
+@st.composite
+def pair_families(draw):
+    """The four named families, or a family with heads of up to 3 angles
+    each, some of them equal to the tail angle."""
+    if draw(st.booleans()):
+        return make_family(draw(st.sampled_from(FAMILIES)), draw(angles), draw(angles))
+    specs = []
+    for _ in range(2):
+        tail = draw(angles)
+        head = draw(st.lists(st.one_of(angles, st.just(tail)), max_size=3))
+        specs.append(AngleSpec(tuple(head), tail))
+    return PairFamily(*specs)
+
+
+def short_order(f):
+    return 2 * max(len(f.omega.head), len(f.theta.head)) + 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=pair_families(), half_n=st.one_of(st.integers(2, 10), st.integers(2, 1100)))
+@example(f=PairFamily.constant(0.7), half_n=2)
+@example(f=PairFamily.constant(0.7), half_n=4)
+@example(f=PairFamily.perturbed_heads(0.7), half_n=6)
+@example(f=PairFamily.perturbed_heads(0.7), half_n=7)
+@example(f=PairFamily(AngleSpec((0.7, 0.7), 0.7), AngleSpec((1.1,), 0.7)), half_n=1100)
+def test_short_build_gives_the_full_rows_bounds_and_tolerance(f, half_n):
+    # one build of order min(n, S) gives every longer section of the family
+    # by lengthening its tail, bitwise: rows, Gershgorin bounds, tolerance
+    n = 2 * half_n
+    orders = (n, n + OUTLIER_ORDER_STEP)
+    builds = []
+    build = analysis.build_sum_truncation
+    with mock.patch.object(analysis, "build_sum_truncation", lambda f, k: builds.append(k) or build(f, k)):
+        sections = analysis._family_sections(f, *orders)
+    assert builds == sorted({min(k, short_order(f)) for k in orders})
+    for order, (rows, lo, hi, tol) in zip(orders, sections):
+        m = build_sum_truncation(f, order)
+        assert repr(rows) == repr(_kernels._rows(m.diag, m.offdiag**2))
+        assert repr((lo, hi, tol)) == repr((*m.gershgorin(), default_tol(m)))
+
+
+def two_section_points(f, n, margin):
+    """The essential set, the order-n exterior values and the points the
+    two-section filter keeps of them, each section's exterior bisected as
+    ``sections_eigenvalues_at`` solves it."""
+    ess = two_angle_essential(family_params(f))
+    v1, v2 = (sections_eigenvalues_at(ms, idx)[0] for ms, idx, _ in rho_slices(f, n, margin))
+    return ess, v1, analysis._stabilized(v1, ess, margin, v2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=pair_families(),
+    half_n=st.one_of(st.integers(2, 40), st.integers(2, 1000)),
+    margin=st.sampled_from([0.005, OUTLIER_MARGIN, 0.1]),
+)
+@example(f=PairFamily.head_omega(math.pi / 2, math.acos(-0.8)), half_n=300, margin=OUTLIER_MARGIN)
+@example(f=PairFamily.two_constant(0.3, 2.0), half_n=4, margin=OUTLIER_MARGIN)
+def test_count_rule_keeps_the_two_section_filters_points(f, half_n, margin):
+    # counts on the longer section's rows keep exactly the points that the
+    # filter against its bisected exterior keeps, and the exterior of the
+    # order-n rows is that of the order-n section, bitwise
+    n = 2 * half_n
+    ess, v1, expected = two_section_points(f, n, margin)
+    first, second = analysis._family_sections(f, n, n + OUTLIER_ORDER_STEP)
+    values = analysis._exterior_values(first, ess, margin)
+    assert np.array(values).tobytes() == v1.tobytes()
+    try:
+        assert analysis._kept(values, ess, margin, analysis._near_by_counts(second, margin / 10.0)) == expected
+    except analysis._Undecided:
+        pass
+    assert analysis._outliers(values, ess, margin, second) == expected
+
+
+def solved_orders(monkeypatch):
+    """A list that gathers the order of each section solved from its rows."""
+    solved = []
+    solve = _kernels.bisect_rows
+
+    def spy(rows, *args):
+        solved.append(1 + len(rows[0][1]) + rows[0][3])
+        return solve(rows, *args)
+
+    monkeypatch.setattr(_kernels, "bisect_rows", spy)
+    return solved
+
+
+@pytest.mark.parametrize("offset", [-1.0, 1.0])
+def test_value_a_tenth_margin_from_a_longer_section_eigenvalue_falls_back(monkeypatch, offset):
+    # v = lambda +- r, for lambda = 1.5, the paper anchor's isolated point of
+    # the order-800 section: its count steps within r + 2t of v but not
+    # within r - 2t, so the longer section's exterior is solved and decides
+    f = PairFamily.head_omega(math.pi / 2, math.acos(-0.8))
+    ess = two_angle_essential(family_params(f))
+    _, second = analysis._family_sections(f, 600, 800)
+    ms, idx, _ = rho_slices(f, 600)[1]
+    v2 = sections_eigenvalues_at(ms, idx)[0]
+    v = [float(v2[-1]) + offset * OUTLIER_MARGIN / 10.0]
+    with pytest.raises(analysis._Undecided):
+        analysis._near_by_counts(second, OUTLIER_MARGIN / 10.0)(v[0])
+    solved = solved_orders(monkeypatch)
+    assert analysis._outliers(v, ess, OUTLIER_MARGIN, second) == analysis._stabilized(v, ess, OUTLIER_MARGIN, v2)
+    assert solved == [800]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_margin_below_twice_the_tolerance_falls_back(monkeypatch, name):
+    # with r = margin/10 <= 2t no count can keep a value, so each value
+    # with a neighbor at order n + 200 is left to the fallback
+    f, margin = make_family(name, 1.2, 0.7), 1e-11
+    _, second = analysis._family_sections(f, 400, 400 + OUTLIER_ORDER_STEP)
+    assert margin / 10.0 <= 2.0 * second[3]
+    assert two_section_points(f, 400, margin)[2]
+    expected = outcome(full_solve_rho, f, 400, None, margin)
+    solved = solved_orders(monkeypatch)
+    assert outcome(rho_numeric, f, 400, None, margin) == expected
+    assert solved == [400, 400 + OUTLIER_ORDER_STEP]
 
 
 def plain_bisection(ms, idx, tol=None):
@@ -466,17 +603,18 @@ def plain_bisection(ms, idx, tol=None):
     return _kernels._bisect_np(diag, off2, lo, hi, steps, np.broadcast_to(idx, (len(ms), idx.size)))
 
 
-def rho_slices(f, n):
-    """The (sections, indices, tol) that ``rho_numeric`` solves for ``f`` at order n."""
-    seen = []
-
-    def solve(ms, idx, tol=None):
-        seen.append((ms, np.asarray(idx, dtype=np.int64), tol))
-        return sections_eigenvalues_at(ms, idx, tol)
-
-    with mock.patch.object(analysis, "sections_eigenvalues_at", solve):
-        rho_numeric(f, n)
-    return seen
+def rho_slices(f, n, margin=OUTLIER_MARGIN):
+    """The (sections, indices, tol) of the exterior solves of the
+    two-section filter for ``f`` at order n: the order-n section beyond the
+    margin, and the order-(n + 200) section beyond margin - margin/10,
+    which ``rho_numeric`` solves only when its counts leave a value
+    undecided."""
+    ess = two_angle_essential(family_params(f))
+    slices = []
+    for order, dist in ((n, margin), (n + OUTLIER_ORDER_STEP, margin - margin / 10.0)):
+        m = build_sum_truncation(f, order)
+        slices.append(([m], exterior_indices(m, ess, dist), None))
+    return slices
 
 
 # Batches of at most PY_MAX_INDICES lanes outside the tail's bands, which
@@ -741,4 +879,21 @@ def test_rho_numeric_certifies_its_exterior_eigenvalues(monkeypatch, name):
     monkeypatch.setattr(_kernels, "_exterior_guesses", lambda *args: asked.append(len(args[4])) or guesses(*args))
     bisected = bisected_lanes(monkeypatch)
     rho_numeric(make_family(name, 1.2, 0.7), 2000)
-    assert sum(asked) >= 2 and sum(bisected) <= MAX_BISECTED
+    assert sum(asked) >= 1 and sum(bisected) <= MAX_BISECTED
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_rho_numeric_builds_short_sections_and_solves_one(monkeypatch, name):
+    # rho_numeric(f, 2000) builds no section above 2h + 8 for the longer
+    # head h, runs no lockstep kernel, and solves the order-2000 section
+    # alone: counts decide every value against order 2200
+    f = make_family(name, 1.2, 0.7)
+    builds, lockstep = [], []
+    build = analysis.build_sum_truncation
+    monkeypatch.setattr(analysis, "build_sum_truncation", lambda f, k: builds.append(k) or build(f, k))
+    for kernel in ("_certify", "_settle_leaves", "_sturm_counts_np", "_bisect_np", "_dense_guesses"):
+        monkeypatch.setattr(_kernels, kernel, lambda *args, kernel=kernel: lockstep.append(kernel))
+    solved = solved_orders(monkeypatch)
+    rho_numeric(f, 2000)
+    assert builds and max(builds) <= short_order(f)
+    assert lockstep == [] and solved == [2000]

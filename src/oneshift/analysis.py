@@ -5,7 +5,6 @@ filtering, the numeric spectral-radius estimator with the special-point
 exclusion rule, and the Bell-CHSH bound stress suite.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -88,21 +87,14 @@ def _stabilized(values, ess, margin, nxt):
     # the filter of detect_outliers on sorted values; ``nxt`` needs to hold
     # only the next-order eigenvalues that can lie within margin/10 of one
     # of them, and may then be empty
-    return _kept(values, ess, margin, lambda v: nxt.size and np.min(np.abs(nxt - v)) < margin / 10.0)
-
-
-def _kept(values, ess, margin, near):
-    # the values beyond margin for which near(v) holds, repeats within 1e-9
-    # of the last kept one dropped
     out = []
     for v in values:
-        if ess.distance(v) > margin and near(v) and (not out or abs(v - out[-1]) > 1e-9):
-            out.append(float(v))
+        if ess.distance(v) <= margin:
+            continue
+        if nxt.size and np.min(np.abs(nxt - v)) < margin / 10.0:
+            if not out or abs(v - out[-1]) > 1e-9:
+                out.append(float(v))
     return out
-
-
-class _Undecided(Exception):
-    """Sturm counts leave open whether a value has a next-order neighbor."""
 
 
 def _family_sections(f, *orders):
@@ -110,15 +102,20 @@ def _family_sections(f, *orders):
 
     The rows are ``_kernels._rows`` of ``build_sum_truncation(f, order)``,
     and lo, hi and tol its Gershgorin bounds and ``default_tol``, all
-    bitwise, but no section longer than S = 2h + 8 is built, for the longer
-    head h of the family's angles, and each shorter order once.  Rows from
-    2h + 1 on repeat with period 2, so the order-S section ends in at least
-    7 tail rows, and a longer one differs from it only in the length of its
-    periodic tail, which the rows give as a number; as the short tail holds
-    every distinct interior row, the longer tail's discs add no new end to
-    the Gershgorin bounds.
+    bitwise, but no section longer than S = 2h + 4 is built, for the longer
+    head h of the family's angles, and each shorter order once.  Row i
+    pairs diagonal entry i with off-diagonal i - 1; head angles reach
+    diagonal 2h and off-diagonal 2h - 1 at most, so rows from 2h + 1 on
+    repeat with period 2.  ``_tail.start`` compares each row with the one
+    two after it, so in every section that holds row 2h + 2 it finds the
+    tail at the same row, at most 2h + 1, with at least two tail rows: a
+    longer section differs only in the length of that tail, which the rows
+    give as a number.  Its Gershgorin discs past row S - 2 are those of the
+    interior tail rows 2h + 1 and 2h + 2 of the order-S section, or inside
+    them (the last row), so they add no new end to the bounds, nor to the
+    tolerance.
     """
-    short, built, out = 2 * max(len(f.omega.head), len(f.theta.head)) + 8, {}, []
+    short, built, out = 2 * max(len(f.omega.head), len(f.theta.head)) + 4, {}, []
     for order in orders:
         k = min(order, short)
         if k not in built:
@@ -148,43 +145,6 @@ def _exterior_values(section, ess, dist):
     return _kernels.bisect_rows({0: rows}, [lo], [hi], steps, [(0, j) for j in idx])
 
 
-def _near_by_counts(section, r):
-    """Whether ``section`` has an eigenvalue bisected within ``r`` of v, by Sturm counts.
-
-    With t the section's tolerance, a bisected value lies within t/2 of a
-    point where the count steps.  So a count that steps within r - 2t of v
-    puts a value within r of it, and none that steps within r + 2t puts
-    every value farther; anything else raises ``_Undecided``.
-    """
-    rows, _, _, t = section
-    count = functools.partial(_kernels._sturm_count_py, *rows)
-
-    def near(v):
-        if count(v + r - 2.0 * t) > count(v - r + 2.0 * t):
-            return True
-        if count(v + r + 2.0 * t) == count(v - r - 2.0 * t):
-            return False
-        raise _Undecided
-
-    return near
-
-
-def _outliers(values, ess, margin, section):
-    """``_stabilized`` of ``values`` against the next-order ``section``.
-
-    Counts on the section's rows decide each value beyond ``margin``
-    (``_near_by_counts``); if one is left undecided, the section's
-    eigenvalues that can lie within margin/10 of such a value are solved
-    from its rows and filter as in ``detect_outliers``.
-    """
-    r = margin / 10.0
-    try:
-        return _kept(values, ess, margin, _near_by_counts(section, r))
-    except _Undecided:
-        # a neighbor within margin/10 of a kept value lies beyond margin - margin/10
-        return _stabilized(values, ess, margin, np.array(_exterior_values(section, ess, margin - r)))
-
-
 def family_params(f):
     """Two-angle constants of the family's limiting (tail) angles."""
     return TwoAngleParams.from_angles(f.omega.tail, f.theta.tail)
@@ -200,14 +160,10 @@ def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN):
     Both sections are read off one short build (``_family_sections``):
     they differ from it only in the length of their periodic tail, so their
     rows, Gershgorin bounds and tolerance are bitwise those of the full
-    builds.  The order-(n+200) section is not solved: with r = margin/10
-    and t its tolerance, a value v is kept when its Sturm count steps
-    within r - 2t of v and dropped when it does not step within r + 2t,
-    at most four counts each.  Only if some value falls between the two is
-    the longer section's exterior solved and the nearest-neighbor filter
-    run, so the kept points are always those of the two-section filter.
-    Points within 1e-6 of ``exclusion`` are removed before the selection
-    step.
+    builds.  Of the order-(n+200) section only the eigenvalues that can
+    lie within margin/10 of a value beyond the margin are solved, which is
+    all the filter reads of it.  Points within 1e-6 of ``exclusion`` are
+    removed before the selection step.
     """
     if n < 4 or n % 2 != 0:
         raise ValueError("truncation order must be even and >= 4")
@@ -215,7 +171,10 @@ def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN):
         raise ValueError("margin must be positive")
     ess = two_angle_essential(family_params(f))
     first, second = _family_sections(f, n, n + OUTLIER_ORDER_STEP)
-    outliers = _outliers(_exterior_values(first, ess, margin), ess, margin, second)
+    v1 = _exterior_values(first, ess, margin)
+    # a neighbor within margin/10 of a kept value lies beyond margin - margin/10
+    v2 = _exterior_values(second, ess, margin - margin / 10.0)
+    outliers = _stabilized(v1, ess, margin, np.array(v2))
     lam = LimitSet(intervals=ess.intervals, points=tuple(outliers))
     if exclusion is not None:
         lam = lam.without_point(exclusion, 1e-6)

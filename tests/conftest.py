@@ -24,6 +24,12 @@ def charpoly_tridiag_eigs(diag, off):
     return np.sort(roots.real)
 
 
+def commutator(p):
+    """AB - BA of a pair; skew-symmetric up to floating rounding."""
+    a, b = p.a.entries, p.b.entries
+    return a @ b - b @ a
+
+
 def involution(gen, k):
     """A random symmetric involution Q diag(+-1) Q^T of order k."""
     q, _ = np.linalg.qr(gen.standard_normal((k, k)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import involution
+from conftest import commutator, involution
 from oneshift import analysis
 from oneshift.analysis import (
     Lcg,
@@ -212,12 +212,6 @@ class TestConvergence:
         limit = LimitSet(points=(0.0, 2.0))
         sample = SpectrumSample(values=np.array([0.0, 2.0]))
         assert hausdorff_distance(sample, limit) == 0.0
-
-
-def commutator(p):
-    """AB - BA of a pair; skew-symmetric up to floating rounding."""
-    a, b = p.a.entries, p.b.entries
-    return a @ b - b @ a
 
 
 def random_pair(rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import commutator
 from oneshift.forms import (
     AngleSpec,
     GeneralPair,
@@ -14,12 +15,6 @@ from oneshift.forms import (
     validate_involution,
 )
 from oneshift.tridiag import DenseSymmetricMatrix, tridiag_eigenvalues
-
-
-def commutator(p):
-    """AB - BA of a pair; skew-symmetric up to floating rounding."""
-    a, b = p.a.entries, p.b.entries
-    return a @ b - b @ a
 
 
 def dense_corner(f, n):

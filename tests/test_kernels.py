@@ -10,9 +10,9 @@ side of ``PY_MAX_INDICES`` lanes, where ``bisect_sections`` switches from
 one to the other; and ``rho_numeric``, which solves only exterior eigenvalues,
 must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
 ``detect_outliers``.  Its short build must give the rows, Gershgorin bounds
-and tolerance of the full build of any order, and its Sturm-count rule must
-keep the points of the two-section filter or leave the value to that
-filter.  Every Sturm count must be nondecreasing in the shift, and the
+and tolerance of the full build of any order, and the exterior eigenvalues
+it solves from those rows must be those of the full sections, bitwise.
+Every Sturm count must be nondecreasing in the shift, and the
 plain-Python count, which stops walking a 2-periodic tail once its
 pivot repeats, must equal the full loop, and so must the lockstep count,
 which meets a zero pivot only when dividing by it raises and sums negative
@@ -486,7 +486,9 @@ def pair_families(draw):
 
 
 def short_order(f):
-    return 2 * max(len(f.omega.head), len(f.theta.head)) + 8
+    # the shortest even order that holds row 2h + 2 as an interior row, h
+    # the longer head: rows from 2h + 1 on repeat with period 2
+    return 2 * max(len(f.omega.head), len(f.theta.head)) + 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -505,20 +507,13 @@ def test_short_build_gives_the_full_rows_bounds_and_tolerance(f, half_n):
     build = analysis.build_sum_truncation
     with mock.patch.object(analysis, "build_sum_truncation", lambda f, k: builds.append(k) or build(f, k)):
         sections = analysis._family_sections(f, *orders)
-    assert builds == sorted({min(k, short_order(f)) for k in orders})
+    # one build per distinct order min(k, S), none longer than short_order
+    assert max(builds) <= short_order(f)
+    assert builds == sorted({min(k, max(builds)) for k in orders})
     for order, (rows, lo, hi, tol) in zip(orders, sections):
         m = build_sum_truncation(f, order)
         assert repr(rows) == repr(_kernels._rows(m.diag, m.offdiag**2))
         assert repr((lo, hi, tol)) == repr((*m.gershgorin(), default_tol(m)))
-
-
-def two_section_points(f, n, margin):
-    """The essential set, the order-n exterior values and the points the
-    two-section filter keeps of them, each section's exterior bisected as
-    ``sections_eigenvalues_at`` solves it."""
-    ess = two_angle_essential(family_params(f))
-    v1, v2 = (sections_eigenvalues_at(ms, idx)[0] for ms, idx, _ in rho_slices(f, n, margin))
-    return ess, v1, analysis._stabilized(v1, ess, margin, v2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -529,65 +524,15 @@ def two_section_points(f, n, margin):
 )
 @example(f=PairFamily.head_omega(math.pi / 2, math.acos(-0.8)), half_n=300, margin=OUTLIER_MARGIN)
 @example(f=PairFamily.two_constant(0.3, 2.0), half_n=4, margin=OUTLIER_MARGIN)
-def test_count_rule_keeps_the_two_section_filters_points(f, half_n, margin):
-    # counts on the longer section's rows keep exactly the points that the
-    # filter against its bisected exterior keeps, and the exterior of the
-    # order-n rows is that of the order-n section, bitwise
+def test_exterior_of_rows_equals_the_sections_slices_bitwise(f, half_n, margin):
+    # both sections' exteriors, solved from the short build's rows, are
+    # the values of the two-section filter's slices of the full sections
     n = 2 * half_n
-    ess, v1, expected = two_section_points(f, n, margin)
-    first, second = analysis._family_sections(f, n, n + OUTLIER_ORDER_STEP)
-    values = analysis._exterior_values(first, ess, margin)
-    assert np.array(values).tobytes() == v1.tobytes()
-    try:
-        assert analysis._kept(values, ess, margin, analysis._near_by_counts(second, margin / 10.0)) == expected
-    except analysis._Undecided:
-        pass
-    assert analysis._outliers(values, ess, margin, second) == expected
-
-
-def solved_orders(monkeypatch):
-    """A list that gathers the order of each section solved from its rows."""
-    solved = []
-    solve = _kernels.bisect_rows
-
-    def spy(rows, *args):
-        solved.append(1 + len(rows[0][1]) + rows[0][3])
-        return solve(rows, *args)
-
-    monkeypatch.setattr(_kernels, "bisect_rows", spy)
-    return solved
-
-
-@pytest.mark.parametrize("offset", [-1.0, 1.0])
-def test_value_a_tenth_margin_from_a_longer_section_eigenvalue_falls_back(monkeypatch, offset):
-    # v = lambda +- r, for lambda = 1.5, the paper anchor's isolated point of
-    # the order-800 section: its count steps within r + 2t of v but not
-    # within r - 2t, so the longer section's exterior is solved and decides
-    f = PairFamily.head_omega(math.pi / 2, math.acos(-0.8))
     ess = two_angle_essential(family_params(f))
-    _, second = analysis._family_sections(f, 600, 800)
-    ms, idx, _ = rho_slices(f, 600)[1]
-    v2 = sections_eigenvalues_at(ms, idx)[0]
-    v = [float(v2[-1]) + offset * OUTLIER_MARGIN / 10.0]
-    with pytest.raises(analysis._Undecided):
-        analysis._near_by_counts(second, OUTLIER_MARGIN / 10.0)(v[0])
-    solved = solved_orders(monkeypatch)
-    assert analysis._outliers(v, ess, OUTLIER_MARGIN, second) == analysis._stabilized(v, ess, OUTLIER_MARGIN, v2)
-    assert solved == [800]
-
-
-@pytest.mark.parametrize("name", FAMILIES)
-def test_margin_below_twice_the_tolerance_falls_back(monkeypatch, name):
-    # with r = margin/10 <= 2t no count can keep a value, so each value
-    # with a neighbor at order n + 200 is left to the fallback
-    f, margin = make_family(name, 1.2, 0.7), 1e-11
-    _, second = analysis._family_sections(f, 400, 400 + OUTLIER_ORDER_STEP)
-    assert margin / 10.0 <= 2.0 * second[3]
-    assert two_section_points(f, 400, margin)[2]
-    expected = outcome(full_solve_rho, f, 400, None, margin)
-    solved = solved_orders(monkeypatch)
-    assert outcome(rho_numeric, f, 400, None, margin) == expected
-    assert solved == [400, 400 + OUTLIER_ORDER_STEP]
+    sections = analysis._family_sections(f, n, n + OUTLIER_ORDER_STEP)
+    for section, dist, (ms, idx, _) in zip(sections, (margin, margin - margin / 10.0), rho_slices(f, n, margin)):
+        values = analysis._exterior_values(section, ess, dist)
+        assert np.array(values).tobytes() == sections_eigenvalues_at(ms, idx)[0].tobytes()
 
 
 def plain_bisection(ms, idx, tol=None):
@@ -607,8 +552,7 @@ def rho_slices(f, n, margin=OUTLIER_MARGIN):
     """The (sections, indices, tol) of the exterior solves of the
     two-section filter for ``f`` at order n: the order-n section beyond the
     margin, and the order-(n + 200) section beyond margin - margin/10,
-    which ``rho_numeric`` solves only when its counts leave a value
-    undecided."""
+    both of which ``rho_numeric`` solves from rows."""
     ess = two_angle_essential(family_params(f))
     slices = []
     for order, dist in ((n, margin), (n + OUTLIER_ORDER_STEP, margin - margin / 10.0)):
@@ -879,21 +823,21 @@ def test_rho_numeric_certifies_its_exterior_eigenvalues(monkeypatch, name):
     monkeypatch.setattr(_kernels, "_exterior_guesses", lambda *args: asked.append(len(args[4])) or guesses(*args))
     bisected = bisected_lanes(monkeypatch)
     rho_numeric(make_family(name, 1.2, 0.7), 2000)
-    assert sum(asked) >= 1 and sum(bisected) <= MAX_BISECTED
+    assert sum(asked) >= 2 and sum(bisected) <= MAX_BISECTED
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-def test_rho_numeric_builds_short_sections_and_solves_one(monkeypatch, name):
-    # rho_numeric(f, 2000) builds no section above 2h + 8 for the longer
-    # head h, runs no lockstep kernel, and solves the order-2000 section
-    # alone: counts decide every value against order 2200
+def test_rho_numeric_builds_short_sections_and_solves_each_once(monkeypatch, name):
+    # rho_numeric(f, 2000) builds no section above 2h + 4 for the longer
+    # head h, runs no lockstep kernel, and solves the exteriors of the
+    # order-2000 and order-2200 sections once each, from their rows
     f = make_family(name, 1.2, 0.7)
-    builds, lockstep = [], []
-    build = analysis.build_sum_truncation
+    builds, lockstep, solved = [], [], []
+    build, solve = analysis.build_sum_truncation, _kernels.bisect_rows
     monkeypatch.setattr(analysis, "build_sum_truncation", lambda f, k: builds.append(k) or build(f, k))
+    monkeypatch.setattr(_kernels, "bisect_rows", lambda rows, *a: solved.append(1 + len(rows[0][1]) + rows[0][3]) or solve(rows, *a))
     for kernel in ("_certify", "_settle_leaves", "_sturm_counts_np", "_bisect_np", "_dense_guesses"):
         monkeypatch.setattr(_kernels, kernel, lambda *args, kernel=kernel: lockstep.append(kernel))
-    solved = solved_orders(monkeypatch)
     rho_numeric(f, 2000)
     assert builds and max(builds) <= short_order(f)
-    assert lockstep == [] and solved == [2000]
+    assert lockstep == [] and solved == [2000, 2000 + OUTLIER_ORDER_STEP]

@@ -3,10 +3,11 @@
 ``bisect_sections`` finds, for each of B symmetric tridiagonal sections of
 one order, the eigenvalues whose ascending (0-based) indices are listed in
 ``idx``; the full spectrum is the case ``idx = arange(n)``, and one section
-is the case B = 1.  It is the only bisection entry point.  Every (section,
-index) lane runs its section's fixed number of halvings, so an eigenvalue
-comes out bitwise the same whichever other sections and indices are solved
-with it.
+is the case B = 1.  ``bisect_rows`` solves lanes from each section's rows
+alone, for callers that never build a section at its full order.  These
+two are the bisection entry points.  Every (section, index) lane runs its
+section's fixed number of halvings, so an eigenvalue comes out bitwise the
+same whichever other sections and indices are solved with it.
 
 A certificate settles most eigenvalues without bisecting them.  A guess
 walks the bisection tree to a leaf; two Sturm counts at the leaf's ends
@@ -315,17 +316,6 @@ def _bisect_np(diag, off2, lo, hi, steps, idx):
     """Lockstep bisection in numpy arrays of the indices ``idx[b]`` of each section b; ``idx`` is (B, K)."""
     lower, upper = _walk(lo, hi, steps, idx.shape[1], lambda mid: _sturm_counts_np(diag, off2, mid) > idx)
     return 0.5 * (lower + upper)
-
-
-def sturm_count(diag, off2, x):
-    """Sturm count at the shift ``x``, in plain Python.
-
-    ``x`` may be a sequence of shifts, which gives a list of counts and sets
-    the section up once.
-    """
-    rows = _rows(diag, off2)
-    counts = [_sturm_count_py(*rows, float(v)) for v in np.atleast_1d(x).tolist()]
-    return counts if np.ndim(x) else counts[0]
 
 
 def _leaves(guesses, lo, hi, steps):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .forms import build_sum_truncation, involution_error
+from .forms import build_sum_truncation, check_involutions
 from .theory import (
     LimitSet,
     RhoReport,
@@ -150,7 +150,7 @@ def family_params(f):
     return TwoAngleParams.from_angles(f.omega.tail, f.theta.tail)
 
 
-def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN):
+def rho_numeric(f, n, exclusion=None):
     """Spectral-radius estimate from finite sections of the family.
 
     The essential band comes from the tail angles analytically; isolated
@@ -161,14 +161,13 @@ def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN):
     they differ from it only in the length of their periodic tail, so their
     rows, Gershgorin bounds and tolerance are bitwise those of the full
     builds.  Of the order-(n+200) section only the eigenvalues that can
-    lie within margin/10 of a value beyond the margin are solved, which is
-    all the filter reads of it.  Points within 1e-6 of ``exclusion`` are
-    removed before the selection step.
+    lie within margin/10 of a value beyond the margin, ``OUTLIER_MARGIN``,
+    are solved, which is all the filter reads of it.  Points within 1e-6 of
+    ``exclusion`` are removed before the selection step.
     """
     if n < 4 or n % 2 != 0:
         raise ValueError("truncation order must be even and >= 4")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    margin = OUTLIER_MARGIN
     ess = two_angle_essential(family_params(f))
     first, second = _family_sections(f, n, n + OUTLIER_ORDER_STEP)
     v1 = _exterior_values(first, ess, margin)
@@ -180,7 +179,7 @@ def rho_numeric(f, n, exclusion=None, margin=OUTLIER_MARGIN):
         lam = lam.without_point(exclusion, 1e-6)
     lam0 = select_lambda0(lam)
     rho = rho_from_lambda(lam0)
-    return RhoReport(rho, rho, lam0, "finite-section")
+    return RhoReport(rho, lam0, "finite-section")
 
 
 def _commutator_radii(a, b):
@@ -240,8 +239,7 @@ def _random_pairs(rng, count):
     for m, i, k in ((a, np.arange(0, 6, 2), [0, 1, 2]), (b, np.arange(1, 5, 2), [4, 5])):
         c, s = cos[:, k], sin[:, k]
         m[:, i, i], m[:, i, i + 1], m[:, i + 1, i], m[:, i + 1, i + 1] = c, s, s, -c
-    if np.max(involution_error(pairs)) > 1e-12:
-        raise ValueError("pair member is not an involution at 1e-12")
+    check_involutions(pairs)
     return a, b
 
 

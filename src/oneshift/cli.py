@@ -171,8 +171,8 @@ def cmd_rho(args):
         closed, exclusion = closed_forms(fam)
         rep = analysis.rho_numeric(fam, even_order(args.n), exclusion=exclusion)
         payload = {
-            "rho_low": fmt(rep.rho_low),
-            "rho_high": fmt(rep.rho_high),
+            "rho_low": fmt(rep.rho),
+            "rho_high": fmt(rep.rho),
             "lambda0": fmt(rep.lambda0),
             "branch": rep.branch,
         }

@@ -4,12 +4,13 @@ Everything here is analytic: the commutator spectral-radius formula driven
 by the point of the sum's spectrum whose square is closest to 2, the exact
 limit spectra of constant-angle families, the essential-spectrum intervals
 and the special point c - gamma for two-angle families, the outlier
-equation solver, and the Bell-CHSH combination rule.
+equation solver, and the Bell-CHSH combination rule.  A spectral radius is
+one number (``RhoReport``): each family solved here has a closed form or a
+constant-angle tail, where s = delta and no point c - gamma needs a bound.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 SQRT2 = math.sqrt(2.0)
 # How far a computed eigenvalue of a section of A + B may lie beyond the
@@ -97,22 +98,12 @@ class TwoAngleParams:
 
 @dataclass(frozen=True)
 class RhoReport:
-    """Spectral-radius result; rho_low == rho_high when the value is exact."""
+    """Spectral radius ``rho`` of a commutator: sqrt(l^2 (4 - l^2)) at the
+    point l = ``lambda0`` of the sum's spectrum that the rule ``branch`` chose."""
 
-    rho_low: float
-    rho_high: float
-    lambda0: Optional[float]
+    rho: float
+    lambda0: float
     branch: str
-
-    @property
-    def exact(self):
-        return self.rho_low == self.rho_high
-
-    @property
-    def rho(self):
-        if not self.exact:
-            raise ValueError("only an interval is known; use rho_low/rho_high")
-        return self.rho_high
 
 
 @dataclass(frozen=True)
@@ -243,43 +234,18 @@ def rho_two_constant_angles(omega, theta=None):
     if om <= half_pi:
         if th <= half_pi - om:
             rho = 2.0 * math.sin(th + om)
-            return RhoReport(rho, rho, p.lambda2, "outer-band-edge")
+            return RhoReport(rho, p.lambda2, "outer-band-edge")
         if th <= half_pi + om:
-            return RhoReport(2.0, 2.0, SQRT2, "sqrt2-in-band")
+            return RhoReport(2.0, SQRT2, "sqrt2-in-band")
         rho = 2.0 * abs(math.sin(th - om))
-        return RhoReport(rho, rho, p.lambda1, "inner-band-edge")
+        return RhoReport(rho, p.lambda1, "inner-band-edge")
     if th <= om - half_pi:
         rho = 2.0 * abs(math.sin(th - om))
-        return RhoReport(rho, rho, p.lambda1, "inner-band-edge")
+        return RhoReport(rho, p.lambda1, "inner-band-edge")
     if th <= 3 * half_pi - om:
-        return RhoReport(2.0, 2.0, SQRT2, "sqrt2-in-band")
+        return RhoReport(2.0, SQRT2, "sqrt2-in-band")
     rho = 2.0 * abs(math.sin(th + om))
-    return RhoReport(rho, rho, p.lambda2, "outer-band-edge")
-
-
-def theorem_bounds_general(p, lam):
-    """Spectral-radius bounds from a limit set of a two-angle family.
-
-    Exact whenever sqrt(2) lies in the essential band or the selected point
-    differs from c - gamma.  When the selected point is c - gamma the value
-    may be spurious (the point can come from the reflected symbol only), so
-    a sandwich is returned instead.
-    """
-    if p.lambda1 <= SQRT2 <= p.lambda2:
-        return RhoReport(2.0, 2.0, SQRT2, "sqrt2-in-band")
-    lam0 = select_lambda0(lam)
-    special = p.c - p.gamma
-    if abs(lam0 - special) > 1e-9:
-        rho = rho_from_lambda(lam0)
-        return RhoReport(rho, rho, lam0, "limit-set-point")
-    reduced = lam.without_point(special, 1e-9)
-    lam_star = select_lambda0(reduced)
-    return RhoReport(
-        rho_from_lambda(lam_star),
-        min(2.0, rho_from_lambda(lam0)),
-        lam0,
-        "sandwich-around-special-point",
-    )
+    return RhoReport(rho, p.lambda2, "outer-band-edge")
 
 
 def bell_chsh_rho(rho1, rho2):

@@ -129,14 +129,16 @@ def default_tol(m):
 
 
 def sturm_count(m, x):
-    """Number of eigenvalues of ``m`` strictly less than ``x``.
+    """Number of eigenvalues of ``m`` strictly less than ``x``, in plain Python.
 
     A sequence of shifts gives a list of counts, one each, and sets ``m``
     up once.
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("shift must be finite")
-    return _kernels.sturm_count(m.diag, m.offdiag**2, x)
+    rows = _kernels._rows(m.diag, m.offdiag**2)
+    counts = [_kernels._sturm_count_py(*rows, float(v)) for v in np.atleast_1d(x).tolist()]
+    return counts if np.ndim(x) else counts[0]
 
 
 def sections_eigenvalues_at(ms, idx, tol=None):
@@ -249,12 +251,6 @@ def householder_stack(a):
     return np.diagonal(a, 0, 1, 2).copy(), np.diagonal(a, 1, 1, 2).copy()
 
 
-def householder_tridiagonalize(m):
-    """Reduce a dense symmetric matrix to tridiagonal form by reflections."""
-    d, e = householder_stack(m.entries[None])
-    return TridiagonalSymmetricMatrix(diag=d[0], offdiag=e[0])
-
-
 def dense_sym_eigenvalues(m):
     """Eigenvalues of a dense symmetric matrix via Householder + bisection."""
-    return tridiag_eigenvalues(householder_tridiagonalize(m))
+    return SpectrumSample(values=dense_eigenvalues_at(m.entries[None], np.arange(m.n))[0])

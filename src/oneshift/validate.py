@@ -58,8 +58,8 @@ def run_checks(perturb=False):
     fam = forms.PairFamily.head_omega(math.pi / 2, theta_rational)
     rep = analysis.rho_numeric(fam, 600)
     checks.append(_check("rho-from-isolated-point", math.sqrt(1.5**2 * (4 - 1.5**2)), rep.rho, 5e-4))
-    s = 0.6
-    checks.append(_check("band-edge-rho-value", 1.92, math.sqrt(4 * s * s * (4 - 4 * s * s)), 1e-12))
+    # the band edge 2s of the constant-angle family with s = 0.6
+    checks.append(_check("band-edge-rho-value", 1.92, theory.rho_from_lambda(2 * 0.6), 1e-12))
 
     checks.append(
         _check(

@@ -31,8 +31,9 @@ from oneshift.theory import (
     bell_chsh_rho,
     constant_angle_limit_set,
     outlier_solve_eq4,
+    rho_from_lambda,
     rho_two_constant_angles,
-    theorem_bounds_general,
+    select_lambda0,
     two_angle_essential,
 )
 from oneshift.tridiag import (
@@ -320,9 +321,8 @@ class TestBoundsPipelineConsistency:
             ess = two_angle_essential(p)
             outliers = detect_outliers(spectrum(f, 400), ess, 0.02, spectrum(f, 600))
             lam = LimitSet(intervals=ess.intervals, points=tuple(outliers))
-            rep = theorem_bounds_general(p, lam)
-            assert rep.exact
-            assert abs(rep.rho - rho_two_constant_angles(om, th).rho) < 5e-3
+            rho = rho_from_lambda(select_lambda0(lam))
+            assert abs(rho - rho_two_constant_angles(om, th).rho) < 5e-3
 
     def test_refined_outliers_satisfy_residual(self):
         f_om, f_th = math.pi / 2, RATIONAL_THETA

@@ -230,6 +230,14 @@ OUTPUT_DIGESTS = {
     ("spectrum", "--family", "eq5", "--theta", "1.0", "--n", "100"): (
         "c91c8e855945b1515e92266b340a8307b9740f14c2ebd1ab087b9603d21eb4eb"
     ),
+    # rho_closed and the exclusion of c - gamma
+    ("rho", "--family", "two-constant", "--omega", "0.3", "--theta", "2.0", "--n", "400"): (
+        "4a1d0089f9666becc874285bb4dac956963a9c0f854b156157ee3f9575c4eeff"
+    ),
+    # the eq3 anchor, omega = pi/2 and theta = arccos(-0.8)
+    ("rho", "--family", "eq3", "--omega", "1.5707963267948966", "--theta", "2.498091544796509", "--n", "600"): (
+        "249f97c9d51b982d0649255856db086da142215f58d272b691e890115d58574e"
+    ),
 }
 
 

@@ -10,9 +10,10 @@ from oneshift.forms import (
     PairFamily,
     build_dense_pair,
     build_sum_truncation,
+    check_involutions,
+    involution_error,
     paper_example_3x3,
     rotation_block,
-    validate_involution,
 )
 from oneshift.tridiag import DenseSymmetricMatrix, tridiag_eigenvalues
 
@@ -95,7 +96,7 @@ class TestDensePair:
     def test_involutions_at_tight_tolerance(self):
         p = build_dense_pair(PairFamily.constant(math.pi / 2), 2)
         for m in (p.a, p.b):
-            assert validate_involution(m, 1e-14)
+            assert involution_error(m.entries) <= 1e-14
 
     def test_commutator_radius_bounded(self):
         from oneshift.analysis import rho_commutator_direct
@@ -122,7 +123,7 @@ class TestPaperExample:
 
     def test_b_is_involution(self):
         for x in (0.01, 0.3, 0.99):
-            assert validate_involution(paper_example_3x3(x).b, 1e-14)
+            assert involution_error(paper_example_3x3(x).b.entries) <= 1e-14
 
     def test_uncorrected_offdiagonal_is_not_an_involution(self):
         x = 0.01
@@ -130,7 +131,7 @@ class TestPaperExample:
         b = DenseSymmetricMatrix(
             np.array([[1, 0, 0], [0, 2 * x - 1, off], [0, off, 1 - 2 * x]], dtype=float)
         )
-        assert not validate_involution(b, 1e-6)
+        assert not involution_error(b.entries) <= 1e-6
 
 
 class TestCommutator:
@@ -175,6 +176,14 @@ class TestGeneralPairValidation:
                 a=DenseSymmetricMatrix(np.eye(2)),
                 b=DenseSymmetricMatrix(np.eye(3)),
             )
+
+    def test_check_rejects_a_stack_with_one_non_involution_or_nan(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -1.0])])
+        check_involutions(stack)
+        for bad in (2.0, math.nan):
+            stack[1, 0, 0] = bad
+            with pytest.raises(ValueError, match="not an involution at 1e-12"):
+                check_involutions(stack)
 
 
 class TestAngleSpec:

@@ -16,7 +16,6 @@ from oneshift.theory import (
     rho_from_lambda,
     rho_two_constant_angles,
     select_lambda0,
-    theorem_bounds_general,
     tilde_point,
     two_angle_essential,
     wiener_hopf_outlier_check,
@@ -263,29 +262,6 @@ class TestRhoTwoConstantAngles:
     def test_always_within_tsirelson(self, om, th):
         r = rho_two_constant_angles(om, th)
         assert 0.0 <= r.rho <= 2.0 + 1e-12
-
-
-class TestTheoremBounds:
-    def test_sqrt2_inside_band_is_exact_two(self):
-        p = TwoAngleParams.from_angles(0.5, 1.2)
-        rep = theorem_bounds_general(p, two_angle_essential(p))
-        assert rep.exact and rep.rho == 2.0
-
-    def test_band_edge_exact(self):
-        p = TwoAngleParams.from_angles(0.3, 0.4)
-        rep = theorem_bounds_general(p, two_angle_essential(p))
-        assert rep.exact
-        assert abs(rep.rho - rho_from_lambda(p.lambda2)) < 1e-15
-
-    def test_special_point_gives_sandwich(self):
-        p = TwoAngleParams.from_angles(0.3, 2.0)
-        special = p.c - p.gamma
-        lam = LimitSet(intervals=two_angle_essential(p).intervals, points=(special,))
-        rep = theorem_bounds_general(p, lam)
-        assert not rep.exact
-        assert abs(rep.rho_low - rho_from_lambda(p.lambda1)) < 1e-12
-        assert abs(rep.rho_high - min(2.0, rho_from_lambda(special))) < 1e-12
-        assert rep.rho_low <= rep.rho_high
 
 
 class TestBellChsh:

@@ -3,11 +3,12 @@
 ``bisect_sections`` finds, for each of B symmetric tridiagonal sections of
 one order, the eigenvalues whose ascending (0-based) indices are listed in
 ``idx``; the full spectrum is the case ``idx = arange(n)``, and one section
-is the case B = 1.  ``bisect_rows`` solves lanes from each section's rows
-alone, for callers that never build a section at its full order.  These
-two are the bisection entry points.  Every (section, index) lane runs its
-section's fixed number of halvings, so an eigenvalue comes out bitwise the
-same whichever other sections and indices are solved with it.
+is the case B = 1.  ``bisect_rows`` solves indices of one section from
+its rows alone, for callers that never build the section at its full
+order.  These two are the bisection entry points.  Every (section, index)
+lane runs its section's fixed number of halvings, so an eigenvalue comes
+out bitwise the same whichever other sections and indices are solved with
+it.
 
 A certificate settles most eigenvalues without bisecting them.  A guess
 walks the bisection tree to a leaf; two Sturm counts at the leaf's ends
@@ -25,16 +26,16 @@ bisected as before.
 
 ``bisect_sections`` picks the path in one pass of three stages.  Above
 ``PY_MAX_INDICES`` lanes the dense or in-band guesses are certified in
-lockstep (``_certify``).  At most ``PY_MAX_INDICES`` lanes left are
-settled from dense or exterior guesses with plain-Python counts
-(``_settle``) and the rest bisect in plain Python (``bisect_rows``, which
-needs only each section's rows), else they bisect in lockstep numpy
-arrays.  The plain-Python Sturm count stops walking a periodic tail once
-a period gives back its starting pivot and counts the remaining periods
-at once, which makes counts outside the bands cheap.
-The lockstep count walks every row, in four array passes a tail row.  A
-repeated pivot repeats every later step, so both paths give bit-identical
-output.
+lockstep (``_certify``).  At most ``PY_MAX_INDICES`` lanes left go to
+``bisect_rows``, one call for each section that has any: plain-Python
+counts settle those that dense or exterior guesses place (``_settle``),
+and the rest bisect in plain Python (``_bisect_py``).  More lanes left
+bisect in lockstep numpy arrays.  The plain-Python Sturm count stops
+walking a periodic tail once a period gives back its starting pivot and
+counts the remaining periods at once, which makes counts outside the bands
+cheap.  The lockstep count walks every row, in four array passes a tail
+row.  A repeated pivot repeats every later step, so both paths give
+bit-identical output.
 """
 
 import functools
@@ -159,39 +160,34 @@ def _sturm_count_py(d0, head, tail, tail_len, x):
     return count
 
 
-def _bisect_py(rows, lo, hi, steps, lanes):
-    """Plain-Python bisection of each (section, index) pair of ``lanes``, one at a time.
-
-    ``rows`` maps each section to its ``_rows``.
-    """
-    out = np.empty(len(lanes))
-    for i, (b, j) in enumerate(lanes):
-        row, lo_j, hi_j = rows[b], lo[b], hi[b]
-        for _ in range(steps[b]):
+def _bisect_py(rows, lo, hi, steps, js):
+    """Plain-Python bisection of each index of ``js`` of one section, one at
+    a time; ``rows`` is its ``_rows``."""
+    out = []
+    for j in js:
+        lo_j, hi_j = lo, hi
+        for _ in range(steps):
             mid = 0.5 * (lo_j + hi_j)
-            if _sturm_count_py(*row, mid) >= j + 1:
+            if _sturm_count_py(*rows, mid) >= j + 1:
                 hi_j = mid
             else:
                 lo_j = mid
-        out[i] = 0.5 * (lo_j + hi_j)
+        out.append(0.5 * (lo_j + hi_j))
     return out
 
 
-def _exterior_guesses(rows, lo, hi, steps, lanes, counts):
-    """``_tail.exterior_guess`` of each lane, None where its section has no
-    gaps; each such section's count, cached by shift, goes into ``counts``."""
-    guesses, sections = [], {}
-    for b, j in lanes:
-        if b not in sections:
-            e = math.frexp(max(abs(lo[b]), abs(hi[b])))[1]
-            gaps = _tail.gaps(rows[b], e, lo[b], hi[b])
-            # the scaled rows and functools.cache cost a few microseconds
-            # to set up, which a section with no gaps skips
-            if gaps:
-                counts[b] = functools.cache(functools.partial(_sturm_count_py, *rows[b]))
-            sections[b] = gaps and (_tail.scaled(rows[b], e), e, gaps, counts[b])
-        guesses.append(_tail.exterior_guess(*sections[b], lo[b], hi[b], steps[b], j) if sections[b] else None)
-    return guesses
+def _exterior_guesses(rows, lo, hi, steps, js):
+    """``_tail.exterior_guess`` of each index of ``js`` of one section and
+    the count by shift that they cached, or all None and no count where the
+    section has no gaps."""
+    e = math.frexp(max(abs(lo), abs(hi)))[1]
+    gaps = _tail.gaps(rows, e, lo, hi) if js else []
+    # the gaps (4-6 us at n = 1000), functools.cache (5 us) and the scaled
+    # rows (2 us) are skipped by a section with no gaps or no index asked for
+    if not gaps:
+        return [None] * len(js), None
+    count, unit = functools.cache(functools.partial(_sturm_count_py, *rows)), _tail.scaled(rows, e)
+    return [_tail.exterior_guess(unit, e, gaps, count, lo, hi, steps, j) for j in js], count
 
 
 def _dense_guesses(diag, off2):
@@ -202,58 +198,55 @@ def _dense_guesses(diag, off2):
     return np.linalg.eigvalsh(a, UPLO="L")
 
 
-def _settle(rows, lo, hi, steps, lanes, guesses, counts):
-    """The value of each lane that its guess certifies, else None.
+def _settle(rows, lo, hi, steps, js, guesses, count):
+    """The value of each index of ``js`` of one section that its guess
+    certifies, else None.
 
-    A guess walks the lane's bisection tree to a leaf [l, h], and plain
-    Python counts at its ends settle the lane by the leaf argument of
-    ``_certify``.  An end still at its bound is counted as bisection takes
-    it, 0 at lo and n at hi, which settles an eigenvalue on a Gershgorin
-    bound and, with no guess needed, every lane of a section that takes no
-    step.  Such an end was moved by no step, or by midpoints that rounded
-    onto the bound; in the latter case the leaf's midpoint is the bound
-    too, and so is the value bisection gives, whichever way its count turns
-    there.  A leaf that puts its index to one side is followed by the next
-    leaf on that side, once.  ``counts`` holds cached counts of some
-    sections; the rest count from ``rows``.
+    A guess walks the index's bisection tree to a leaf [l, h], and plain
+    Python counts at its ends (``count``, on ``rows``) settle the index by
+    the leaf argument of ``_certify``.  An end still at its bound is
+    counted as bisection takes it, 0 at lo and n at hi, which settles an
+    eigenvalue on a Gershgorin bound and, with no guess needed, every index
+    of a section that takes no step.  Such an end was moved by no step, or
+    by midpoints that rounded onto the bound; in the latter case the leaf's
+    midpoint is the bound too, and so is the value bisection gives,
+    whichever way its count turns there.  A leaf that puts its index to one
+    side is followed by the next leaf on that side, once.
     """
-    values = [None] * len(lanes)
-    for i, ((b, j), guess) in enumerate(zip(lanes, guesses)):
-        row, s = rows[b], steps[b]
-        if s and (guess is None or guess != guess):
+    values, n = [None] * len(js), 1 + len(rows[1]) + rows[3]
+    for i, (j, guess) in enumerate(zip(js, guesses)):
+        if steps and (guess is None or guess != guess):
             continue
-        count, n = counts.get(b) or functools.partial(_sturm_count_py, *row), 1 + len(row[1]) + row[3]
         for _ in range(2):
-            l, h = lo[b], hi[b]
-            for _ in range(s):
+            l, h = lo, hi
+            for _ in range(steps):
                 mid = 0.5 * (l + h)
                 if guess < mid:
                     h = mid
                 else:
                     l = mid
-            below, above = 0 if l == lo[b] else count(l), n if h == hi[b] else count(h)
+            below, above = 0 if l == lo else count(l), n if h == hi else count(h)
             if below <= j < above:
                 values[i] = 0.5 * (l + h)
                 break
-            guess += (hi[b] - lo[b]) * 0.5**s * (1.0 if above <= j else -1.0)
+            guess += (hi - lo) * 0.5**steps * (1.0 if above <= j else -1.0)
     return values
 
 
-def bisect_rows(rows, lo, hi, steps, lanes, guesses=None):
-    """Eigenvalue of each (section, index) pair of ``lanes``, in plain Python.
+def bisect_rows(rows, lo, hi, steps, js, guesses=None):
+    """Eigenvalues at the indices ``js`` of one section, in plain Python.
 
-    ``rows`` maps each section to its ``_rows`` and the lists ``lo``, ``hi``
-    and ``steps`` give its bisection bounds and steps, so no section need
-    be built at its full order.  ``_settle`` settles the lanes that their
-    ``guesses`` place, by default each lane's ``_tail.exterior_guess``, and
-    the rest bisect (``_bisect_py``); each value is bitwise that of plain
-    bisection.
+    ``rows`` is the section's ``_rows``, and ``lo``, ``hi`` and ``steps``
+    its bisection bounds and steps, so the section need not be built at its
+    full order.  ``_settle`` settles the indices that their ``guesses``
+    place, by default each index's ``_tail.exterior_guess``, and the rest
+    bisect (``_bisect_py``); each value is bitwise that of plain bisection.
     """
-    counts = {}
+    count = None
     if guesses is None:
-        guesses = _exterior_guesses(rows, lo, hi, steps, lanes, counts)
-    values = _settle(rows, lo, hi, steps, lanes, guesses, counts)
-    rest = iter(_bisect_py(rows, lo, hi, steps, [lane for lane, v in zip(lanes, values) if v is None]).tolist())
+        guesses, count = _exterior_guesses(rows, lo, hi, steps, js)
+    values = _settle(rows, lo, hi, steps, js, guesses, count or functools.partial(_sturm_count_py, *rows))
+    rest = iter(_bisect_py(rows, lo, hi, steps, [j for j, v in zip(js, values) if v is None]))
     return [next(rest) if v is None else v for v in values]
 
 
@@ -435,9 +428,10 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     the batch, once, tail or no tail; elsewhere each section's tail does.
     The rest goes by the number of lanes.  Above ``PY_MAX_INDICES`` lanes,
     ``_certify`` settles in lockstep what the dense or in-band guesses
-    place.  If at most ``PY_MAX_INDICES`` lanes are left, ``bisect_rows``
-    settles those that a dense or exterior guess places and bisects the
-    rest in plain Python, each section's rows built once for both.  More
+    place.  If at most ``PY_MAX_INDICES`` lanes are left, they are split
+    at section boundaries, and ``bisect_rows`` settles each section's
+    lanes that a dense or exterior guess places and bisects the rest in
+    plain Python, from rows built once for both.  More
     bisect in lockstep, each section's indices padded to a common count
     with its last one, in chunks of about ``MAX_LANES`` lanes.  Each value
     is bitwise that of plain bisection.
@@ -456,13 +450,15 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     if out.size > PY_MAX_INDICES:
         _certify(diag, off2, lo, hi, steps, idx, out, dense)
     sec, col = np.nonzero(np.isnan(out))
+    # each section's first lane; a 1-d prepend skips np.broadcast_to, half the cost
+    first = np.flatnonzero(np.diff(sec, prepend=[-1]))
     if sec.size <= PY_MAX_INDICES:
-        rows = {b: _rows(diag[b], off2[b]) for b in set(sec.tolist())}
-        lanes = list(zip(sec.tolist(), idx[col].tolist()))
+        js, bounds = idx[col].tolist(), [*zip(lo.tolist(), hi.tolist(), steps.tolist())]
         guesses = None if dense is None else dense[sec, col].tolist()
-        out[sec, col] = bisect_rows(rows, lo.tolist(), hi.tolist(), steps.tolist(), lanes, guesses)
+        for a, z in zip(first.tolist(), [*first[1:].tolist(), sec.size]):
+            b = sec[a]
+            out[b, col[a:z]] = bisect_rows(_rows(diag[b], off2[b]), *bounds[b], js[a:z], guesses and guesses[a:z])
         return out
-    first = np.flatnonzero(np.diff(sec, prepend=-1))
     rows, count = sec[first], np.diff(first, append=sec.size)
     rank = np.repeat(np.arange(rows.size), count)
     slot = np.arange(sec.size) - first[rank]

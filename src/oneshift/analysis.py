@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .forms import build_sum_truncation, check_involutions
+from .forms import build_pair_stacks, build_sum_truncation
 from .theory import (
     LimitSet,
     RhoReport,
@@ -141,8 +141,7 @@ def _exterior_values(section, ess, dist):
     counts = [0, *counts, 1 + len(rows[1]) + rows[3]]
     # the stretches overlap only when dist < tol
     idx = sorted({j for a, b in zip(counts[::2], counts[1::2]) for j in range(a, b)})
-    steps = [_kernels.halvings(lo, hi, tol)]
-    return _kernels.bisect_rows({0: rows}, [lo], [hi], steps, [(0, j) for j in idx])
+    return _kernels.bisect_rows(rows, lo, hi, _kernels.halvings(lo, hi, tol), idx)
 
 
 def family_params(f):
@@ -226,21 +225,12 @@ class Lcg:
 def _random_pairs(rng, count):
     """``count`` random order-6 involution pairs as two (count, 6, 6) stacks.
 
-    Each pair is ``build_dense_pair(f, 3)``, entry for entry, of the family f
-    of its seven draws (see ``tsirelson_suite``), with cosines and sines from
-    ``math`` as there; the omega and theta tails lie beyond order 6.
+    Each pair is ``build_pair_stacks`` of its seven draws (see
+    ``tsirelson_suite``), as ``build_dense_pair(f, 3)`` of the family f
+    they make; the omega and theta tails lie beyond order 6.
     """
-    angles = [rng.angle() for _ in range(7 * count)]
-    cos = np.array([math.cos(t) for t in angles]).reshape(count, 7)
-    sin = np.array([math.sin(t) for t in angles]).reshape(count, 7)
-    pairs = np.zeros((2, count, 6, 6))
-    a, b = pairs
-    b[:, 0, 0], b[:, 5, 5] = 1.0, -1.0
-    for m, i, k in ((a, np.arange(0, 6, 2), [0, 1, 2]), (b, np.arange(1, 5, 2), [4, 5])):
-        c, s = cos[:, k], sin[:, k]
-        m[:, i, i], m[:, i, i + 1], m[:, i + 1, i], m[:, i + 1, i + 1] = c, s, s, -c
-    check_involutions(pairs)
-    return a, b
+    angles = np.array([rng.angle() for _ in range(7 * count)]).reshape(count, 7)
+    return build_pair_stacks(angles[:, :3], angles[:, 4:6])
 
 
 def tsirelson_suite(seed, trials):

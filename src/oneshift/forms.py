@@ -4,6 +4,9 @@ A pair is two block-diagonal involutions: the first is built from 2x2
 rotation-reflection blocks r(omega_j), the second from a leading scalar 1
 followed by blocks r(theta_j).  The offset of one index makes the sum a
 tridiagonal matrix, which is what the finite-section machinery consumes.
+``build_sum_truncation`` builds a section of that sum; ``build_pair_stacks``
+builds finite pairs themselves, as stacks of any number of pairs, and
+``build_dense_pair`` is its case of one family's pair.
 """
 
 import math
@@ -128,24 +131,36 @@ def build_sum_truncation(f, n):
     return TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
 
 
-def build_dense_pair(f, m):
-    """Exact finite involution pair with m blocks in A (order 2m).
+def build_pair_stacks(omega, theta):
+    """A and B of a batch of exact involution pairs, as two (count, 2m, 2m) stacks.
 
-    B keeps the leading scalar 1 and m-1 full blocks; the trailing scalar is
-    fixed to -1 so both matrices are involutions of equal order.
+    Row b of ``omega`` holds the m angles of pair b's A = diag(r(omega_1),
+    ..., r(omega_m)), and row b of ``theta`` the m - 1 angles of its B =
+    diag(1, r(theta_1), ..., r(theta_{m-1}), -1), with r as
+    ``rotation_block`` builds it, cosines and sines from ``math``.  The
+    trailing scalar -1 makes B an involution of A's order.
     """
+    omega, theta = np.array(omega, dtype=np.float64), np.array(theta, dtype=np.float64)
+    count, m = omega.shape
+    pairs = np.zeros((2, count, 2 * m, 2 * m))
+    a, b = pairs
+    b[:, 0, 0], b[:, -1, -1] = 1.0, -1.0
+    for stack, angles, first in ((a, omega, 0), (b, theta, 1)):
+        i = np.arange(first, first + 2 * angles.shape[1], 2)
+        c = np.array([math.cos(t) for t in angles.ravel().tolist()]).reshape(angles.shape)
+        s = np.array([math.sin(t) for t in angles.ravel().tolist()]).reshape(angles.shape)
+        stack[:, i, i], stack[:, i, i + 1], stack[:, i + 1, i], stack[:, i + 1, i + 1] = c, s, s, -c
+    check_involutions(pairs)
+    return a, b
+
+
+def build_dense_pair(f, m):
+    """Exact finite involution pair with m blocks in A (order 2m), the
+    family's first angles in ``build_pair_stacks``."""
     if m < 1:
         raise ValueError("block count must be >= 1")
-    order = 2 * m
-    a = np.zeros((order, order))
-    for k in range(m):
-        a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rotation_block(f.omega.angle(k + 1))
-    b = np.zeros((order, order))
-    b[0, 0] = 1.0
-    for k in range(m - 1):
-        b[2 * k + 1 : 2 * k + 3, 2 * k + 1 : 2 * k + 3] = rotation_block(f.theta.angle(k + 1))
-    b[order - 1, order - 1] = -1.0
-    return GeneralPair(a=DenseSymmetricMatrix(a), b=DenseSymmetricMatrix(b))
+    a, b = build_pair_stacks(f.omega.sequence(m)[None], f.theta.sequence(m - 1)[None])
+    return GeneralPair(a=DenseSymmetricMatrix(a[0]), b=DenseSymmetricMatrix(b[0]))
 
 
 def paper_example_3x3(x):

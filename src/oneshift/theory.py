@@ -225,27 +225,22 @@ def rho_two_constant_angles(omega, theta=None):
 
     Accepts either two angles or a ready TwoAngleParams.  Piecewise in
     theta with a plateau of width 2*min(omega, pi - omega) around pi/2.
-    The outer branches come from the band edges lambda2 and lambda1;
-    absolute values keep them nonnegative on every subinterval.
+    Off it rho comes from a band edge, lambda2 (outer) or lambda1 (inner);
+    absolute values keep both branches nonnegative on every subinterval.
     """
     p = omega if isinstance(omega, TwoAngleParams) else TwoAngleParams.from_angles(omega, theta)
     om, th = p.omega, p.theta
     half_pi = math.pi / 2
-    if om <= half_pi:
-        if th <= half_pi - om:
-            rho = 2.0 * math.sin(th + om)
-            return RhoReport(rho, p.lambda2, "outer-band-edge")
-        if th <= half_pi + om:
-            return RhoReport(2.0, SQRT2, "sqrt2-in-band")
-        rho = 2.0 * abs(math.sin(th - om))
-        return RhoReport(rho, p.lambda1, "inner-band-edge")
-    if th <= om - half_pi:
-        rho = 2.0 * abs(math.sin(th - om))
-        return RhoReport(rho, p.lambda1, "inner-band-edge")
-    if th <= 3 * half_pi - om:
+    outer = (2.0 * abs(math.sin(th + om)), p.lambda2, "outer-band-edge")
+    inner = (2.0 * abs(math.sin(th - om)), p.lambda1, "inner-band-edge")
+    # rho(pi - omega, pi - theta) = rho(omega, theta), so the edge below the
+    # plateau for one omega lies above it for the other
+    below, above = (outer, inner) if om <= half_pi else (inner, outer)
+    if th <= abs(half_pi - om):
+        return RhoReport(*below)
+    if th <= (half_pi + om if om <= half_pi else 3 * half_pi - om):
         return RhoReport(2.0, SQRT2, "sqrt2-in-band")
-    rho = 2.0 * abs(math.sin(th + om))
-    return RhoReport(rho, p.lambda2, "outer-band-edge")
+    return RhoReport(*above)
 
 
 def bell_chsh_rho(rho1, rho2):

@@ -283,6 +283,12 @@ class TestTsirelson:
         best = max(bell_chsh_rho(r1, r2) for r1, r2 in zip(radii[::2], radii[1::2]))
         assert tsirelson_suite(seed, trials).hex() == best.hex()
 
+    @pytest.mark.parametrize(
+        "trials, best", [(50, "0x1.692aca1ebf4a4p+1"), (500, "0x1.6a05514faadf9p+1")], ids=["validate", "criterion-7"]
+    )
+    def test_suite_is_pinned(self, trials, best):
+        assert tsirelson_suite(20260824, trials).hex() == best
+
     @pytest.mark.parametrize("seed", [20260824, 99, 0])
     def test_stacked_pairs_equal_dense_pairs(self, seed):
         a, b = analysis._random_pairs(Lcg(seed), 40)

@@ -238,13 +238,47 @@ OUTPUT_DIGESTS = {
     ("rho", "--family", "eq3", "--omega", "1.5707963267948966", "--theta", "2.498091544796509", "--n", "600"): (
         "249f97c9d51b982d0649255856db086da142215f58d272b691e890115d58574e"
     ),
+    # 31 lambda_max lanes through the plain-Python stage
+    ("figure", "2", "--panel", "left"): "1dca84aa28529520a24f5613ca66372e809d6226a050ab1cf23ca6dfa9003c42",
+    # dense guesses of 31 sections of order 10
+    ("figure", "1", "--panel", "left"): "87a40689f14927e80a817ed41ef305ac20a6529e6b4abcfda1ef0b76323c03b1",
+    # rho_closed on both sides of the plateau, and the exclusion
+    ("sweep", "--family", "two-constant", "--omega", "0.3", "--theta", "0.2:0.2:3.0", "--n", "200", "--mode", "rho"): (
+        "a11a968b9aff831663b881a1c213c1a461bb7588520e1c38e6f6ecd5d7093fe9"
+    ),
+    ("sweep", "--family", "eq5", "--theta", "0.2:0.2:3.0", "--n", "200", "--mode", "rho"): (
+        "1bb3046b10c702f4a18b6375d547abc55c4a291be3c384d71d229ba5c214f62f"
+    ),
+    # {pair} is PAIR_FILE, written by the test
+    ("spectrum", "--family", "general-file", "--input", "{pair}"): (
+        "ab964ff3a9647ee9e1a860e1988c02585fde085bdc7892b93654a5e52c6b9e3e"
+    ),
+    ("rho", "--family", "general-file", "--input", "{pair}"): (
+        "ed28b52905fe825d04a1d5230d7964e2fe35c9a9e2d3bc4631a485e44f19a6af"
+    ),
+    ("validate",): "bacce857b956201f4216f549f8d62993d8b27583b8dbd1c84b4730c56578a758",
 }
+
+# A = diag(r(0.7), r(1.9)) and B = diag(1, r(1.2), -1), entries written with repr
+PAIR_FILE = (
+    "4\n"
+    "0.7648421872844885 0.644217687237691 0.0 0.0\n"
+    "0.644217687237691 -0.7648421872844885 0.0 0.0\n"
+    "0.0 0.0 -0.32328956686350335 0.9463000876874145\n"
+    "0.0 0.0 0.9463000876874145 0.32328956686350335\n"
+    "\n"
+    "1.0 0.0 0.0 0.0\n"
+    "0.0 0.3623577544766736 0.9320390859672263 0.0\n"
+    "0.0 0.9320390859672263 -0.3623577544766736 0.0\n"
+    "0.0 0.0 0.0 -1.0\n"
+)
 
 
 @pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS), ids=" ".join)
 def test_output_bytes_are_pinned(tmp_path, argv):
-    out = tmp_path / "out.csv"
-    assert run([*argv, "--out", str(out)]) == 0
+    out, pair = tmp_path / "out.csv", tmp_path / "pair.txt"
+    pair.write_text(PAIR_FILE)
+    assert run([*(a.replace("{pair}", str(pair)) for a in argv), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_DIGESTS[argv]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from oneshift.forms import (
     GeneralPair,
     PairFamily,
     build_dense_pair,
+    build_pair_stacks,
     build_sum_truncation,
     check_involutions,
     involution_error,
@@ -87,6 +89,25 @@ class TestSumTruncation:
         assert np.allclose(vals, [0.0] * 9 + [2.0], atol=1e-12)
 
 
+def block_loop_pair(f, m):
+    """Reference A and B of ``build_dense_pair(f, m)``, placed block by
+    block with ``rotation_block``."""
+    a = np.zeros((2 * m, 2 * m))
+    for k in range(m):
+        a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rotation_block(f.omega.angle(k + 1))
+    b = np.zeros((2 * m, 2 * m))
+    b[0, 0], b[-1, -1] = 1.0, -1.0
+    for k in range(m - 1):
+        b[2 * k + 1 : 2 * k + 3, 2 * k + 1 : 2 * k + 3] = rotation_block(f.theta.angle(k + 1))
+    return a, b
+
+
+DENSE_PAIR_FAMILIES = [
+    PairFamily.constant(math.pi / 3),
+    PairFamily(AngleSpec((0.3, 2.1), 1.4), AngleSpec((0.9,), 1.4)),
+]
+
+
 class TestDensePair:
     def test_single_block(self):
         p = build_dense_pair(PairFamily.constant(0.8), 1)
@@ -103,6 +124,31 @@ class TestDensePair:
 
         p = build_dense_pair(PairFamily.constant(math.pi / 3), 50)
         assert rho_commutator_direct(p) <= 2.0 + 1e-9
+
+    def test_entries_are_pinned(self):
+        # SHA-256 of the entries of both families at m = 1, 3, 5 and 50
+        h = hashlib.sha256()
+        for m in (1, 3, 5, 50):
+            for f in DENSE_PAIR_FAMILIES:
+                p = build_dense_pair(f, m)
+                h.update(p.a.entries.tobytes())
+                h.update(p.b.entries.tobytes())
+        assert h.hexdigest() == "053d6dcea2fd753cf8c2fbb64ac0b79baf4654c304d12570cbd3344e2fe4a08b"
+
+    def test_stack_rows_equal_the_block_loop_bitwise(self):
+        fams = [
+            PairFamily(AngleSpec((0.2 * k, 0.3), 1.0 + 0.1 * k), AngleSpec((2.0,), 0.5 + 0.2 * k)) for k in range(1, 5)
+        ]
+        a, b = build_pair_stacks([f.omega.sequence(4) for f in fams], [f.theta.sequence(3) for f in fams])
+        assert a.shape == b.shape == (4, 8, 8)
+        for k, f in enumerate(fams):
+            want_a, want_b = block_loop_pair(f, 4)
+            assert a[k].tobytes() == want_a.tobytes()
+            assert b[k].tobytes() == want_b.tobytes()
+
+    def test_stack_of_non_involutions_is_rejected(self):
+        with pytest.raises(ValueError, match="involution"):
+            build_pair_stacks([[0.5, math.nan]], [[1.0]])
 
 
 class TestPaperExample:

@@ -2,8 +2,9 @@
 
 Every solve goes through ``sections_eigenvalues_at`` and the kernel entry
 point ``_kernels.bisect_sections``, or, for ``rho_numeric``'s sections
-given as rows, through its plain-Python stage ``bisect_rows``.  A solve restricted to some indices must
-give exactly the values the full solve gives there; a lockstep solve of many
+given as rows, through its plain-Python stage ``bisect_rows``, one section
+a call.  A solve restricted to some indices must give exactly the values
+the full solve gives there; a lockstep solve of many
 sections must give exactly the values of each section solved alone; the
 plain-Python bisection must match the vectorized numpy one, also on either
 side of ``PY_MAX_INDICES`` lanes, where ``bisect_sections`` switches from
@@ -115,10 +116,10 @@ TINY_OFFDIAGONAL = TridiagonalSymmetricMatrix(
 def test_python_loop_equals_numpy_loop_bitwise(case):
     m, idx = case
     diag, off2, lo, hi, steps = kernel_args(m)
-    rows = {0: _kernels._rows(diag[0], off2[0])}
-    py = _kernels._bisect_py(rows, lo.tolist(), hi.tolist(), steps.tolist(), [(0, j) for j in idx.tolist()])
+    rows = _kernels._rows(diag[0], off2[0])
+    py = _kernels._bisect_py(rows, lo[0].item(), hi[0].item(), steps[0].item(), idx.tolist())
     vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx[None])[0]
-    assert py.tobytes() == vec.tobytes()
+    assert np.array(py).tobytes() == vec.tobytes()
     shifts = np.linspace(lo[0] - 1.0, hi[0] + 1.0, 9)
     scalar = [_kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x)) for x in shifts]
     assert scalar == _kernels._sturm_counts_np(diag, off2, shifts[None])[0].tolist()
@@ -545,8 +546,8 @@ def plain_bisection(ms, idx, tol=None):
     tols = [default_tol(m) if tol is None else tol for m in ms]
     steps = np.array([_kernels.halvings(*b) for b in zip(lo, hi, tols)])
     if len(ms) == 1 and ms[0].n >= 2000:
-        rows = {0: _kernels._rows(diag[0], off2[0])}
-        return _kernels._bisect_py(rows, lo.tolist(), hi.tolist(), steps.tolist(), [(0, j) for j in idx.tolist()])[None]
+        rows = _kernels._rows(diag[0], off2[0])
+        return np.array(_kernels._bisect_py(rows, lo[0].item(), hi[0].item(), steps[0].item(), idx.tolist()))[None]
     return _kernels._bisect_np(diag, off2, lo, hi, steps, np.broadcast_to(idx, (len(ms), idx.size)))
 
 
@@ -732,7 +733,8 @@ def bisected_lanes(monkeypatch):
 
         return run
 
-    # the lanes are a list of pairs for _bisect_py and an index array for _bisect_np
+    # the lanes are a list of one section's indices for _bisect_py and an
+    # index array for _bisect_np
     for kernel, lanes in (("_bisect_py", len), ("_bisect_np", np.size)):
         monkeypatch.setattr(_kernels, kernel, counted(getattr(_kernels, kernel), lanes))
     return bisected
@@ -776,7 +778,7 @@ BELOW_LO = TridiagonalSymmetricMatrix(diag=np.array([0.1, 0.1]), offdiag=np.arra
 def test_dense_batch_takes_one_solve_and_settles_in_lockstep(monkeypatch, ms):
     # a batch's dense guesses are solved once; the lockstep leaves settle
     # every lane, those on the Gershgorin bounds included (the 3x3's 2.0 at
-    # hi, BELOW_LO's lower eigenvalue at lo), and leave none to the
+    # hi, BELOW_LO's lower eigenvalue at lo), and leave no section to the
     # plain-Python leaves
     calls, settled = [], []
     dense, settle = _kernels._dense_guesses, _kernels._settle
@@ -785,7 +787,7 @@ def test_dense_batch_takes_one_solve_and_settles_in_lockstep(monkeypatch, ms):
     bisected = bisected_lanes(monkeypatch)
     idx = np.arange(ms[0].n)
     values = sections_eigenvalues_at(ms, idx)
-    assert calls == [len(ms)] and settled == [0] and sum(bisected) == 0
+    assert calls == [len(ms)] and settled == [] and sum(bisected) == 0
     assert values.tobytes() == plain_bisection(ms, idx).tobytes()
 
 
@@ -801,12 +803,13 @@ def test_family_spectra_up_to_order_64_bisect_no_lane(monkeypatch, ms):
 
 
 def test_threshold_batches_bisect_in_python_and_in_lockstep(monkeypatch):
-    # one lane more than PY_MAX_INDICES moves bisection from Python to numpy
+    # one lane more than PY_MAX_INDICES moves bisection from Python, one
+    # section a call, to one lockstep numpy call
     bisected = bisected_lanes(monkeypatch)
     sections_eigenvalues_at(THRESHOLD_SECTIONS[:THRESHOLD], THRESHOLD_INDEX)
-    assert bisected == [THRESHOLD]
+    assert bisected == [1] * THRESHOLD
     sections_eigenvalues_at(THRESHOLD_SECTIONS, THRESHOLD_INDEX)
-    assert bisected == [THRESHOLD, THRESHOLD + 1]
+    assert bisected == [1] * THRESHOLD + [THRESHOLD + 1]
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -837,7 +840,7 @@ def test_rho_numeric_builds_short_sections_and_solves_each_once(monkeypatch, nam
     builds, lockstep, solved = [], [], []
     build, solve = analysis.build_sum_truncation, _kernels.bisect_rows
     monkeypatch.setattr(analysis, "build_sum_truncation", lambda f, k: builds.append(k) or build(f, k))
-    monkeypatch.setattr(_kernels, "bisect_rows", lambda rows, *a: solved.append(1 + len(rows[0][1]) + rows[0][3]) or solve(rows, *a))
+    monkeypatch.setattr(_kernels, "bisect_rows", lambda rows, *a: solved.append(1 + len(rows[1]) + rows[3]) or solve(rows, *a))
     for kernel in ("_certify", "_settle_leaves", "_sturm_counts_np", "_bisect_np", "_dense_guesses"):
         monkeypatch.setattr(_kernels, kernel, lambda *args, kernel=kernel: lockstep.append(kernel))
     rho_numeric(f, 2000)

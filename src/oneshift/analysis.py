@@ -7,10 +7,8 @@ exclusion rule, and the Bell-CHSH bound stress suite.
 
 import math
 
-import numpy as np
-
-from . import _kernels
-from .forms import build_pair_stacks, build_sum_truncation
+from . import _kernels, lazy_import
+from .forms import build_pair_stacks, short_order, sum_entries
 from .theory import (
     LimitSet,
     RhoReport,
@@ -20,7 +18,9 @@ from .theory import (
     select_lambda0,
     two_angle_essential,
 )
-from .tridiag import SpectrumSample, default_tol, dense_eigenvalues_at
+from .tridiag import SpectrumSample, _bounds_tol, _list_gershgorin, dense_eigenvalues_at
+
+np = lazy_import("numpy")
 
 OUTLIER_MARGIN = 0.02
 OUTLIER_ORDER_STEP = 200
@@ -80,18 +80,18 @@ def detect_outliers(s, ess, margin, s_next):
         raise ValueError("margin must be positive")
     if s_next.order <= s.order:
         raise ValueError("s_next must come from a strictly larger order")
-    return _stabilized(s.values, ess, margin, s_next.values)
+    return _stabilized(s.values, ess, margin, s_next.values.tolist())
 
 
 def _stabilized(values, ess, margin, nxt):
-    # the filter of detect_outliers on sorted values; ``nxt`` needs to hold
-    # only the next-order eigenvalues that can lie within margin/10 of one
-    # of them, and may then be empty
+    # the filter of detect_outliers on sorted values; the list ``nxt`` needs
+    # to hold only the next-order eigenvalues that can lie within margin/10
+    # of one of them, and may then be empty
     out = []
     for v in values:
         if ess.distance(v) <= margin:
             continue
-        if nxt.size and np.min(np.abs(nxt - v)) < margin / 10.0:
+        if nxt and min(abs(x - v) for x in nxt) < margin / 10.0:
             if not out or abs(v - out[-1]) > 1e-9:
                 out.append(float(v))
     return out
@@ -100,27 +100,20 @@ def _stabilized(values, ess, margin, nxt):
 def _family_sections(f, *orders):
     """(rows, lo, hi, tol) of the family's sections of the even ``orders``.
 
-    The rows are ``_kernels._rows`` of ``build_sum_truncation(f, order)``,
-    and lo, hi and tol its Gershgorin bounds and ``default_tol``, all
-    bitwise, but no section longer than S = 2h + 4 is built, for the longer
-    head h of the family's angles, and each shorter order once.  Row i
-    pairs diagonal entry i with off-diagonal i - 1; head angles reach
-    diagonal 2h and off-diagonal 2h - 1 at most, so rows from 2h + 1 on
-    repeat with period 2.  ``_tail.start`` compares each row with the one
-    two after it, so in every section that holds row 2h + 2 it finds the
-    tail at the same row, at most 2h + 1, with at least two tail rows: a
-    longer section differs only in the length of that tail, which the rows
-    give as a number.  Its Gershgorin discs past row S - 2 are those of the
-    interior tail rows 2h + 1 and 2h + 2 of the order-S section, or inside
-    them (the last row), so they add no new end to the bounds, nor to the
-    tolerance.
+    These are, bitwise, ``_kernels._rows`` of ``build_sum_truncation(f,
+    order)``, its Gershgorin bounds and ``default_tol``, read off entries
+    built in plain Python (``sum_entries``) at order min(order, S), S =
+    ``short_order(f)``, once each.  A longer section repeats the last tail
+    period of that one, which adds nothing to the bounds and only length
+    to the tail of its rows.
     """
-    short, built, out = 2 * max(len(f.omega.head), len(f.theta.head)) + 4, {}, []
+    short, built, out = short_order(f), {}, []
     for order in orders:
         k = min(order, short)
         if k not in built:
-            m = build_sum_truncation(f, k)
-            built[k] = _kernels._rows(m.diag, m.offdiag**2), *m.gershgorin(), default_tol(m)
+            d, e = sum_entries(f, k)
+            lo, hi = _list_gershgorin(d, e)
+            built[k] = _kernels._list_rows(d, [x * x for x in e]), lo, hi, _bounds_tol(lo, hi)
         (d0, head, tail, tail_len), lo, hi, tol = built[k]
         out.append(((d0, head, tail, tail_len + order - k), lo, hi, tol))
     return out
@@ -156,12 +149,11 @@ def rho_numeric(f, n, exclusion=None):
     points are the exterior eigenvalues of the order-n section that
     stabilize at order n+200, as ``detect_outliers`` keeps them, but
     solving only the order-n eigenvalues that can lie outside the band.
-    Both sections are read off one short build (``_family_sections``):
-    they differ from it only in the length of their periodic tail, so their
-    rows, Gershgorin bounds and tolerance are bitwise those of the full
-    builds.  Of the order-(n+200) section only the eigenvalues that can
-    lie within margin/10 of a value beyond the margin, ``OUTLIER_MARGIN``,
-    are solved, which is all the filter reads of it.  Points within 1e-6 of
+    Both sections are read off one short plain-Python build
+    (``_family_sections``), bitwise as if built in full.  Of the
+    order-(n+200) section only the eigenvalues that can lie within
+    margin/10 of a value beyond the margin, ``OUTLIER_MARGIN``, are
+    solved, which is all the filter reads of it.  Points within 1e-6 of
     ``exclusion`` are removed before the selection step.
     """
     if n < 4 or n % 2 != 0:
@@ -172,7 +164,7 @@ def rho_numeric(f, n, exclusion=None):
     v1 = _exterior_values(first, ess, margin)
     # a neighbor within margin/10 of a kept value lies beyond margin - margin/10
     v2 = _exterior_values(second, ess, margin - margin / 10.0)
-    outliers = _stabilized(v1, ess, margin, np.array(v2))
+    outliers = _stabilized(v1, ess, margin, v2)
     lam = LimitSet(intervals=ess.intervals, points=tuple(outliers))
     if exclusion is not None:
         lam = lam.without_point(exclusion, 1e-6)

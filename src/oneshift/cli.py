@@ -10,18 +10,19 @@ import json
 import math
 import sys
 
-import numpy as np
+from . import analysis, forms, lazy_import, theory, tridiag, validate
 
-from . import analysis, forms, theory, tridiag, validate
+np = lazy_import("numpy")
 
 THETA_GRID_DEFAULT = "0.1:0.1:3.1"
 MAX_GRID_POINTS = 10_000
 # Orders are bounded before any array is built.  At this order `rho` (eq3,
-# omega 1.2, theta 0.7) runs in about 0.35 s, and its process peaks at
-# 79 MB RSS, 29 MB of it imports (numpy 2.4, Python 3.11, 2 cores).  A full
-# spectrum counts each in-band eigenvalue twice instead of bisecting it,
-# but that is still about 2*10^12 lockstep Sturm rows: n = 20,000 takes
-# 2.8 s, and the time grows as n^2.  Larger orders end in a memory error.
+# omega 1.2, theta 0.7) builds no array and never loads numpy: its process
+# takes about 0.08 s and peaks at 16 MB RSS, all of it the interpreter and
+# the package's imports (Python 3.11, 2 cores).  A full spectrum counts
+# each in-band eigenvalue twice instead of bisecting it, but that is still
+# about 2*10^12 lockstep Sturm rows: n = 20,000 takes 2.8 s, and the time
+# grows as n^2.  Larger orders end in a memory error.
 MAX_ORDER = 1_000_000
 # `sweep` builds and stacks all its sections before it solves any, at about
 # 31 bytes per section row, so points * order is bounded too: this many
@@ -193,6 +194,9 @@ def _spectrum_lines(fams, thetas, n, with_commutator):
         values, t = row.tolist(), fmt(theta)
         if with_commutator:
             for i, lam in enumerate(values):
+                # theory.rho_from_lambda inline, 30 % cheaper a value: a
+                # bisected eigenvalue is 0 or far above 1e-154, so its square
+                # never underflows
                 mu = math.sqrt(max(0.0, lam * lam * (4.0 - lam * lam)))
                 lines.append(f"{t},{i},{lam:.15g},{mu:.15g}")
         else:

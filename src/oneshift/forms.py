@@ -4,7 +4,8 @@ A pair is two block-diagonal involutions: the first is built from 2x2
 rotation-reflection blocks r(omega_j), the second from a leading scalar 1
 followed by blocks r(theta_j).  The offset of one index makes the sum a
 tridiagonal matrix, which is what the finite-section machinery consumes.
-``build_sum_truncation`` builds a section of that sum; ``build_pair_stacks``
+``sum_entries`` lists the entries of a section of that sum in plain Python,
+and ``build_sum_truncation`` builds the section from them; ``build_pair_stacks``
 builds finite pairs themselves, as stacks of any number of pairs, and
 ``build_dense_pair`` is its case of one family's pair.
 """
@@ -12,9 +13,10 @@ builds finite pairs themselves, as stacks of any number of pairs, and
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import lazy_import
 from .tridiag import DenseSymmetricMatrix, TridiagonalSymmetricMatrix
+
+np = lazy_import("numpy")
 
 
 def _check_angle(eta):
@@ -109,25 +111,46 @@ def check_involutions(a):
         raise ValueError("pair member is not an involution at 1e-12")
 
 
-def build_sum_truncation(f, n):
-    """Top-left n x n corner of the infinite tridiagonal matrix A + B.
+def short_order(f):
+    """2h + 4 for the longer head h of the family's angles: the shortest even
+    order whose section holds the first tail period, diagonal entries 2h + 1
+    and 2h + 2 and off-diagonal ones 2h and 2h + 1, which every longer
+    section repeats with period 2."""
+    return 2 * max(len(f.omega.head), len(f.theta.head)) + 4
+
+
+def sum_entries(f, n):
+    """Diagonal and off-diagonal entries, as lists, of the top-left n x n
+    corner of the infinite tridiagonal matrix A + B, by ``math``.
 
     Entry pattern: (0,0) is 1 + cos(omega_1); for k >= 1 the diagonal holds
     cos(theta_k) - cos(omega_k) at 2k-1 and cos(omega_{k+1}) - cos(theta_k)
     at 2k, with off-diagonal entries alternating sin(omega_k), sin(theta_k).
+    The order n must be even and >= 2.
     """
+    om = [f.omega.angle(j) for j in range(1, n // 2 + 1)]
+    th = [f.theta.angle(j) for j in range(1, n // 2 + 1)]
+    cos_om, cos_th = [math.cos(a) for a in om], [math.cos(a) for a in th]
+    diag, off = [1.0 + cos_om[0]], []
+    for k in range(n // 2):
+        diag.append(cos_th[k] - cos_om[k])
+        off.append(math.sin(om[k]))
+        if k + 1 < n // 2:
+            diag.append(cos_om[k + 1] - cos_th[k])
+            off.append(math.sin(th[k]))
+    return diag, off
+
+
+def build_sum_truncation(f, n):
+    """``sum_entries`` of order n as a matrix: those of order min(n,
+    ``short_order``), then their last tail period tiled."""
     if n < 2 or n % 2 != 0:
         raise ValueError("truncation order must be even and >= 2")
-    half = n // 2
-    om = f.omega.sequence(half)
-    th = f.theta.sequence(half)
-    diag = np.empty(n)
-    diag[0] = 1.0 + math.cos(om[0])
-    diag[1::2] = np.cos(th) - np.cos(om)
-    diag[2::2] = np.cos(om[1:]) - np.cos(th[: half - 1])
-    off = np.empty(n - 1)
-    off[0::2] = np.sin(om)
-    off[1::2] = np.sin(th[: half - 1])
+    d, e = sum_entries(f, min(n, short_order(f)))
+    k, diag, off = len(d), np.empty(n), np.empty(n - 1)
+    diag[:k], off[: k - 1] = d, e
+    if k < n:
+        diag[k::2], diag[k + 1 :: 2], off[k - 1 :: 2], off[k::2] = d[-2], d[-1], e[-2], e[-1]
     return TridiagonalSymmetricMatrix(diag=diag, offdiag=off)
 
 

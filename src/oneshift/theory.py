@@ -10,6 +10,7 @@ constant-angle tail, where s = delta and no point c - gamma needs a bound.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 SQRT2 = math.sqrt(2.0)
@@ -115,26 +116,33 @@ class OutlierSolveResult:
 
 
 def rho_from_lambda(lambda0):
-    """sqrt(lambda0^2 * (4 - lambda0^2)), clamped into [0, 2]."""
+    """sqrt(lambda0^2 * (4 - lambda0^2)), clamped into [0, 2].
+
+    Where lambda0^2 is below the normal range, 4 - lambda0^2 rounds to 4
+    and the value is 2 |lambda0|, which the square would lose to underflow.
+    """
     if abs(lambda0) > 2.0 + LAMBDA_SLACK:
         raise ValueError("spectrum point must satisfy |lambda| <= 2")
     t = lambda0 * lambda0
+    if t < sys.float_info.min:
+        return 2.0 * abs(lambda0)
     return min(2.0, math.sqrt(max(0.0, t * (4.0 - t))))
 
 
-def _squared_gap(v):
-    return abs(v * v - 2.0)
+def _exact_squared_gap(v):
+    # |v^2 - 2| times 4^1074, an integer: v = p / q with q = 2^k, k <= 1074
+    p, q = v.as_integer_ratio()
+    return abs(p * p - 2 * q * q) << 2 * (1075 - q.bit_length())
 
 
 def select_lambda0(spec):
     """Point of the set whose square is closest to 2.
 
     This is the squared-distance criterion: on {-0.2, 0.2, 2} it selects
-    0.2, not the point 2 that is nearest to sqrt(2).  Exact floating-point
-    ties break toward the nonnegative candidate of smallest magnitude.
-    Points that are equal only in exact arithmetic, such as the bisected
-    +-0.2 of the 3x3 example, are split by rounding of their squared gaps,
-    which there selects -0.2.
+    0.2, not the point 2 that is nearest to sqrt(2).  Candidates are
+    compared by their exact squared gaps, so two points whose gaps round
+    alike, such as tiny band ends l1 < l2, are told apart.  Exact ties
+    break toward the nonnegative candidate of smallest magnitude.
     """
     if spec.empty:
         raise ValueError("empty set")
@@ -144,7 +152,7 @@ def select_lambda0(spec):
         for target in (SQRT2, -SQRT2):
             if lo <= target <= hi:
                 candidates.append(target)
-    return min(candidates, key=lambda v: (_squared_gap(v), 0 if v >= 0 else 1, abs(v)))
+    return min(candidates, key=lambda v: (_exact_squared_gap(v), 0 if v >= 0 else 1, abs(v)))
 
 
 def constant_angle_limit_set(theta):

@@ -7,12 +7,14 @@ stack in lockstep, with the same bits.  Eigenvalues are returned with
 multiplicity, sorted ascending.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from . import _kernels, lazy_import
 
-from . import _kernels
+np = lazy_import("numpy")
 
 # Stacks of up to this many matrices are reduced one at a time, larger ones
 # in lockstep, whose steps cost about the same for any stack size.  Against
@@ -39,6 +41,20 @@ def _gershgorin(d, e):
     # c*I gets one bound, so that its bisection, which takes no step,
     # returns 0.5 * (c + c) == c; hi alone turns c = -0.0 into +0.0
     return lo, [b if b > a else a for a, b in zip(lo, hi)]
+
+
+def _list_gershgorin(d, e):
+    """``_gershgorin`` of one tridiagonal given as lists ``d`` and ``e``, in
+    plain Python: the same checks, and the same bounds, bitwise, but for the
+    sign of a zero bound."""
+    if not all(map(math.isfinite, [*d, *e])):
+        raise ValueError("entries must be finite")
+    ae = [abs(x) for x in e]
+    r = [a + b for a, b in zip([0.0, *ae], [*ae, 0.0])]
+    lo, hi = min(x - y for x, y in zip(d, r)), max(x + y for x, y in zip(d, r))
+    if not (all(math.isfinite(x * x) for x in e) and math.isfinite(abs(lo) + abs(hi))):
+        raise ValueError("entries too large: the eigensolver would overflow")
+    return lo, hi if hi > lo else lo
 
 
 def _symmetrized(a):

@@ -8,10 +8,10 @@ to JSON and maps any failure to a nonzero exit code.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import analysis, forms, theory, tridiag
+from . import analysis, forms, lazy_import, theory, tridiag
 from .theory import SQRT2
+
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,13 @@ class TestRhoNumeric:
         assert abs(with_excl.rho - closed) < 5e-3
         assert abs(without.rho - closed) > 1e-2
 
+    def test_tiny_band_ends_give_the_closed_form(self):
+        # both angles near pi: the band ends l1 < l2 are tiny, and their
+        # squared gaps round alike; rho comes from l2 (7.7233e-09 from l1)
+        om, th = 3.141592649721693, 3.1415926535833307
+        rep = rho_numeric(PairFamily.two_constant(om, th), 600)
+        assert rep.rho == pytest.approx(rho_two_constant_angles(om, th).rho, rel=1e-13)
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             rho_numeric(PairFamily.constant(1.0), 7)

@@ -393,10 +393,14 @@ def captured_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_back_to_back_calls_match_separate_runs(monkeypatch):
+def test_back_to_back_calls_match_separate_runs(monkeypatch, tmp_path):
     # one process serves many requests with one parser; each answer must be
-    # the one a fresh process gives, also after an argparse error
+    # the one a fresh process gives, also after an argparse error.  A fresh
+    # process loads numpy at its first use, so each request that uses it
+    # first on a path of its own is served fresh here too
     monkeypatch.setenv("COLUMNS", "80")
+    pair = tmp_path / "pair.txt"
+    pair.write_text("2\n1 0\n0 -1\n\n0 1\n1 0\n")
     requests = [
         ["spectrum", "--family", "constant", "--theta", "1.0", "--n", "6"],
         ["rho", "--family", "eq3", "--omega", "1.2", "--theta", "0.7", "--n", "40"],
@@ -404,13 +408,41 @@ def test_back_to_back_calls_match_separate_runs(monkeypatch):
         ["sweep", "--family", "eq5", "--theta", "0.5:0.5:1.5", "--n", "10", "--mode", "spectrum"],
         ["rho", "--family", "constant", "--theta", "nan", "--n", "10"],
         ["spectrum", "--family", "constant", "--theta", "1.0", "--n", "6"],
+        ["rho", "--family", "constant", "--theta", "1.0", "--n", "600"],
+        ["rho", "--family", "eq5", "--theta", "0.4", "--n", "100"],
+        ["rho", "--family", "two-constant", "--omega", "2.4", "--theta", "0.5", "--n", "100"],
+        ["rho", "--family", "general-file", "--input", str(pair)],
+        ["figure", "2", "--panel", "left"],
+        ["validate"],
     ]
     together = [captured_main(argv) for argv in requests]
-    assert [code for code, _, _ in together] == [0, 0, 2, 0, 2, 0]
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0]
     env = {**os.environ, "PYTHONPATH": str(Path(oneshift.__file__).parents[1])}
     for argv, got in zip(requests, together):
         proc = subprocess.run([sys.executable, "-m", "oneshift.cli", *argv], capture_output=True, text=True, env=env)
         assert got == (proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_family_rho_requests_never_run_numpy():
+    # numpy is bound lazily: the lazy loader registers the module itself,
+    # and its body, which imports numpy._core first, runs at first use
+    requests = [
+        ["--family", "constant", "--theta", "1.0"],
+        ["--family", "eq3", "--omega", "1.2", "--theta", "0.7"],
+        ["--family", "eq5", "--theta", "0.4"],
+        ["--family", "two-constant", "--omega", "2.4", "--theta", "0.5"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from oneshift import cli\n"
+        f"for argv in {requests!r}:\n"
+        "    assert cli.main(['rho', *argv, '--n', '600', '--out', sys.argv[1]]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(oneshift.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, os.devnull], capture_output=True, text=True, env=env, check=True)
+    modules = json.loads(proc.stdout)
+    assert "numpy._core" not in modules and "oneshift.cli" in modules
 
 
 FAMILIES = ("constant", "eq3", "eq5", "two-constant", "general-file")

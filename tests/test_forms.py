@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import commutator
 from oneshift.forms import (
@@ -16,6 +18,7 @@ from oneshift.forms import (
     involution_error,
     paper_example_3x3,
     rotation_block,
+    sum_entries,
 )
 from oneshift.tridiag import DenseSymmetricMatrix, tridiag_eigenvalues
 
@@ -51,6 +54,20 @@ class TestSumTruncation:
             m = build_sum_truncation(f, n)
             dense = np.diag(m.diag) + np.diag(m.offdiag, 1) + np.diag(m.offdiag, -1)
             assert np.allclose(dense, dense_corner(f, n), atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True), min_size=2, max_size=7),
+        st.integers(0, 3),
+        st.integers(1, 60),
+    )
+    def test_tiled_period_equals_the_entries_built_in_full(self, angles, heads, half_n):
+        # the matrix repeats the last period of its short entries; built
+        # entry by entry at the full order, the bits are the same
+        f = PairFamily(AngleSpec(angles[2 : 2 + heads], angles[0]), AngleSpec(angles[2 + heads :][:heads], angles[1]))
+        m = build_sum_truncation(f, 2 * half_n)
+        diag, off = sum_entries(f, 2 * half_n)
+        assert repr((m.diag.tolist(), m.offdiag.tolist())) == repr((diag, off))
 
     def test_nesting(self):
         f = PairFamily.head_omega(1.2, 0.7)

@@ -343,7 +343,8 @@ def test_zero_pivots_count_as_in_plain_python(ms, xs, later):
 def test_list_tail_start_equals_numpy_start(ms):
     # the tail start found in numpy is the one a walk back over lists finds,
     # where -0.0 == 0.0 as in numpy: the first row of the longest run of last
-    # rows that each equal the row two after them, at least two rows long
+    # rows that each equal the row two after them, at least two rows long;
+    # _list_rows walks back so, and gives the rows of _rows
     diag, off2 = kernel_args(*ms)[:2]
     for d, e in zip(diag.tolist(), off2.tolist()):
         n, row = len(d), len(d) - 3
@@ -351,6 +352,7 @@ def test_list_tail_start_equals_numpy_start(ms):
             row -= 1
         row = max(row, 0) + 1
         assert _tail.start(np.array(d), np.array(e)) == (n if n - row < 2 else row)
+        assert repr(_kernels._list_rows(d, e)) == repr(_kernels._rows(np.array(d), np.array(e)))
 
 
 @pytest.mark.parametrize("n", [600, 2000])
@@ -474,8 +476,16 @@ def test_rho_numeric_equals_full_solve_pipeline_bitwise(name, omega, theta, half
     assert got == outcome(full_solve_rho, f, n, exclusion, margin)
 
 
+# angles down to the smallest subnormal and up to the last double below pi
+edge_angles = st.one_of(
+    angles,
+    st.floats(0.0, 1e-3, exclude_min=True),
+    st.floats(math.pi - 1e-3, math.pi, exclude_max=True),
+)
+
+
 @st.composite
-def pair_families(draw):
+def pair_families(draw, angles=angles):
     """The four named families, or a family with heads of up to 3 angles
     each, some of them equal to the tail angle."""
     if draw(st.booleans()):
@@ -494,21 +504,24 @@ def short_order(f):
     return 2 * max(len(f.omega.head), len(f.theta.head)) + 4
 
 
-@settings(max_examples=60, deadline=None)
-@given(f=pair_families(), half_n=st.one_of(st.integers(2, 10), st.integers(2, 1100)))
+@settings(max_examples=150, deadline=None)
+@given(f=pair_families(edge_angles), half_n=st.one_of(st.integers(2, 10), st.integers(2, 1100)))
 @example(f=PairFamily.constant(0.7), half_n=2)
 @example(f=PairFamily.constant(0.7), half_n=4)
 @example(f=PairFamily.perturbed_heads(0.7), half_n=6)
 @example(f=PairFamily.perturbed_heads(0.7), half_n=7)
 @example(f=PairFamily(AngleSpec((0.7, 0.7), 0.7), AngleSpec((1.1,), 0.7)), half_n=1100)
+@example(f=PairFamily.two_constant(5e-324, math.nextafter(math.pi, 0.0)), half_n=300)
+@example(f=PairFamily(AngleSpec((1e-300,), math.nextafter(math.pi, 0.0)), AngleSpec((1e-300, 3.0), 1e-300)), half_n=5)
 def test_short_build_gives_the_full_rows_bounds_and_tolerance(f, half_n):
-    # one build of order min(n, S) gives every longer section of the family
-    # by lengthening its tail, bitwise: rows, Gershgorin bounds, tolerance
+    # one plain-Python build of order min(n, S) gives every longer section of
+    # the family by lengthening its tail, bitwise: rows, Gershgorin bounds,
+    # tolerance
     n = 2 * half_n
     orders = (n, n + OUTLIER_ORDER_STEP)
     builds = []
-    build = analysis.build_sum_truncation
-    with mock.patch.object(analysis, "build_sum_truncation", lambda f, k: builds.append(k) or build(f, k)):
+    build = analysis.sum_entries
+    with mock.patch.object(analysis, "sum_entries", lambda f, k: builds.append(k) or build(f, k)):
         sections = analysis._family_sections(f, *orders)
     # one build per distinct order min(k, S), none longer than short_order
     assert max(builds) <= short_order(f)
@@ -838,8 +851,8 @@ def test_rho_numeric_builds_short_sections_and_solves_each_once(monkeypatch, nam
     # order-2000 and order-2200 sections once each, from their rows
     f = make_family(name, 1.2, 0.7)
     builds, lockstep, solved = [], [], []
-    build, solve = analysis.build_sum_truncation, _kernels.bisect_rows
-    monkeypatch.setattr(analysis, "build_sum_truncation", lambda f, k: builds.append(k) or build(f, k))
+    build, solve = analysis.sum_entries, _kernels.bisect_rows
+    monkeypatch.setattr(analysis, "sum_entries", lambda f, k: builds.append(k) or build(f, k))
     monkeypatch.setattr(_kernels, "bisect_rows", lambda rows, *a: solved.append(1 + len(rows[1]) + rows[3]) or solve(rows, *a))
     for kernel in ("_certify", "_settle_leaves", "_sturm_counts_np", "_bisect_np", "_dense_guesses"):
         monkeypatch.setattr(_kernels, kernel, lambda *args, kernel=kernel: lockstep.append(kernel))

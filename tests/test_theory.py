@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ class TestRhoFromLambda:
         assert lam > 2.0 + 1e-12
         assert rho_from_lambda(lam) == 0.0
 
+    @given(st.floats(min_value=5e-324, max_value=1e-100))
+    @example(1e-200)
+    @example(1e-158)
+    @example(1.5e-154)
+    @settings(max_examples=200, deadline=None)
+    def test_tiny_lambda_gives_twice_its_magnitude(self, lam):
+        # lam^2 underflows below 1.49e-154; rho = |lam| sqrt(4 - lam^2) = 2|lam|
+        assert rho_from_lambda(lam) == pytest.approx(2.0 * lam, rel=1e-15, abs=0.0)
+        assert rho_from_lambda(-lam) == rho_from_lambda(lam)
+
+    @given(st.floats(min_value=-2.0, max_value=2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_the_tiny_branch_moves_no_other_bits(self, lam):
+        t = lam * lam
+        formula = min(2.0, math.sqrt(max(0.0, t * (4.0 - t))))
+        assert rho_from_lambda(lam) == (2.0 * abs(lam) if t < sys.float_info.min else formula)
+
     @given(st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=200, deadline=None)
     def test_symmetries(self, lam):
@@ -61,6 +79,20 @@ class TestRhoFromLambda:
 class TestSelectLambda0:
     def test_squared_criterion_not_nearest_to_sqrt2(self):
         assert select_lambda0(LimitSet(points=(-0.2, 0.2, 2.0))) == 0.2
+
+    def test_rounded_gap_ties_go_by_the_exact_gap(self):
+        # both squared gaps round to 2.0; the larger point's is smaller
+        assert abs(1e-9 * 1e-9 - 2.0) == abs(2e-9 * 2e-9 - 2.0)
+        assert select_lambda0(LimitSet(points=(1e-9, 2e-9))) == 2e-9
+        assert select_lambda0(LimitSet(points=(-2e-9, 1e-9))) == -2e-9
+        # rounded gaps one ulp apart in the order the exact gaps reverse
+        assert abs(1.9290592092666174**2 - 2.0) < abs(0.5279493982794683**2 - 2.0)
+        assert select_lambda0(LimitSet(points=(0.5279493982794683, 1.9290592092666174))) == 0.5279493982794683
+        # the tiny band ends l1 < l2 of angles both near pi
+        ess = two_angle_essential(TwoAngleParams.from_angles(3.141592649721693, 3.1415926535833307))
+        (_, _), (l1, l2) = ess.intervals
+        assert abs(l1 * l1 - 2.0) == abs(l2 * l2 - 2.0) and l1 < l2
+        assert select_lambda0(ess) == l2
 
     def test_interval_containing_sqrt2(self):
         assert select_lambda0(LimitSet(intervals=((-1.8, 1.8),))) == SQRT2
@@ -276,17 +308,14 @@ class TestRhoTwoConstantAngles:
     def test_equals_the_selection_rule_on_the_band(self, om, th):
         # the closed form summarizes rho at the band point whose square is
         # closest to 2, on either side of omega = pi/2; on 200,000 uniform
-        # pairs the two differed by 3.4e-14 at most.  The rule is read at
-        # every band end whose squared gap rounds to that of its point: for
-        # angles both near pi, l1 < l2 are tiny and can tie, and the rule picks
-        # l1 (2.6e-11 below rho(l2) at the last example).  It is read within
-        # 4 ulps of each: near lambda = 2, sqrt(l^2 (4 - l^2)) turns one
-        # rounding of l into thousands of ulps of a small rho (2.7e-13 at
-        # the example before it).
-        ess = two_angle_essential(TwoAngleParams.from_angles(om, th))
-        lam = select_lambda0(ess)
-        tied = [v for iv in ess.intervals for v in iv if abs(v * v - 2.0) == abs(lam * lam - 2.0)]
-        near = [rho_from_lambda(v + k * math.ulp(v)) for v in [lam, *tied] for k in (-4, 0, 4)]
+        # pairs the two differed by 3.4e-14 at most.  For angles both near
+        # pi the band ends l1 < l2 are tiny and their squared gaps round
+        # alike; the rule tells them apart by the exact gaps (the last
+        # example).  It is read within 4 ulps of its point: near lambda = 2,
+        # sqrt(l^2 (4 - l^2)) turns one rounding of l into thousands of ulps
+        # of a small rho (2.7e-13 at the example before it).
+        lam = select_lambda0(two_angle_essential(TwoAngleParams.from_angles(om, th)))
+        near = [rho_from_lambda(lam + k * math.ulp(lam)) for k in (-4, 0, 4)]
         assert min(near) - 1e-13 <= rho_two_constant_angles(om, th).rho <= max(near) + 1e-13
 
 

@@ -1,14 +1,14 @@
 """Hot numeric kernels: Sturm counts and lockstep bisection by index.
 
-``bisect_sections`` finds, for each of B symmetric tridiagonal sections of
-one order, the eigenvalues whose ascending (0-based) indices are listed in
-``idx``; the full spectrum is the case ``idx = arange(n)``, and one section
-is the case B = 1.  ``bisect_rows`` solves indices of one section from
-its rows alone, for callers that never build the section at its full
-order.  These two are the bisection entry points.  Every (section, index)
-lane runs its section's fixed number of halvings, so an eigenvalue comes
-out bitwise the same whichever other sections and indices are solved with
-it.
+``bisect_sections`` finds, for each of B sections of one order, each given
+as its rows (``_rows``), Gershgorin bounds and tolerance, the eigenvalues
+whose ascending (0-based) indices are listed in ``idx``; the full spectrum
+is the case ``idx = arange(n)``, and one section is the case B = 1.
+``bisect_rows``, its plain-Python stage, solves indices of one section, and
+``rho_numeric`` calls it directly.  These two are the bisection entry
+points.  Every (section, index) lane runs its section's fixed number of
+halvings, so an eigenvalue comes out bitwise the same whichever other
+sections and indices are solved with it.
 
 A certificate settles most eigenvalues without bisecting them.  A guess
 walks the bisection tree to a leaf; two Sturm counts at the leaf's ends
@@ -33,9 +33,9 @@ and the rest bisect in plain Python (``_bisect_py``).  More lanes left
 bisect in lockstep numpy arrays.  The plain-Python Sturm count stops
 walking a periodic tail once a period gives back its starting pivot and
 counts the remaining periods at once, which makes counts outside the bands
-cheap.  The lockstep count walks every row, in four array passes a tail
-row.  A repeated pivot repeats every later step, so both paths give
-bit-identical output.
+cheap.  The lockstep count walks every row of arrays built from the rows
+(``_arrays``), in four array passes a tail row.  A repeated pivot repeats
+every later step, so both paths give bit-identical output.
 """
 
 import functools
@@ -98,28 +98,36 @@ def halvings(lo, hi, tol):
     return steps
 
 
-def _rows(diag, off2):
-    """First diagonal entry, head rows, tail rows and tail length of a section.
+def _rows(d, e2):
+    """First diagonal entry, head rows, tail rows and tail length of the
+    section with the diagonal ``d`` and squared off-diagonal ``e2``, lists.
 
-    The two rows of the tail's first period (see ``_tail.start``) stand for
-    all of it; the head holds the rows before the tail.
+    Row i pairs d[i] with e2[i - 1].  The tail is the longest run of last
+    rows in which each row equals the row two after it, and holds at least
+    two rows; a section without a periodic tail gets its last two rows as
+    one, and one of order 1 or 2 gets none.  The two rows of the tail's
+    first period stand for all of it; the head holds the rows before the
+    tail.  Zero entries of either sign compare equal, which cannot change a
+    count: a pivot that comes out a signed zero is replaced by ``_TINY``.
     """
-    start = _tail.start(diag, off2)
-    d, e = diag[: start + 2].tolist(), off2[: start + 1].tolist()
-    head = list(zip(d[1:start], e[: start - 1]))
-    return d[0], head, tuple(zip(d[start : start + 2], e[start - 1 : start + 1])), diag.size - start
-
-
-def _list_rows(d, e):
-    """``_rows`` of a short section given as lists, in plain Python: the
-    tail start of ``_tail.start`` is found by a walk back over the rows."""
     n, row = len(d), len(d) - 3
-    while row >= 1 and d[row] == d[row + 2] and e[row - 1] == e[row + 1]:
+    while row >= 1 and d[row] == d[row + 2] and e2[row - 1] == e2[row + 1]:
         row -= 1
-    row = max(row, 0) + 1
-    start = n if n - row < 2 else row
-    head = list(zip(d[1:start], e[: start - 1]))
-    return d[0], head, tuple(zip(d[start : start + 2], e[start - 1 : start + 1])), n - start
+    start = row + 1 if n > 2 else n
+    head = list(zip(d[1:start], e2[: start - 1]))
+    return d[0], head, tuple(zip(d[start : start + 2], e2[start - 1 : start + 1])), n - start
+
+
+def _arrays(rows, n):
+    """(B, n) diagonals and (B, n-1) squared off-diagonals of the order-n
+    sections whose ``_rows`` are ``rows``, for the stages run in lockstep."""
+    diag, off2 = np.empty((len(rows), n)), np.empty((len(rows), n - 1))
+    for b, (d0, head, tail, tail_len) in enumerate(rows):
+        start = n - tail_len
+        diag[b, :start], off2[b, : start - 1] = [d0, *(d for d, _ in head)], [e2 for _, e2 in head]
+        for i, (d, e2) in enumerate(tail):
+            diag[b, start + i :: 2], off2[b, start + i - 1 :: 2] = d, e2
+    return diag, off2
 
 
 def _sturm_count_py(d0, head, tail, tail_len, x):
@@ -372,7 +380,7 @@ def _settle_leaves(diag, off2, lo, hi, steps, guesses, column, out, tail=None):
     out[sec[asked], j[asked]] = value[asked]
 
 
-def _certify(diag, off2, lo, hi, steps, idx, out, dense):
+def _certify(rows, diag, off2, lo, hi, steps, idx, out, dense):
     """Write into ``out`` each eigenvalue at ``idx`` that a guess certifies.
 
     A guess's leaf [l, h] holds index j exactly when count(l) <= j <
@@ -386,8 +394,8 @@ def _certify(diag, off2, lo, hi, steps, idx, out, dense):
     batch has them, else the tail's in-band guesses.  These cost about two
     counts per eigenvalue, where bisecting K indices costs K * steps, so
     the tails are guessed from only when K * steps exceeds 2n, and only
-    when their common tail is longer than their common head.  Lanes no
-    leaf holds stay NaN.
+    when their common tail is longer than their common head, the longest
+    in ``rows``.  Lanes no leaf holds stay NaN.
     """
     n = diag.shape[1]
     column = np.full(n, -1)
@@ -401,8 +409,8 @@ def _certify(diag, off2, lo, hi, steps, idx, out, dense):
     if idx.size * steps.max() <= 2 * n:
         return
     head = 0
-    for d, e in zip(diag, off2):  # a section with too long a head ends the scan
-        head = max(head, _tail.start(d, e))
+    for _, section_head, _, _ in rows:  # a section with too long a head ends the scan
+        head = max(head, 1 + len(section_head))
         head += (n - head) % 2
         k = (n - head) // 2
         if k < 2 or 2 * k <= head:
@@ -425,14 +433,13 @@ def _certify(diag, off2, lo, hi, steps, idx, out, dense):
             _settle_leaves(diag[r], off2[r], lo[r], hi[r], steps[r], guesses, column, out[r], head)
 
 
-def bisect_sections(diag, off2, lo, hi, tol, idx):
+def bisect_sections(sections, idx):
     """Eigenvalues at the ascending indices ``idx`` of B sections of one order.
 
-    ``diag`` is (B, n) and ``off2`` (B, n-1), holding squared off-diagonals;
-    the sequences ``lo``, ``hi`` and ``tol`` give each section's
-    Gershgorin bounds and bisection tolerance.  Row b of the (B, K) result
-    holds section b's values in the order of ``idx``; lane (b, c) is
-    section b's eigenvalue at index ``idx[c]``.
+    Each section is a tuple (rows, lo, hi, tol): its ``_rows``, its
+    Gershgorin bounds and its bisection tolerance.  Row b of the (B, K)
+    result holds section b's values in the order of ``idx``; lane (b, c)
+    is section b's eigenvalue at index ``idx[c]``.
 
     This is the one place that chooses a path.  The guess source goes by
     cost alone: where a dense solve costs less than bisection
@@ -443,24 +450,28 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     place.  If at most ``PY_MAX_INDICES`` lanes are left, they are split
     at section boundaries, and ``bisect_rows`` settles each section's
     lanes that a dense or exterior guess places and bisects the rest in
-    plain Python, from rows built once for both.  More
-    bisect in lockstep, each section's indices padded to a common count
-    with its last one, in chunks of about ``MAX_LANES`` lanes.  Each value
-    is bitwise that of plain bisection.
+    plain Python, from the section's rows.  More bisect in lockstep, each
+    section's indices padded to a common count with its last one, in
+    chunks of about ``MAX_LANES`` lanes.  A batch with dense guesses or
+    more lanes, all of which run some lockstep stage, builds arrays of its
+    rows once (``_arrays``).  Each value is bitwise that of plain bisection.
     """
+    rows, lo, hi, tol = zip(*sections)
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     steps = np.array([halvings(*b) for b in zip(lo, hi, tol)])
     lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     out = np.full((steps.size, idx.size), np.nan)
-    n = diag.shape[1]
-    dense = None
-    if n <= DENSE_MAX_ORDER and n * n <= DENSE_ROWS * idx.size * steps.max():
+    n = 1 + len(rows[0][1]) + rows[0][3]
+    dense, guessed = None, n <= DENSE_MAX_ORDER and n * n <= DENSE_ROWS * idx.size * steps.max()
+    if guessed or out.size > PY_MAX_INDICES:
+        diag, off2 = _arrays(rows, n)
+    if guessed:
         per = max(1, MAX_LANES // (n * n))
         dense = np.concatenate(
             [_dense_guesses(diag[a : a + per], off2[a : a + per])[:, idx] for a in range(0, steps.size, per)]
         )
     if out.size > PY_MAX_INDICES:
-        _certify(diag, off2, lo, hi, steps, idx, out, dense)
+        _certify(rows, diag, off2, lo, hi, steps, idx, out, dense)
     sec, col = np.nonzero(np.isnan(out))
     # each section's first lane; a 1-d prepend skips np.broadcast_to, half the cost
     first = np.flatnonzero(np.diff(sec, prepend=[-1]))
@@ -469,10 +480,10 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
         guesses = None if dense is None else dense[sec, col].tolist()
         for a, z in zip(first.tolist(), [*first[1:].tolist(), sec.size]):
             b = sec[a]
-            out[b, col[a:z]] = bisect_rows(_rows(diag[b], off2[b]), *bounds[b], js[a:z], guesses and guesses[a:z])
+            out[b, col[a:z]] = bisect_rows(rows[b], *bounds[b], js[a:z], guesses and guesses[a:z])
         return out
-    rows, count = sec[first], np.diff(first, append=sec.size)
-    rank = np.repeat(np.arange(rows.size), count)
+    which, count = sec[first], np.diff(first, append=sec.size)
+    rank = np.repeat(np.arange(which.size), count)
     slot = np.arange(sec.size) - first[rank]
     grid = np.repeat(idx[col[first + count - 1]][:, None], count.max(), axis=1)
     grid[rank, slot] = idx[col]
@@ -480,8 +491,8 @@ def bisect_sections(diag, off2, lo, hi, tol, idx):
     solved = np.concatenate(
         [
             _bisect_np(diag[r], off2[r], lo[r], hi[r], steps[r], grid[c])
-            for c in (slice(a, a + per) for a in range(0, rows.size, per))
-            for r in [rows[c]]
+            for c in (slice(a, a + per) for a in range(0, which.size, per))
+            for r in [which[c]]
         ]
     )
     out[sec, col] = solved[rank, slot]

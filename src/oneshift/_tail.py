@@ -1,14 +1,14 @@
-"""Where a section's 2-periodic tail starts, and where its eigenvalues lie.
+"""Where a section's eigenvalues lie, read off its 2-periodic tail.
 
 Every section of the pair families is a short head followed by a tail whose
-rows repeat with period 2.  ``start`` finds the tail, for the plain-Python
-count and for the in-band certificate.  One period's transfer matrix places
-the eigenvalues at a cost that does not grow with the tail's length:
-``guesses`` those inside the tail's bands, and ``exterior_guess`` those in
-the gaps around them (``band_edges``).  ``_kernels`` asks for these guesses
-only where a dense LAPACK solve of the section would cost more.  They are
-only as good as floating point allows; ``_kernels`` certifies them with
-Sturm counts before any is used.
+rows repeat with period 2, the form ``_kernels._rows`` gives every section
+in.  One period's transfer matrix places the eigenvalues at a cost that
+does not grow with the tail's length: ``guesses`` those inside the tail's
+bands, and ``exterior_guess`` those in the gaps around them
+(``band_edges``).  ``_kernels`` asks for these guesses only where a dense
+LAPACK solve of the section would cost more.  They are only as good as
+floating point allows; ``_kernels`` certifies them with Sturm counts
+before any is used.
 """
 
 import math
@@ -17,22 +17,6 @@ import sys
 from . import lazy_import
 
 np = lazy_import("numpy")
-
-
-def start(diag, off2):
-    """Row at which the 2-periodic tail of a section starts, or n without one.
-
-    Row i pairs diagonal entry i with the squared off-diagonal entry before
-    it.  The tail is the longest run of last rows in which each row equals
-    the row two after it, and holds at least two rows; a section without a
-    periodic tail gets its last two rows as one.  Zero entries of either
-    sign compare equal, which cannot change a count: a pivot that comes out
-    a signed zero is replaced by ``_kernels._TINY``.
-    """
-    n = diag.size
-    breaks = np.flatnonzero((diag[3:] != diag[1:-2]) | (off2[2:] != off2[:-2]))
-    row = int(breaks[-1]) + 2 if breaks.size else 1
-    return n if n - row < 2 else row
 
 
 # Newton steps per tail guess.  On the 31 sections each of figure 1 (right

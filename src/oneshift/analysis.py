@@ -113,10 +113,15 @@ def _family_sections(f, *orders):
         if k not in built:
             d, e = sum_entries(f, k)
             lo, hi = _list_gershgorin(d, e)
-            built[k] = _kernels._list_rows(d, [x * x for x in e]), lo, hi, _bounds_tol(lo, hi)
+            built[k] = _kernels._rows(d, [x * x for x in e]), lo, hi, _bounds_tol(lo, hi)
         (d0, head, tail, tail_len), lo, hi, tol = built[k]
         out.append(((d0, head, tail, tail_len + order - k), lo, hi, tol))
     return out
+
+
+def family_eigenvalues_at(fams, n, idx):
+    """``sections_eigenvalues_at`` of the order-n sections of ``fams``, bitwise, from ``_family_sections``."""
+    return _kernels.bisect_sections([_family_sections(f, n)[0] for f in fams], idx)
 
 
 def _exterior_values(section, ess, dist):

@@ -24,9 +24,10 @@ MAX_GRID_POINTS = 10_000
 # about 2*10^12 lockstep Sturm rows: n = 20,000 takes 2.8 s, and the time
 # grows as n^2.  Larger orders end in a memory error.
 MAX_ORDER = 1_000_000
-# `sweep` builds and stacks all its sections before it solves any, at about
-# 31 bytes per section row, so points * order is bounded too: this many
-# rows take about 310 MB.
+# `sweep` solves all its sections in one batch, whose lockstep arrays peak
+# at about 33 bytes per section row (tracemalloc, the lambda_max column of
+# 1,001 eq3 sections of order 1,000 and 4,000), so points * order is
+# bounded too: this many rows take about 330 MB.
 MAX_SWEEP_ROWS = 10_000_000
 
 
@@ -90,6 +91,13 @@ def build_family(family, omega, theta):
     raise ValueError(f"unknown family {family!r}")
 
 
+def angle_family(args):
+    """The angle family of a ``spectrum`` or ``rho`` request, which reads no pair file."""
+    if args.input is not None:
+        raise ValueError(f"family {args.family} reads no --input; only family general-file does")
+    return build_family(args.family, args.omega, args.theta)
+
+
 def closed_forms(fam):
     """``rho_closed`` and the limit-set point to exclude, c - gamma when s > delta.
 
@@ -128,6 +136,8 @@ def read_pair_file(path):
     if len(lines) < offset + k:
         raise ValueError(f"pair file has fewer than {k} rows for B")
     b_rows = [[float(v) for v in lines[offset + i].split()] for i in range(k)]
+    if any(ln.strip() for ln in lines[offset + k :]):
+        raise ValueError(f"pair file has more than {k} rows for B")
     for name, rows in (("A", a_rows), ("B", b_rows)):
         for i, row in enumerate(rows, 1):
             if len(row) != k:
@@ -149,16 +159,15 @@ def write_text(path, text):
 def cmd_spectrum(args):
     if args.family == "general-file":
         pair = read_pair_file(args.input)
-        sample = tridiag.dense_sym_eigenvalues(
+        values = tridiag.dense_sym_eigenvalues(
             tridiag.DenseSymmetricMatrix(pair.a.entries + pair.b.entries)
-        )
+        ).values
     else:
-        fam = build_family(args.family, args.omega, args.theta)
-        sample = tridiag.tridiag_eigenvalues(
-            forms.build_sum_truncation(fam, even_order(args.n))
-        )
+        fam = angle_family(args)
+        n = even_order(args.n)
+        values = analysis.family_eigenvalues_at([fam], n, np.arange(n))[0]
     lines = ["index,eigenvalue"]
-    lines += [f"{i},{v:.15g}" for i, v in enumerate(sample.values.tolist())]
+    lines += [f"{i},{v:.15g}" for i, v in enumerate(values.tolist())]
     write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -168,7 +177,7 @@ def cmd_rho(args):
         rho = analysis.rho_commutator_direct(read_pair_file(args.input))
         payload = {"rho_low": fmt(rho), "rho_high": fmt(rho), "branch": "direct-commutator"}
     else:
-        fam = build_family(args.family, args.omega, args.theta)
+        fam = angle_family(args)
         closed, exclusion = closed_forms(fam)
         rep = analysis.rho_numeric(fam, even_order(args.n), exclusion=exclusion)
         payload = {
@@ -188,9 +197,8 @@ def _spectrum_lines(fams, thetas, n, with_commutator):
         lines = ["theta,index,eigenvalue,i_commutator_eig"]
     else:
         lines = ["theta," + ",".join(f"eig_{i + 1}" for i in range(n))]
-    sections = [forms.build_sum_truncation(f, n) for f in fams]
     # the values are Python floats, which an f-string formats as fmt does
-    for theta, row in zip(thetas, tridiag.sections_eigenvalues_at(sections, np.arange(n))):
+    for theta, row in zip(thetas, analysis.family_eigenvalues_at(fams, n, np.arange(n))):
         values, t = row.tolist(), fmt(theta)
         if with_commutator:
             for i, lam in enumerate(values):
@@ -206,8 +214,7 @@ def _spectrum_lines(fams, thetas, n, with_commutator):
 
 def _lambda_max_column(fams, n):
     """Largest eigenvalue of the order-n section of each family, bisected in lockstep."""
-    sections = [forms.build_sum_truncation(f, n) for f in fams]
-    return tridiag.sections_eigenvalues_at(sections, [n - 1])[:, 0].tolist()
+    return analysis.family_eigenvalues_at(fams, n, [n - 1])[:, 0].tolist()
 
 
 def cmd_sweep(args):

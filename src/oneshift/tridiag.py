@@ -152,7 +152,7 @@ def sturm_count(m, x):
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("shift must be finite")
-    rows = _kernels._rows(m.diag, m.offdiag**2)
+    rows = _kernels._rows(m.diag.tolist(), (m.offdiag**2).tolist())
     counts = [_kernels._sturm_count_py(*rows, float(v)) for v in np.atleast_1d(x).tolist()]
     return counts if np.ndim(x) else counts[0]
 
@@ -175,11 +175,10 @@ def sections_eigenvalues_at(ms, idx, tol=None):
         raise ValueError("eigenvalue index out of range")
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = zip(*(m.gershgorin() for m in ms))
-    tols = [_bounds_tol(a, b) if tol is None else tol for a, b in zip(lo, hi)]
-    diag = np.array([m.diag for m in ms])
-    off2 = np.array([m.offdiag for m in ms]) ** 2
-    return _kernels.bisect_sections(diag, off2, lo, hi, tols, idx)
+    rows = [_kernels._rows(m.diag.tolist(), (m.offdiag**2).tolist()) for m in ms]
+    bounds = [m.gershgorin() for m in ms]
+    sections = [(r, *b, _bounds_tol(*b) if tol is None else tol) for r, b in zip(rows, bounds)]
+    return _kernels.bisect_sections(sections, idx)
 
 
 def dense_eigenvalues_at(a, idx):
@@ -188,7 +187,8 @@ def dense_eigenvalues_at(a, idx):
     is bitwise that of matrix b alone."""
     d, e = householder_stack(_symmetrized(a))
     lo, hi = _gershgorin(d, e)
-    return _kernels.bisect_sections(d, e**2, lo, hi, [_bounds_tol(*b) for b in zip(lo, hi)], idx)
+    rows = map(_kernels._rows, d.tolist(), (e**2).tolist())
+    return _kernels.bisect_sections([(r, *b, _bounds_tol(*b)) for r, *b in zip(rows, lo, hi)], idx)
 
 
 def tridiag_eigenvalues(m, tol=None):

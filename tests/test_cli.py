@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oneshift
-from oneshift import cli, forms, theory
+from oneshift import analysis, cli, forms, theory
 from oneshift.cli import MAX_GRID_POINTS, MAX_ORDER, MAX_SWEEP_ROWS, THETA_GRID_DEFAULT, fmt, main, parse_grid
 from oneshift.forms import PairFamily, build_sum_truncation
 from oneshift.tridiag import tridiag_eigenvalues
@@ -100,15 +100,26 @@ class TestSpectrumCommand:
             ("-3\n", "order must be >= 1"),
             ("2\n1 0\n0 1\n\n1 0\n0\n", "pair file row 2 of B has 1 entries, expected 2"),
             ("x\n", "pair file order must be an integer, got 'x'"),
+            ("2\n1 0\n0 1\n\n1 0\n0 1\n\nextra junk\n", "pair file has more than 2 rows for B"),
         ],
-        ids=["empty", "short-a", "short-b", "negative-order", "ragged-row", "non-integer-order"],
+        ids=["empty", "short-a", "short-b", "negative-order", "ragged-row", "non-integer-order", "trailing-line"],
     )
     def test_short_general_file_exits_2(self, tmp_path, capsys, content, message):
         pair_file = tmp_path / "pair.txt"
         pair_file.write_text(content)
         code = run(["spectrum", "--family", "general-file", "--input", str(pair_file), "--out", str(tmp_path / "s.csv")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "rho"])
+    def test_input_with_an_angle_family_exits_2(self, tmp_path, capsys, command):
+        pair_file, out = tmp_path / "pair.txt", tmp_path / "out.txt"
+        pair_file.write_text(PAIR_FILE)
+        argv = [command, "--family", "constant", "--theta", "1.0", "--input", str(pair_file), "--n", "4"]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: family constant reads no --input; only family general-file does\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "rho"])
     def test_huge_general_file_exits_2(self, tmp_path, capsys, command):
@@ -253,8 +264,25 @@ OUTPUT_DIGESTS = {
     ("spectrum", "--family", "general-file", "--input", "{pair}"): (
         "ab964ff3a9647ee9e1a860e1988c02585fde085bdc7892b93654a5e52c6b9e3e"
     ),
+    # PAIR_FILE followed by blank lines, which are allowed
+    ("spectrum", "--family", "general-file", "--input", "{padded}"): (
+        "ab964ff3a9647ee9e1a860e1988c02585fde085bdc7892b93654a5e52c6b9e3e"
+    ),
     ("rho", "--family", "general-file", "--input", "{pair}"): (
         "ed28b52905fe825d04a1d5230d7964e2fe35c9a9e2d3bc4631a485e44f19a6af"
+    ),
+    # the Householder sections of orders 1 and 2 have no tail rows
+    ("spectrum", "--family", "general-file", "--input", "{pair1}"): (
+        "b6b62d0d0153151f0da14eba9a949c1fb00b2f59d35795e474d6d3c6902197c4"
+    ),
+    ("rho", "--family", "general-file", "--input", "{pair1}"): (
+        "02b06a0176fba2b6e80865330367d9e709e847dade63c670778f7a7575ed0a62"
+    ),
+    ("spectrum", "--family", "general-file", "--input", "{pair2}"): (
+        "478715f13cd6af2196c6221f1dae32346f126ca612a0fa3b4b9ff022c2447fd6"
+    ),
+    ("rho", "--family", "general-file", "--input", "{pair2}"): (
+        "807e87b3bfc279e2e5f83e11da1bc7dc56bd5b55f674524dd8def663b8f0cc9b"
     ),
     ("validate",): "bacce857b956201f4216f549f8d62993d8b27583b8dbd1c84b4730c56578a758",
 }
@@ -272,13 +300,31 @@ PAIR_FILE = (
     "0.0 0.9320390859672263 -0.3623577544766736 0.0\n"
     "0.0 0.0 0.0 -1.0\n"
 )
+# the pair files of the placeholders in OUTPUT_DIGESTS: PAIR_FILE, with
+# blank lines after it, A = (1) and B = (-1), and A = r(0.7) and B = r(1.9)
+# written with repr
+PAIR_FILES = {
+    "{pair}": PAIR_FILE,
+    "{padded}": PAIR_FILE + "\n  \n\n",
+    "{pair1}": "1\n1.0\n\n-1.0\n",
+    "{pair2}": (
+        "2\n"
+        "0.7648421872844885 0.644217687237691\n"
+        "0.644217687237691 -0.7648421872844885\n"
+        "\n"
+        "-0.32328956686350335 0.9463000876874145\n"
+        "0.9463000876874145 0.32328956686350335\n"
+    ),
+}
 
 
 @pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS), ids=" ".join)
 def test_output_bytes_are_pinned(tmp_path, argv):
-    out, pair = tmp_path / "out.csv", tmp_path / "pair.txt"
-    pair.write_text(PAIR_FILE)
-    assert run([*(a.replace("{pair}", str(pair)) for a in argv), "--out", str(out)]) == 0
+    out, paths = tmp_path / "out.csv", {}
+    for i, (name, text) in enumerate(PAIR_FILES.items()):
+        paths[name] = tmp_path / f"pair{i}.txt"
+        paths[name].write_text(text)
+    assert run([*(str(paths.get(a, a)) for a in argv), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_DIGESTS[argv]
 
 
@@ -364,6 +410,7 @@ class TestExitCodes:
             raise AssertionError("a section was built")
 
         monkeypatch.setattr(forms, "build_sum_truncation", build)
+        monkeypatch.setattr(analysis, "_family_sections", build)
         monkeypatch.setattr(forms, "PairFamily", None)
         # 9,998 points at the largest order: about 300 GB of stacked sections
         assert run(["sweep", "--family", "constant", "--theta", "0.001:0.00031:3.1", "--n", str(MAX_ORDER)]) == 2

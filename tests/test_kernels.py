@@ -23,7 +23,10 @@ must equal plain bisection, whatever the guesses are; the sign of the
 exterior equation must follow the counts; and a family spectrum or
 ``rho_numeric`` must leave next to nothing to bisect, ``rho_numeric`` must
 build no long section and run no lockstep kernel, and a batch the in-band
-certificate declines must not be scanned for a tail.
+certificate declines must not be guessed from its tail.  Sections reach
+the kernel as rows of Python floats, split where the longest periodic run
+of last rows starts, and the arrays the lockstep stages expand from them
+must hold the sections' own entries.
 """
 
 import math
@@ -116,12 +119,12 @@ TINY_OFFDIAGONAL = TridiagonalSymmetricMatrix(
 def test_python_loop_equals_numpy_loop_bitwise(case):
     m, idx = case
     diag, off2, lo, hi, steps = kernel_args(m)
-    rows = _kernels._rows(diag[0], off2[0])
+    rows = _kernels._rows(diag[0].tolist(), off2[0].tolist())
     py = _kernels._bisect_py(rows, lo[0].item(), hi[0].item(), steps[0].item(), idx.tolist())
     vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx[None])[0]
     assert np.array(py).tobytes() == vec.tobytes()
     shifts = np.linspace(lo[0] - 1.0, hi[0] + 1.0, 9)
-    scalar = [_kernels._sturm_count_py(*_kernels._rows(diag[0], off2[0]), float(x)) for x in shifts]
+    scalar = [_kernels._sturm_count_py(*rows, float(x)) for x in shifts]
     assert scalar == _kernels._sturm_counts_np(diag, off2, shifts[None])[0].tolist()
 
 
@@ -251,7 +254,7 @@ def test_sturm_counts_nondecreasing_in_shift(ms, xs):
     x = np.unique(np.concatenate([xs, eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]))
     batched = _kernels._sturm_counts_np(diag, off2, np.tile(x, (len(ms), 1)))
     for b in range(len(ms)):
-        rows = _kernels._rows(diag[b], off2[b])
+        rows = _kernels._rows(diag[b].tolist(), off2[b].tolist())
         scalar = [_kernels._sturm_count_py(*rows, v) for v in x.tolist()]
         vector = _kernels._sturm_counts_np(diag[b : b + 1], off2[b : b + 1], x[None])[0].tolist()
         assert scalar == vector == batched[b].tolist()
@@ -275,7 +278,7 @@ def test_periodic_tail_count_equals_full_loop(m):
     lo, hi = m.gershgorin()
     eigs = sections_eigenvalues_at([m], np.arange(m.n))[0]
     near = [eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]
-    rows = _kernels._rows(diag[0], off2[0])
+    rows = _kernels._rows(diag[0].tolist(), off2[0].tolist())
     x = np.concatenate([*near, _tail.band_edges(rows[2]), [lo, hi]])
     full = _kernels._sturm_counts_np(diag, off2, x[None])[0].tolist()
     assert [_kernels._sturm_count_py(*rows, v) for v in x.tolist()] == full
@@ -311,14 +314,15 @@ def test_zero_pivots_count_as_in_plain_python(ms, xs, later):
     # every row, it must equal the plain-Python count
     diag, off2 = kernel_args(*ms)[:2]
     n = diag.shape[1]
-    tail = min(n, max(_tail.start(d, e) for d, e in zip(diag, off2)) + later)
+    tail = min(n, tail_start(diag, off2) + later)
     x = np.tile([*xs, -0.0, 0.0, 1.0], (len(ms), 1))
     errors = np.geterr()
     counts = _kernels._sturm_counts_np(diag, off2, x, tail)
     walk = _kernels._sturm_counts_np(diag, off2, x, n)
     assert np.geterr() == errors
     for b in range(len(ms)):
-        scalar = [_kernels._sturm_count_py(*_kernels._rows(diag[b], off2[b]), v) for v in x[b].tolist()]
+        rows = _kernels._rows(diag[b].tolist(), off2[b].tolist())
+        scalar = [_kernels._sturm_count_py(*rows, v) for v in x[b].tolist()]
         assert counts[b].tolist() == walk[b].tolist() == scalar
 
 
@@ -340,19 +344,22 @@ def test_zero_pivots_count_as_in_plain_python(ms, xs, later):
         )
     ]
 )
-def test_list_tail_start_equals_numpy_start(ms):
-    # the tail start found in numpy is the one a walk back over lists finds,
-    # where -0.0 == 0.0 as in numpy: the first row of the longest run of last
-    # rows that each equal the row two after them, at least two rows long;
-    # _list_rows walks back so, and gives the rows of _rows
+def test_rows_split_at_the_longest_periodic_run(ms):
+    # the tail of _rows starts at the first row of the longest run of last
+    # rows that each equal the row two after them, where -0.0 == 0.0, and
+    # holds at least two rows; a section of order 1 or 2 has no tail
     diag, off2 = kernel_args(*ms)[:2]
     for d, e in zip(diag.tolist(), off2.tolist()):
-        n, row = len(d), len(d) - 3
-        while row >= 1 and d[row] == d[row + 2] and e[row - 1] == e[row + 1]:
-            row -= 1
-        row = max(row, 0) + 1
-        assert _tail.start(np.array(d), np.array(e)) == (n if n - row < 2 else row)
-        assert repr(_kernels._list_rows(d, e)) == repr(_kernels._rows(np.array(d), np.array(e)))
+        n = len(d)
+        periodic = [d[i] == d[i + 2] and e[i - 1] == e[i + 1] for i in range(n - 2)]
+        start = min((s for s in range(1, n - 1) if all(periodic[s:])), default=n)
+        head, tail = list(zip(d[1:start], e[: start - 1])), tuple(zip(d[start : start + 2], e[start - 1 : start + 1]))
+        assert repr(_kernels._rows(d, e)) == repr((d[0], head, tail, n - start))
+
+
+def tail_start(diag, off2):
+    """The common tail start of sections given as arrays: their longest head, as ``_rows`` splits them."""
+    return max(1 + len(_kernels._rows(d, e)[1]) for d, e in zip(diag.tolist(), off2.tolist()))
 
 
 @pytest.mark.parametrize("n", [600, 2000])
@@ -361,7 +368,7 @@ def test_count_above_the_spectrum_is_the_order(n):
     ms = [build_sum_truncation(make_family(name, 1.2, 0.7), n) for name in FAMILIES]
     diag, off2, _, hi, _ = kernel_args(*ms)
     x = np.repeat(np.nextafter(hi, np.inf)[:, None], 3, axis=1)
-    tail = max(_tail.start(d, e) for d, e in zip(diag, off2))
+    tail = tail_start(diag, off2)
     for batch in (slice(0, 1), slice(None)):
         for start in (tail, n):
             assert np.all(_kernels._sturm_counts_np(diag[batch], off2[batch], x[batch], start) == n)
@@ -374,7 +381,7 @@ def test_count_above_the_spectrum_is_the_order(n):
 def test_exterior_minor_sign_follows_the_count(m, fractions):
     # in each gap the sign of the scaled last minor is (-1)^count times one
     # sign, so its roots there are the eigenvalues that counts certify
-    rows = _kernels._rows(m.diag, m.offdiag**2)
+    rows = _kernels._rows(m.diag.tolist(), (m.offdiag**2).tolist())
     lo, hi = m.gershgorin()
     e = math.frexp(max(abs(lo), abs(hi)))[1]
     unit = _tail.scaled(rows, e)
@@ -399,7 +406,7 @@ def test_family_head_length_does_not_depend_on_order(name):
     heads = set()
     for n in (40, 42, 600, 2002):
         m = build_sum_truncation(f, n)
-        _, head, tail, tail_len = _kernels._rows(m.diag, m.offdiag**2)
+        _, head, tail, tail_len = _kernels._rows(m.diag.tolist(), (m.offdiag**2).tolist())
         assert len(tail) == 2 and 1 + len(head) + tail_len == n
         heads.add(len(head))
     assert len(heads) == 1
@@ -528,7 +535,7 @@ def test_short_build_gives_the_full_rows_bounds_and_tolerance(f, half_n):
     assert builds == sorted({min(k, max(builds)) for k in orders})
     for order, (rows, lo, hi, tol) in zip(orders, sections):
         m = build_sum_truncation(f, order)
-        assert repr(rows) == repr(_kernels._rows(m.diag, m.offdiag**2))
+        assert repr(rows) == repr(_kernels._rows(m.diag.tolist(), (m.offdiag**2).tolist()))
         assert repr((lo, hi, tol)) == repr((*m.gershgorin(), default_tol(m)))
 
 
@@ -559,7 +566,7 @@ def plain_bisection(ms, idx, tol=None):
     tols = [default_tol(m) if tol is None else tol for m in ms]
     steps = np.array([_kernels.halvings(*b) for b in zip(lo, hi, tols)])
     if len(ms) == 1 and ms[0].n >= 2000:
-        rows = _kernels._rows(diag[0], off2[0])
+        rows = _kernels._rows(diag[0].tolist(), off2[0].tolist())
         return np.array(_kernels._bisect_py(rows, lo[0].item(), hi[0].item(), steps[0].item(), idx.tolist()))[None]
     return _kernels._bisect_np(diag, off2, lo, hi, steps, np.broadcast_to(idx, (len(ms), idx.size)))
 
@@ -693,6 +700,77 @@ def test_tailless_certificate_equals_plain_bisection_bitwise(case):
     assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
 
 
+# a tail whose zero entries alternate in sign, which is still one tail
+ALTERNATING_ZEROS = TridiagonalSymmetricMatrix(
+    diag=np.array([1.0, -0.0, 2.0, 0.0, 2.0, -0.0, 2.0]), offdiag=np.array([1.0, 0.0, -0.0, 0.0, -0.0, 0.0])
+)
+
+
+def expanded(ms):
+    """The arrays the lockstep stages expand from the sections' rows, and the
+    sections' own arrays."""
+    diag, off2 = kernel_args(*ms)[:2]
+    rows = [_kernels._rows(d, e) for d, e in zip(diag.tolist(), off2.tolist())]
+    return _kernels._arrays(rows, diag.shape[1]), (diag, off2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ms=st.one_of(tailless_sections(), same_order_tail_sections(max_n=40, values=SMALL_INTEGERS)))
+@example(ms=[ODD_TAIL])
+@example(ms=[SIGNED_ZERO_PIVOTS])
+@example(ms=[ZERO_PIVOTS])
+@example(ms=[ALTERNATING_ZEROS])
+@example(ms=[TINY_PIVOT])
+@example(ms=[THREE_BY_THREE])
+@example(ms=COMMUTATOR_SECTIONS)
+def test_arrays_from_rows_tile_each_first_tail_period(ms):
+    # bitwise each section's entries with its tail tiled from its first
+    # period, which equal its own: a zero in the tail, as in a Householder
+    # section of -C^2 for commuting A and B, takes the sign of the first
+    # period's zero, which no count can tell apart
+    (diag, off2), want = expanded(ms)
+    for b, (d, e) in enumerate(zip(*want)):
+        start = d.size - _kernels._rows(d.tolist(), e.tolist())[3]
+        tiled_d, tiled_e = d.copy(), e.copy()
+        tiled_d[start:], tiled_e[start - 1 :] = np.resize(d[start : start + 2], d.size - start), np.resize(
+            e[start - 1 : start + 1], d.size - start
+        )
+        assert diag[b].tobytes() == tiled_d.tobytes() and off2[b].tobytes() == tiled_e.tobytes()
+        assert np.array_equal(diag[b], d) and np.array_equal(off2[b], e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ms=st.one_of(family_sections(), same_order_sections(max_n=3)))
+@example(ms=[ODD_TAIL])
+@example(ms=[SIGNED_ZERO_PIVOTS])
+@example(ms=COMMUTATOR_SECTIONS)
+@example(ms=[THREE_BY_THREE])
+@example(ms=[build_sum_truncation(PairFamily.perturbed_heads(0.4), 2)])
+def test_arrays_from_rows_equal_family_and_householder_sections_bitwise(ms):
+    # family sections (build_sum_truncation), sections of order up to 3 and
+    # the Householder sections of the Tsirelson suite and of criterion 1
+    # come back bitwise as they were
+    (diag, off2), (want_d, want_e) = expanded(ms)
+    assert diag.tobytes() == want_d.tobytes() and off2.tobytes() == want_e.tobytes()
+
+
+def test_rows_reaching_the_kernel_hold_python_floats(monkeypatch):
+    # numpy scalars in rows would slow every plain-Python count and warn
+    # where Python floats overflow quietly
+    seen = []
+    solve = _kernels.bisect_sections
+    monkeypatch.setattr(_kernels, "bisect_sections", lambda sections, *a: seen.extend(sections) or solve(sections, *a))
+    sections_eigenvalues_at([ODD_TAIL, ODD_TAIL], [0, 8])
+    sections_eigenvalues_at([TridiagonalSymmetricMatrix(diag=np.array([2.0]), offdiag=np.zeros(0))], [0])
+    dense_sym_eigenvalues(DenseSymmetricMatrix(paper_example_3x3(0.01).a.entries))
+    analysis.tsirelson_suite(1, 2)
+    analysis.family_eigenvalues_at([make_family(name, 1.2, 0.7) for name in FAMILIES], 40, [0, 39])
+    assert len(seen) == 2 + 1 + 1 + 4 + 4
+    for (d0, head, tail, tail_len), lo, hi, tol in seen:
+        entries = [d0, *(x for row in (*head, *tail) for x in row), lo, hi, tol]
+        assert {type(x) for x in entries} == {float} and type(tail_len) is int
+
+
 # eq3 sections up to DENSE_MAX_ORDER, which take dense guesses despite their tails
 EQ3_SECTIONS = [build_sum_truncation(PairFamily.head_omega(1.2, 0.7), n) for n in (10, 30, 64)]
 
@@ -763,12 +841,12 @@ def test_declined_certificate_scans_no_tail(monkeypatch):
     # the 2n counts a certificate costs, so _certify declines the batch
     # before it looks for any section's tail
     ms = [build_sum_truncation(PairFamily.head_omega(0.04 * k, 0.7), 100) for k in range(1, THRESHOLD + 2)]
-    certified, starts = [], []
-    certify, start = _kernels._certify, _tail.start
-    monkeypatch.setattr(_kernels, "_certify", lambda *args: certified.append(args[6].size) or certify(*args))
-    monkeypatch.setattr(_tail, "start", lambda *args: starts.append(args) or start(*args))
+    certified, guessed = [], []
+    certify, guess = _kernels._certify, _tail.guesses
+    monkeypatch.setattr(_kernels, "_certify", lambda *args: certified.append(args[7].size) or certify(*args))
+    monkeypatch.setattr(_tail, "guesses", lambda *args: guessed.append(args) or guess(*args))
     sections_eigenvalues_at(ms, [99])
-    assert certified == [THRESHOLD + 1] and not starts
+    assert certified == [THRESHOLD + 1] and not guessed
 
 
 def test_three_by_three_bisects_no_lane(monkeypatch):

@@ -1,9 +1,9 @@
 """Hot numeric kernels: Sturm counts and lockstep bisection by index.
 
-``bisect_sections`` finds, for each of B sections of one order, each given
-as its rows (``_rows``), Gershgorin bounds and tolerance, the eigenvalues
-whose ascending (0-based) indices are listed in ``idx``; the full spectrum
-is the case ``idx = arange(n)``, and one section is the case B = 1.
+``bisect_sections`` finds, for each of B sections of one order, given as
+``tridiag.section`` builds them, the eigenvalues whose ascending (0-based)
+indices are listed in ``idx``; the full spectrum is the case ``idx =
+arange(n)``, and one section is the case B = 1.
 ``bisect_rows``, its plain-Python stage, solves indices of one section, and
 ``rho_numeric`` calls it directly.  These two are the bisection entry
 points.  Every (section, index) lane runs its section's fixed number of
@@ -433,13 +433,19 @@ def _certify(rows, diag, off2, lo, hi, steps, idx, out, dense):
             _settle_leaves(diag[r], off2[r], lo[r], hi[r], steps[r], guesses, column, out[r], head)
 
 
+def _run(which):
+    """Ascending section numbers as a slice, which takes views, not copies, where they are consecutive."""
+    first, last = which[0].item(), which[-1].item()
+    return slice(first, last + 1) if last - first + 1 == which.size else which
+
+
 def bisect_sections(sections, idx):
     """Eigenvalues at the ascending indices ``idx`` of B sections of one order.
 
-    Each section is a tuple (rows, lo, hi, tol): its ``_rows``, its
-    Gershgorin bounds and its bisection tolerance.  Row b of the (B, K)
-    result holds section b's values in the order of ``idx``; lane (b, c)
-    is section b's eigenvalue at index ``idx[c]``.
+    Each section is a tuple (rows, lo, hi, tol), as ``tridiag.section``
+    builds it: its ``_rows``, Gershgorin bounds and bisection tolerance.
+    Row b of the (B, K) result holds section b's values in the order of
+    ``idx``; lane (b, c) is section b's eigenvalue at index ``idx[c]``.
 
     This is the one place that chooses a path.  The guess source goes by
     cost alone: where a dense solve costs less than bisection
@@ -452,9 +458,11 @@ def bisect_sections(sections, idx):
     lanes that a dense or exterior guess places and bisects the rest in
     plain Python, from the section's rows.  More bisect in lockstep, each
     section's indices padded to a common count with its last one, in
-    chunks of about ``MAX_LANES`` lanes.  A batch with dense guesses or
-    more lanes, all of which run some lockstep stage, builds arrays of its
-    rows once (``_arrays``).  Each value is bitwise that of plain bisection.
+    chunks of about ``MAX_LANES`` lanes, each of which slices the arrays
+    where its sections are consecutive (copies otherwise).  A batch with
+    dense guesses or more lanes, all of which run some lockstep stage,
+    builds arrays of its rows once (``_arrays``).  Each value is bitwise
+    that of plain bisection.
     """
     rows, lo, hi, tol = zip(*sections)
     idx = np.ascontiguousarray(idx, dtype=np.int64)
@@ -492,7 +500,7 @@ def bisect_sections(sections, idx):
         [
             _bisect_np(diag[r], off2[r], lo[r], hi[r], steps[r], grid[c])
             for c in (slice(a, a + per) for a in range(0, which.size, per))
-            for r in [which[c]]
+            for r in [_run(which[c])]
         ]
     )
     out[sec, col] = solved[rank, slot]

@@ -18,7 +18,7 @@ from .theory import (
     select_lambda0,
     two_angle_essential,
 )
-from .tridiag import SpectrumSample, _bounds_tol, _list_gershgorin, dense_eigenvalues_at
+from .tridiag import SpectrumSample, dense_eigenvalues_at, section
 
 np = lazy_import("numpy")
 
@@ -100,20 +100,18 @@ def _stabilized(values, ess, margin, nxt):
 def _family_sections(f, *orders):
     """(rows, lo, hi, tol) of the family's sections of the even ``orders``.
 
-    These are, bitwise, ``_kernels._rows`` of ``build_sum_truncation(f,
-    order)``, its Gershgorin bounds and ``default_tol``, read off entries
-    built in plain Python (``sum_entries``) at order min(order, S), S =
-    ``short_order(f)``, once each.  A longer section repeats the last tail
-    period of that one, which adds nothing to the bounds and only length
-    to the tail of its rows.
+    These are, bitwise, the ``tridiag.section`` that ``build_sum_truncation(f,
+    order)`` keeps, but built by ``section`` from entries made in plain
+    Python (``sum_entries``) at order min(order, S), S = ``short_order(f)``,
+    once each.  A longer section repeats the last tail period of that one,
+    which adds nothing to the bounds and only length to the tail of its
+    rows.
     """
     short, built, out = short_order(f), {}, []
     for order in orders:
         k = min(order, short)
         if k not in built:
-            d, e = sum_entries(f, k)
-            lo, hi = _list_gershgorin(d, e)
-            built[k] = _kernels._rows(d, [x * x for x in e]), lo, hi, _bounds_tol(lo, hi)
+            built[k] = section(*sum_entries(f, k))
         (d0, head, tail, tail_len), lo, hi, tol = built[k]
         out.append(((d0, head, tail, tail_len + order - k), lo, hi, tol))
     return out

@@ -25,10 +25,17 @@ MAX_GRID_POINTS = 10_000
 # grows as n^2.  Larger orders end in a memory error.
 MAX_ORDER = 1_000_000
 # `sweep` solves all its sections in one batch, whose lockstep arrays peak
-# at about 33 bytes per section row (tracemalloc, the lambda_max column of
+# at about 17 bytes per section row (tracemalloc, the lambda_max column of
 # 1,001 eq3 sections of order 1,000 and 4,000), so points * order is
-# bounded too: this many rows take about 330 MB.
+# bounded too: this many rows take about 170 MB.
 MAX_SWEEP_ROWS = 10_000_000
+# The families that read each angle or pair-file flag, and the rest of the
+# one-line error of a family given a flag it does not read.
+FLAG_READERS = {
+    "input": (("general-file",), "only family general-file does"),
+    "omega": (("eq3", "two-constant"), "only families eq3 and two-constant do"),
+    "theta": (("constant", "eq3", "eq5", "two-constant"), "only the angle families do"),
+}
 
 
 def fmt(x):
@@ -91,11 +98,11 @@ def build_family(family, omega, theta):
     raise ValueError(f"unknown family {family!r}")
 
 
-def angle_family(args):
-    """The angle family of a ``spectrum`` or ``rho`` request, which reads no pair file."""
-    if args.input is not None:
-        raise ValueError(f"family {args.family} reads no --input; only family general-file does")
-    return build_family(args.family, args.omega, args.theta)
+def check_flags(args):
+    """Reject an ``--input``, ``--omega`` or ``--theta`` that the request's family does not read."""
+    for flag, (families, readers) in FLAG_READERS.items():
+        if getattr(args, flag, None) is not None and args.family not in families:
+            raise ValueError(f"family {args.family} reads no --{flag}; {readers}")
 
 
 def closed_forms(fam):
@@ -157,13 +164,14 @@ def write_text(path, text):
 
 
 def cmd_spectrum(args):
+    check_flags(args)
     if args.family == "general-file":
         pair = read_pair_file(args.input)
         values = tridiag.dense_sym_eigenvalues(
             tridiag.DenseSymmetricMatrix(pair.a.entries + pair.b.entries)
         ).values
     else:
-        fam = angle_family(args)
+        fam = build_family(args.family, args.omega, args.theta)
         n = even_order(args.n)
         values = analysis.family_eigenvalues_at([fam], n, np.arange(n))[0]
     lines = ["index,eigenvalue"]
@@ -173,11 +181,12 @@ def cmd_spectrum(args):
 
 
 def cmd_rho(args):
+    check_flags(args)
     if args.family == "general-file":
         rho = analysis.rho_commutator_direct(read_pair_file(args.input))
         payload = {"rho_low": fmt(rho), "rho_high": fmt(rho), "branch": "direct-commutator"}
     else:
-        fam = angle_family(args)
+        fam = build_family(args.family, args.omega, args.theta)
         closed, exclusion = closed_forms(fam)
         rep = analysis.rho_numeric(fam, even_order(args.n), exclusion=exclusion)
         payload = {
@@ -218,6 +227,7 @@ def _lambda_max_column(fams, n):
 
 
 def cmd_sweep(args):
+    check_flags(args)
     thetas = parse_grid(args.theta)
     if not thetas:
         raise ValueError("empty theta grid")

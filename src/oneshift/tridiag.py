@@ -1,10 +1,11 @@
 """Real symmetric eigensolver built from scratch.
 
 Tridiagonal matrices are solved by Sturm-sequence bisection inside the
-Gershgorin hull; small dense symmetric matrices are first reduced to
-tridiagonal form by Householder reflections, one at a time or a (B, n, n)
-stack in lockstep, with the same bits.  Eigenvalues are returned with
-multiplicity, sorted ascending.
+Gershgorin hull, each from the one form that ``section`` builds of it;
+small dense symmetric matrices are first reduced to tridiagonal form by
+Householder reflections, one at a time or a (B, n, n) stack in lockstep,
+with the same bits.  Eigenvalues are returned with multiplicity, sorted
+ascending.
 """
 
 from __future__ import annotations
@@ -23,38 +24,29 @@ np = lazy_import("numpy")
 LOOP_MAX_MATRICES = 2
 
 
-def _gershgorin(d, e):
-    """Gershgorin bounds, lists lo and hi, of the tridiagonals with the rows
-    of ``d`` (B, n) and ``e`` (B, n-1), checked finite and small enough for
-    bisection: it squares e, and its midpoints and d - x are bounded by
-    |lo| + |hi|."""
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("entries must be finite")
-    with np.errstate(over="ignore"):
-        r = np.zeros(d.shape)
-        ae = np.abs(e)
-        r[:, :-1] += ae
-        r[:, 1:] += ae
-        lo, hi = (d - r).min(axis=1).tolist(), (d + r).max(axis=1).tolist()
-        if not (np.isfinite(e * e).all() and all(math.isfinite(abs(a) + abs(b)) for a, b in zip(lo, hi))):
-            raise ValueError("entries too large: the eigensolver would overflow")
-    # c*I gets one bound, so that its bisection, which takes no step,
-    # returns 0.5 * (c + c) == c; hi alone turns c = -0.0 into +0.0
-    return lo, [b if b > a else a for a, b in zip(lo, hi)]
+def section(d, e):
+    """The kernel's form (rows, lo, hi, tol) of the tridiagonal with the
+    diagonal ``d`` and off-diagonal ``e``, lists of floats, in plain Python.
 
-
-def _list_gershgorin(d, e):
-    """``_gershgorin`` of one tridiagonal given as lists ``d`` and ``e``, in
-    plain Python: the same checks, and the same bounds, bitwise, but for the
-    sign of a zero bound."""
+    The rows are ``_kernels._rows`` of ``d`` and the squares of ``e``;
+    lo and hi are the Gershgorin bounds, and tol the default bisection
+    tolerance, 1e-12 * max(1, |lo|, |hi|).  The entries are checked finite
+    and small enough for bisection: it squares e, and its midpoints and
+    d - x are bounded by |lo| + |hi|.  Of tied zero bounds of either sign,
+    lo is the first.  Every section the kernel solves is built here.
+    """
     if not all(map(math.isfinite, [*d, *e])):
         raise ValueError("entries must be finite")
     ae = [abs(x) for x in e]
     r = [a + b for a, b in zip([0.0, *ae], [*ae, 0.0])]
     lo, hi = min(x - y for x, y in zip(d, r)), max(x + y for x, y in zip(d, r))
-    if not (all(math.isfinite(x * x) for x in e) and math.isfinite(abs(lo) + abs(hi))):
+    e2 = [x * x for x in e]
+    if not (all(map(math.isfinite, e2)) and math.isfinite(abs(lo) + abs(hi))):
         raise ValueError("entries too large: the eigensolver would overflow")
-    return lo, hi if hi > lo else lo
+    # c*I gets one bound, so that its bisection, which takes no step,
+    # returns 0.5 * (c + c) == c; hi alone turns c = -0.0 into +0.0
+    hi = hi if hi > lo else lo
+    return _kernels._rows(d, e2), lo, hi, 1e-12 * max(1.0, abs(lo), abs(hi))
 
 
 def _symmetrized(a):
@@ -76,7 +68,7 @@ class TridiagonalSymmetricMatrix:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    _bounds: tuple = field(init=False, repr=False, compare=False)
+    _section: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.ascontiguousarray(np.asarray(self.diag, dtype=np.float64))
@@ -87,16 +79,15 @@ class TridiagonalSymmetricMatrix:
             raise ValueError("offdiag must have length n-1")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
-        lo, hi = _gershgorin(d[None], e[None])
-        object.__setattr__(self, "_bounds", (lo[0], hi[0]))
+        object.__setattr__(self, "_section", section(d.tolist(), e.tolist()))
 
     @property
     def n(self):
         return self.diag.size
 
     def gershgorin(self):
-        """Inclusive eigenvalue bounds (lo, hi) from Gershgorin discs, computed once at construction."""
-        return self._bounds
+        """Inclusive eigenvalue bounds (lo, hi) from Gershgorin discs, of the ``section`` kept."""
+        return self._section[1:3]
 
 
 @dataclass(frozen=True)
@@ -135,25 +126,20 @@ class SpectrumSample:
         return self.values.size
 
 
-def _bounds_tol(lo, hi):
-    return 1e-12 * max(1.0, abs(lo), abs(hi))
-
-
 def default_tol(m):
     """Scale-free bisection tolerance: 1e-12 * max(1, Gershgorin radius)."""
-    return _bounds_tol(*m.gershgorin())
+    return m._section[3]
 
 
 def sturm_count(m, x):
     """Number of eigenvalues of ``m`` strictly less than ``x``, in plain Python.
 
-    A sequence of shifts gives a list of counts, one each, and sets ``m``
-    up once.
+    A sequence of shifts gives a list of counts, one each, on the rows of
+    the ``section`` that ``m`` keeps.
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("shift must be finite")
-    rows = _kernels._rows(m.diag.tolist(), (m.offdiag**2).tolist())
-    counts = [_kernels._sturm_count_py(*rows, float(v)) for v in np.atleast_1d(x).tolist()]
+    counts = [_kernels._sturm_count_py(*m._section[0], float(v)) for v in np.atleast_1d(x).tolist()]
     return counts if np.ndim(x) else counts[0]
 
 
@@ -175,9 +161,7 @@ def sections_eigenvalues_at(ms, idx, tol=None):
         raise ValueError("eigenvalue index out of range")
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
-    rows = [_kernels._rows(m.diag.tolist(), (m.offdiag**2).tolist()) for m in ms]
-    bounds = [m.gershgorin() for m in ms]
-    sections = [(r, *b, _bounds_tol(*b) if tol is None else tol) for r, b in zip(rows, bounds)]
+    sections = [m._section if tol is None else (*m._section[:3], tol) for m in ms]
     return _kernels.bisect_sections(sections, idx)
 
 
@@ -186,9 +170,7 @@ def dense_eigenvalues_at(a, idx):
     stack of dense symmetric matrices, with no section objects built; row b
     is bitwise that of matrix b alone."""
     d, e = householder_stack(_symmetrized(a))
-    lo, hi = _gershgorin(d, e)
-    rows = map(_kernels._rows, d.tolist(), (e**2).tolist())
-    return _kernels.bisect_sections([(r, *b, _bounds_tol(*b)) for r, *b in zip(rows, lo, hi)], idx)
+    return _kernels.bisect_sections(list(map(section, d.tolist(), e.tolist())), idx)
 
 
 def tridiag_eigenvalues(m, tol=None):

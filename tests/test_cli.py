@@ -121,6 +121,29 @@ class TestSpectrumCommand:
         assert capsys.readouterr().err == "error: family constant reads no --input; only family general-file does\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, family, flag",
+        [
+            ("rho", "constant", "--omega"),
+            ("spectrum", "eq5", "--omega"),
+            ("rho", "eq5", "--omega"),
+            ("spectrum", "general-file", "--theta"),
+            ("rho", "general-file", "--omega"),
+            # checked before any family is built, and so before the odd-order warning
+            ("sweep", "constant", "--omega"),
+            ("sweep", "eq5", "--omega"),
+        ],
+    )
+    def test_unread_angle_exits_2(self, tmp_path, capsys, command, family, flag):
+        pair_file, out = tmp_path / "pair.txt", tmp_path / "out.txt"
+        pair_file.write_text(PAIR_FILE)
+        reads = ["--input", str(pair_file)] if family == "general-file" else ["--theta", "1.0"]
+        argv = [command, "--family", family, *reads, flag, "5", "--n", "5", "--out", str(out)]
+        assert run(argv) == 2
+        readers = {"--omega": "only families eq3 and two-constant do", "--theta": "only the angle families do"}
+        assert capsys.readouterr().err == f"error: family {family} reads no {flag}; {readers[flag]}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["spectrum", "rho"])
     def test_huge_general_file_exits_2(self, tmp_path, capsys, command):
         pair_file = tmp_path / "pair.txt"
@@ -284,6 +307,14 @@ OUTPUT_DIGESTS = {
     ("rho", "--family", "general-file", "--input", "{pair2}"): (
         "807e87b3bfc279e2e5f83e11da1bc7dc56bd5b55f674524dd8def663b8f0cc9b"
     ),
+    # 0 +- 0 from zeros of either sign: the lower Gershgorin bound is the
+    # first of the tied zero bounds, -0.0 in {zeros} and 0.0 in {mirror}
+    ("spectrum", "--family", "general-file", "--input", "{zeros}"): (
+        "d58cf3e1374a01515b7048b5da2be57d7dca6693b7eb6ebd03a43d1bf4472809"
+    ),
+    ("spectrum", "--family", "general-file", "--input", "{mirror}"): (
+        "92f1147134908eaafd06acac0acc4933484aa7e5d7ae5a5d0d5320db231fb1a5"
+    ),
     ("validate",): "bacce857b956201f4216f549f8d62993d8b27583b8dbd1c84b4730c56578a758",
 }
 
@@ -301,8 +332,9 @@ PAIR_FILE = (
     "0.0 0.0 0.0 -1.0\n"
 )
 # the pair files of the placeholders in OUTPUT_DIGESTS: PAIR_FILE, with
-# blank lines after it, A = (1) and B = (-1), and A = r(0.7) and B = r(1.9)
-# written with repr
+# blank lines after it, A = (1) and B = (-1), A = r(0.7) and B = r(1.9)
+# written with repr, and two pairs whose sum is 0 with diagonal zeros of
+# either sign
 PAIR_FILES = {
     "{pair}": PAIR_FILE,
     "{padded}": PAIR_FILE + "\n  \n\n",
@@ -315,6 +347,8 @@ PAIR_FILES = {
         "-0.32328956686350335 0.9463000876874145\n"
         "0.9463000876874145 0.32328956686350335\n"
     ),
+    "{zeros}": "2\n-0.0 1\n1 0.0\n\n-0.0 -1\n-1 0.0\n",
+    "{mirror}": "2\n0.0 1\n1 -0.0\n\n-0.0 -1\n-1 -0.0\n",
 }
 
 

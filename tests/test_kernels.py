@@ -26,7 +26,9 @@ build no long section and run no lockstep kernel, and a batch the in-band
 certificate declines must not be guessed from its tail.  Sections reach
 the kernel as rows of Python floats, split where the longest periodic run
 of last rows starts, and the arrays the lockstep stages expand from them
-must hold the sections' own entries.
+must hold the sections' own entries; lockstep bisection slices, not
+copies, the arrays of a run of sections, and gives plain bisection's bits
+with or without gaps between them.
 """
 
 import math
@@ -537,6 +539,9 @@ def test_short_build_gives_the_full_rows_bounds_and_tolerance(f, half_n):
         m = build_sum_truncation(f, order)
         assert repr(rows) == repr(_kernels._rows(m.diag.tolist(), (m.offdiag**2).tolist()))
         assert repr((lo, hi, tol)) == repr((*m.gershgorin(), default_tol(m)))
+    # one section, as the family requests ask for it, is the one the full
+    # build keeps
+    assert repr(analysis._family_sections(f, n)[0]) == repr(build_sum_truncation(f, n)._section)
 
 
 @settings(max_examples=40, deadline=None)
@@ -901,6 +906,56 @@ def test_threshold_batches_bisect_in_python_and_in_lockstep(monkeypatch):
     assert bisected == [1] * THRESHOLD
     sections_eigenvalues_at(THRESHOLD_SECTIONS, THRESHOLD_INDEX)
     assert bisected == [1] * THRESHOLD + [THRESHOLD + 1]
+
+
+def lockstep_chunks(monkeypatch):
+    """A list that gathers, for each chunk of lockstep bisection, its number
+    of sections and whether its arrays are views of those ``_arrays`` built."""
+    built, chunks = [], []
+    arrays, bisect = _kernels._arrays, _kernels._bisect_np
+
+    def chunk(diag, *args):
+        chunks.append((len(diag), np.shares_memory(diag, built[-1][0])))
+        return bisect(diag, *args)
+
+    monkeypatch.setattr(_kernels, "_arrays", lambda *args: built.append(arrays(*args)) or built[-1])
+    monkeypatch.setattr(_kernels, "_bisect_np", chunk)
+    return chunks
+
+
+# in-band eigenvalues of ten eq3 sections of order 100, all of which the
+# tail's guesses certify
+IN_BAND_SECTIONS = [build_sum_truncation(PairFamily.head_omega(0.3 * k, 0.7), 100) for k in range(1, 11)]
+IN_BAND_INDEX = np.arange(40, 60)
+
+
+@pytest.mark.parametrize("lanes, sizes", [(_kernels.MAX_LANES, [THRESHOLD + 1]), (16, [16, 16, 16, 16, 1])])
+def test_contiguous_lockstep_chunks_slice_their_arrays(monkeypatch, lanes, sizes):
+    # every section has a lane left, so each chunk's sections are a run,
+    # whose arrays are sliced, not copied; at 16 lanes a chunk, most runs
+    # end before the last section
+    monkeypatch.setattr(_kernels, "MAX_LANES", lanes)
+    chunks = lockstep_chunks(monkeypatch)
+    values = sections_eigenvalues_at(THRESHOLD_SECTIONS, THRESHOLD_INDEX)
+    assert chunks == [(k, True) for k in sizes]
+    assert values.tobytes() == plain_bisection(THRESHOLD_SECTIONS, THRESHOLD_INDEX).tobytes()
+
+
+def test_gapped_lockstep_chunk_equals_plain_bisection_bitwise(monkeypatch):
+    # with the guesses of every other section dropped, _certify settles the
+    # rest whole, and the five sections left to bisect are not a run
+    guess = _tail.guesses
+
+    def every_other(*args):
+        g = guess(*args)
+        g[1::2] = np.nan
+        return g
+
+    monkeypatch.setattr(_tail, "guesses", every_other)
+    chunks = lockstep_chunks(monkeypatch)
+    values = sections_eigenvalues_at(IN_BAND_SECTIONS, IN_BAND_INDEX)
+    assert chunks == [(5, False)]
+    assert values.tobytes() == plain_bisection(IN_BAND_SECTIONS, IN_BAND_INDEX).tobytes()
 
 
 @pytest.mark.parametrize("name", FAMILIES)

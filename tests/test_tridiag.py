@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import charpoly_tridiag_eigs, detscan_dense_eigs
+from oneshift import _kernels
 from oneshift.tridiag import (
     DenseSymmetricMatrix,
     TridiagonalSymmetricMatrix,
@@ -13,6 +14,7 @@ from oneshift.tridiag import (
     _reflect_lockstep,
     dense_sym_eigenvalues,
     householder_stack,
+    section,
     sturm_count,
     tridiag_eigenvalues,
 )
@@ -206,3 +208,53 @@ class TestTypes:
     def test_dense_rejects_entries_whose_sums_overflow(self):
         with pytest.raises(ValueError, match="too large"):
             DenseSymmetricMatrix(np.full((2, 2), 1e308))
+
+
+# Entries at the edges of section's checks: signed zeros, subnormals,
+# squares and Gershgorin bounds near overflow, and entries not finite.
+EDGE_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.3e154, -1.4e154, 8e307, -9e307, 1.7e308, math.inf, -math.inf, math.nan]
+    ),
+)
+
+
+def gershgorin_definition(d, e):
+    """Gershgorin bounds (lo, hi) by their definition: the least d_i - r_i,
+    the first of equal ones, and the greatest d_i + r_i, r_i the sum of |e|
+    in row i; a hi not above lo is lo."""
+    lo = hi = None
+    for i, x in enumerate(d):
+        r = (abs(e[i - 1]) if i else 0.0) + (abs(e[i]) if i < len(e) else 0.0)
+        if lo is None or x - r < lo:
+            lo = x - r
+        if hi is None or x + r > hi:
+            hi = x + r
+    return lo, hi if hi > lo else lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    de=st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.lists(EDGE_ENTRIES, min_size=n, max_size=n), st.lists(EDGE_ENTRIES, min_size=n - 1, max_size=n - 1))
+    )
+)
+# the pair-file sections 0 +- 0 of the signed-zero spectra in test_cli
+@example(de=([-0.0, 0.0], [0.0]))
+@example(de=([0.0, -0.0], [0.0]))
+def test_section_bounds_follow_the_gershgorin_definition(de):
+    d, e = de
+    if not all(map(math.isfinite, d + e)):
+        with pytest.raises(ValueError) as exc:
+            section(d, e)
+        assert str(exc.value) == "entries must be finite"
+        return
+    lo, hi = gershgorin_definition(d, e)
+    if not all(math.isfinite(x * x) for x in e) or math.isinf(abs(lo) + abs(hi)):
+        with pytest.raises(ValueError) as exc:
+            section(d, e)
+        assert str(exc.value) == "entries too large: the eigensolver would overflow"
+        return
+    want = _kernels._rows(d, [x * x for x in e]), lo, hi, 1e-12 * max(1.0, abs(lo), abs(hi))
+    assert repr(section(d, e)) == repr(want)

@@ -33,9 +33,9 @@ and the rest bisect in plain Python (``_bisect_py``).  More lanes left
 bisect in lockstep numpy arrays.  The plain-Python Sturm count stops
 walking a periodic tail once a period gives back its starting pivot and
 counts the remaining periods at once, which makes counts outside the bands
-cheap.  The lockstep count walks every row of arrays built from the rows
-(``_arrays``), in four array passes a tail row.  A repeated pivot repeats
-every later step, so both paths give bit-identical output.
+cheap.  The lockstep count walks every row, reading each tail row off the
+first tail period (``_arrays``), in four array passes a tail row.  A repeated
+pivot repeats every later step, so both paths give bit-identical output.
 """
 
 import functools
@@ -70,9 +70,9 @@ HAVE_NUMBA = USE_NUMBA = False
 PY_MAX_INDICES = 64
 
 # Lanes bisected together in lockstep, which holds a few float64 arrays of
-# one value per lane.  Chunks of this size bound that memory on long
-# sweeps, and were no slower than one chunk on the 31 sections of order 600
-# of figure 1.
+# one value per lane and a copy of each lane's head and first tail period.
+# Chunks of this size bound that memory on long sweeps, and were no slower
+# than one chunk on the 31 sections of order 600 of figure 1.
 MAX_LANES = 1 << 16
 
 # A batch gets dense guesses, for every section and whatever its tail, when
@@ -118,12 +118,19 @@ def _rows(d, e2):
     return d[0], head, tuple(zip(d[start : start + 2], e2[start - 1 : start + 1])), n - start
 
 
-def _arrays(rows, n):
-    """(B, n) diagonals and (B, n-1) squared off-diagonals of the order-n
-    sections whose ``_rows`` are ``rows``, for the stages run in lockstep."""
-    diag, off2 = np.empty((len(rows), n)), np.empty((len(rows), n - 1))
-    for b, (d0, head, tail, tail_len) in enumerate(rows):
-        start = n - tail_len
+def _arrays(rows):
+    """(B, h + 2) diagonals and (B, h + 1) squared off-diagonals of the
+    sections whose ``_rows`` are ``rows``, for the stages run in lockstep:
+    rows 0..h+1, for the latest tail start h, one row later if n - h is odd,
+    so that row i >= h is row h + (i - h) % 2 and the rest (n - h) / 2 tail
+    periods.  Sections of order 1 or 2 have no tail and are padded with
+    zeros that no stage reads."""
+    n = 1 + len(rows[0][1]) + rows[0][3]
+    h = max(1 + len(head) for _, head, _, _ in rows)
+    h += (n - h) % 2
+    diag, off2 = np.zeros((len(rows), h + 2)), np.zeros((len(rows), h + 1))
+    for b, (d0, head, tail, _) in enumerate(rows):
+        start = 1 + len(head)
         diag[b, :start], off2[b, : start - 1] = [d0, *(d for d, _ in head)], [e2 for _, e2 in head]
         for i, (d, e2) in enumerate(tail):
             diag[b, start + i :: 2], off2[b, start + i - 1 :: 2] = d, e2
@@ -210,10 +217,17 @@ def _exterior_guesses(rows, lo, hi, steps, js):
     return [_tail.exterior_guess(unit, e, gaps, count, lo, hi, steps, j) for j in js], count
 
 
-def _dense_guesses(diag, off2):
-    """Every eigenvalue of each section, ascending, from LAPACK on its dense tridiagonal."""
-    a = np.zeros(diag.shape + diag.shape[1:])
-    i = np.arange(diag.shape[1])
+def _dense_guesses(diag, off2, n):
+    """Every eigenvalue of each order-n section, ascending, from LAPACK on its
+    dense tridiagonal, rows expanded as ``_sturm_counts_np`` reads them."""
+    h, i = diag.shape[1] - 2, np.arange(n)
+    # sections with no periodic tail, as Householder gives them, come at
+    # full order; mapping their rows cost 8 us of a 60 us solve at n = 16
+    # (numpy 2.4, Python 3.11)
+    if h + 2 != n:
+        r = np.minimum(i, h + (i - h) % 2)
+        diag, off2 = diag[:, r], off2[:, r[1:] - 1]
+    a = np.zeros((len(diag), n, n))
     a[:, i, i], a[:, i[1:], i[:-1]] = diag, np.sqrt(off2)
     return np.linalg.eigvalsh(a, UPLO="L")
 
@@ -270,19 +284,19 @@ def bisect_rows(rows, lo, hi, steps, js, guesses=None):
     return [next(rest) if v is None else v for v in values]
 
 
-def _sturm_counts_np(diag, off2, x, tail=None):
-    """``_sturm_count_py`` at every shift of ``x``, one row of shifts per section.
+def _sturm_counts_np(diag, off2, x, n):
+    """``_sturm_count_py`` at every shift of ``x``, one row of shifts per order-n section.
 
-    ``diag`` is (B, n), ``off2`` (B, n-1) and ``x`` (B, K); row i of every
-    section is broadcast as a (B, 1) column against ``x``.  Diagonal rows
-    from ``tail`` on (by default none) repeat with period 2, so the shifts
-    are subtracted from them once.  A zero pivot, which counts as ``_TINY``
-    does, is replaced by it only when dividing by it raises.
+    ``diag`` is (B, h + 2), ``off2`` (B, h + 1) and ``x`` (B, K); row i of
+    every section is broadcast as a (B, 1) column against ``x``.  Row
+    i >= h is row h + (i - h) % 2, so the shifts are subtracted from the
+    tail rows once (full arrays are the case h = n - 2).  A zero pivot,
+    which counts as ``_TINY`` does, is replaced by it only when dividing by
+    it raises.
     """
-    n = diag.shape[1]
-    tail = n if tail is None else tail
+    h = diag.shape[1] - 2
     d, e = diag.T[:, :, None], off2.T[:, :, None]
-    period = [d[i] - x for i in range(tail, min(tail + 2, n))]
+    period = [d[i] - x for i in range(h, min(h + 2, n))]
     p = d[0] - x
     q = np.empty_like(p)
     neg = p < 0.0
@@ -291,16 +305,17 @@ def _sturm_counts_np(diag, off2, x, tail=None):
     # a tiny pivot overflows the next quotient to inf, as in the Python count
     with np.errstate(divide="raise", invalid="raise", over="ignore"):
         for i in range(1, n):
+            r = i if i < h else h + (i - h) % 2
             try:
-                np.divide(e[i - 1], p, out=q)
+                np.divide(e[r - 1], p, out=q)
             except FloatingPointError:  # p holds zeros: e/0 or 0/0
                 p[p == 0.0] = _TINY
-                np.divide(e[i - 1], p, out=q)
-            if i < tail:
+                np.divide(e[r - 1], p, out=q)
+            if i < h:
                 np.subtract(d[i], x, out=p)
                 p -= q
             else:
-                np.subtract(period[(i - tail) % 2], q, out=p)
+                np.subtract(period[r - h], q, out=p)
             np.less(p, 0.0, out=neg)
             pending += neg
             if i % 255 == 0:
@@ -325,9 +340,9 @@ def _walk(lo, hi, steps, width, left):
     return lower, upper
 
 
-def _bisect_np(diag, off2, lo, hi, steps, idx):
-    """Lockstep bisection in numpy arrays of the indices ``idx[b]`` of each section b; ``idx`` is (B, K)."""
-    lower, upper = _walk(lo, hi, steps, idx.shape[1], lambda mid: _sturm_counts_np(diag, off2, mid) > idx)
+def _bisect_np(diag, off2, n, lo, hi, steps, idx):
+    """Lockstep bisection in numpy arrays of the indices ``idx[b]`` of each order-n section b; ``idx`` is (B, K)."""
+    lower, upper = _walk(lo, hi, steps, idx.shape[1], lambda mid: _sturm_counts_np(diag, off2, mid, n) > idx)
     return 0.5 * (lower + upper)
 
 
@@ -355,22 +370,21 @@ def _leaves(guesses, lo, hi, steps):
     return ends
 
 
-def _settle_leaves(diag, off2, lo, hi, steps, guesses, column, out, tail=None):
+def _settle_leaves(diag, off2, n, lo, hi, steps, guesses, column, out):
     """Write into ``out`` every index of ``column`` that a leaf of ``guesses`` holds.
 
-    ``guesses`` is (B, G), ``column`` maps an eigenvalue index to its column
-    of ``out`` (-1 for an index not asked for), and ``tail`` is as in
-    ``_sturm_counts_np``.  Both ends of every distinct leaf (``_leaves``)
-    are counted in one lockstep pass, and a leaf [l, h] holds the indices j
-    with count(l) <= j < count(h) (see ``_certify``).  An end at its bound
-    is counted as in ``_settle``.
+    ``guesses`` is (B, G), and ``column`` maps an eigenvalue index to its
+    column of ``out`` (-1 for an index not asked for).  Both ends of every
+    distinct leaf (``_leaves``) are counted in one lockstep pass, and a leaf
+    [l, h] holds the indices j with count(l) <= j < count(h) (see
+    ``_certify``).  An end at its bound is counted as in ``_settle``.
     """
     lower, upper = _leaves(guesses, lo, hi, steps)
     if not lower.size:
         return
-    first, stop = np.split(_sturm_counts_np(diag, off2, np.concatenate([lower, upper], axis=1), tail), 2, axis=1)
+    first, stop = np.split(_sturm_counts_np(diag, off2, np.concatenate([lower, upper], axis=1), n), 2, axis=1)
     first[lower == lo[:, None]] = 0
-    stop[upper == hi[:, None]] = diag.shape[1]
+    stop[upper == hi[:, None]] = n
     sizes = np.maximum(stop - first, 0).ravel()
     within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     j = column[np.repeat(first.ravel(), sizes) + within]
@@ -380,7 +394,7 @@ def _settle_leaves(diag, off2, lo, hi, steps, guesses, column, out, tail=None):
     out[sec[asked], j[asked]] = value[asked]
 
 
-def _certify(rows, diag, off2, lo, hi, steps, idx, out, dense):
+def _certify(n, diag, off2, lo, hi, steps, idx, out, dense):
     """Write into ``out`` each eigenvalue at ``idx`` that a guess certifies.
 
     A guess's leaf [l, h] holds index j exactly when count(l) <= j <
@@ -394,27 +408,21 @@ def _certify(rows, diag, off2, lo, hi, steps, idx, out, dense):
     batch has them, else the tail's in-band guesses.  These cost about two
     counts per eigenvalue, where bisecting K indices costs K * steps, so
     the tails are guessed from only when K * steps exceeds 2n, and only
-    when their common tail is longer than their common head, the longest
-    in ``rows``.  Lanes no leaf holds stay NaN.
+    when their common tail is longer than their common head, the arrays'
+    width less two.  Lanes no leaf holds stay NaN.
     """
-    n = diag.shape[1]
     column = np.full(n, -1)
     column[idx] = np.arange(idx.size)
     if dense is not None:
         per = max(1, MAX_LANES // idx.size)
         for b in range(0, len(steps), per):
             r = slice(b, b + per)
-            _settle_leaves(diag[r], off2[r], lo[r], hi[r], steps[r], dense[r], column, out[r])
+            _settle_leaves(diag[r], off2[r], n, lo[r], hi[r], steps[r], dense[r], column, out[r])
         return
-    if idx.size * steps.max() <= 2 * n:
+    head = diag.shape[1] - 2
+    k = (n - head) // 2
+    if idx.size * steps.max() <= 2 * n or k < 2 or 2 * k <= head:
         return
-    head = 0
-    for _, section_head, _, _ in rows:  # a section with too long a head ends the scan
-        head = max(head, 1 + len(section_head))
-        head += (n - head) % 2
-        k = (n - head) // 2
-        if k < 2 or 2 * k <= head:
-            return
     scale = np.maximum(np.abs(lo), np.abs(hi))
     scale[scale == 0.0] = 1.0
     # Candidates m per chunk, each giving four guesses and up to eight
@@ -427,16 +435,8 @@ def _certify(rows, diag, off2, lo, hi, steps, idx, out, dense):
     for b in range(0, len(steps), per):
         r = slice(b, b + per)
         for m in range(0, k + 2, span):
-            guesses = _tail.guesses(
-                diag[r, : head + 2], off2[r, : head + 1], scale[r], k, np.arange(m, min(m + span, k + 2))
-            )
-            _settle_leaves(diag[r], off2[r], lo[r], hi[r], steps[r], guesses, column, out[r], head)
-
-
-def _run(which):
-    """Ascending section numbers as a slice, which takes views, not copies, where they are consecutive."""
-    first, last = which[0].item(), which[-1].item()
-    return slice(first, last + 1) if last - first + 1 == which.size else which
+            guesses = _tail.guesses(diag[r], off2[r], scale[r], k, np.arange(m, min(m + span, k + 2)))
+            _settle_leaves(diag[r], off2[r], n, lo[r], hi[r], steps[r], guesses, column, out[r])
 
 
 def bisect_sections(sections, idx):
@@ -456,13 +456,11 @@ def bisect_sections(sections, idx):
     place.  If at most ``PY_MAX_INDICES`` lanes are left, they are split
     at section boundaries, and ``bisect_rows`` settles each section's
     lanes that a dense or exterior guess places and bisects the rest in
-    plain Python, from the section's rows.  More bisect in lockstep, each
-    section's indices padded to a common count with its last one, in
-    chunks of about ``MAX_LANES`` lanes, each of which slices the arrays
-    where its sections are consecutive (copies otherwise).  A batch with
+    plain Python, from the section's rows.  More bisect in lockstep, one
+    lane to a row of arrays, in chunks of ``MAX_LANES`` lanes.  A batch with
     dense guesses or more lanes, all of which run some lockstep stage,
-    builds arrays of its rows once (``_arrays``).  Each value is bitwise
-    that of plain bisection.
+    builds the arrays of its head and first tail period once (``_arrays``).
+    Each value is bitwise that of plain bisection.
     """
     rows, lo, hi, tol = zip(*sections)
     idx = np.ascontiguousarray(idx, dtype=np.int64)
@@ -472,36 +470,25 @@ def bisect_sections(sections, idx):
     n = 1 + len(rows[0][1]) + rows[0][3]
     dense, guessed = None, n <= DENSE_MAX_ORDER and n * n <= DENSE_ROWS * idx.size * steps.max()
     if guessed or out.size > PY_MAX_INDICES:
-        diag, off2 = _arrays(rows, n)
+        diag, off2 = _arrays(rows)
     if guessed:
         per = max(1, MAX_LANES // (n * n))
         dense = np.concatenate(
-            [_dense_guesses(diag[a : a + per], off2[a : a + per])[:, idx] for a in range(0, steps.size, per)]
+            [_dense_guesses(diag[a : a + per], off2[a : a + per], n)[:, idx] for a in range(0, steps.size, per)]
         )
     if out.size > PY_MAX_INDICES:
-        _certify(rows, diag, off2, lo, hi, steps, idx, out, dense)
+        _certify(n, diag, off2, lo, hi, steps, idx, out, dense)
     sec, col = np.nonzero(np.isnan(out))
-    # each section's first lane; a 1-d prepend skips np.broadcast_to, half the cost
-    first = np.flatnonzero(np.diff(sec, prepend=[-1]))
     if sec.size <= PY_MAX_INDICES:
+        # each section's first lane; a 1-d prepend skips np.broadcast_to, half the cost
+        first = np.flatnonzero(np.diff(sec, prepend=[-1]))
         js, bounds = idx[col].tolist(), [*zip(lo.tolist(), hi.tolist(), steps.tolist())]
         guesses = None if dense is None else dense[sec, col].tolist()
         for a, z in zip(first.tolist(), [*first[1:].tolist(), sec.size]):
             b = sec[a]
             out[b, col[a:z]] = bisect_rows(rows[b], *bounds[b], js[a:z], guesses and guesses[a:z])
         return out
-    which, count = sec[first], np.diff(first, append=sec.size)
-    rank = np.repeat(np.arange(which.size), count)
-    slot = np.arange(sec.size) - first[rank]
-    grid = np.repeat(idx[col[first + count - 1]][:, None], count.max(), axis=1)
-    grid[rank, slot] = idx[col]
-    per = max(1, MAX_LANES // grid.shape[1])
-    solved = np.concatenate(
-        [
-            _bisect_np(diag[r], off2[r], lo[r], hi[r], steps[r], grid[c])
-            for c in (slice(a, a + per) for a in range(0, which.size, per))
-            for r in [_run(which[c])]
-        ]
-    )
-    out[sec, col] = solved[rank, slot]
+    for a in range(0, sec.size, MAX_LANES):
+        s, c = sec[a : a + MAX_LANES], col[a : a + MAX_LANES]
+        out[s, c] = _bisect_np(diag[s], off2[s], n, lo[s], hi[s], steps[s], idx[c][:, None])[:, 0]
     return out

@@ -24,17 +24,22 @@ MAX_GRID_POINTS = 10_000
 # about 2*10^12 lockstep Sturm rows: n = 20,000 takes 2.8 s, and the time
 # grows as n^2.  Larger orders end in a memory error.
 MAX_ORDER = 1_000_000
-# `sweep` solves all its sections in one batch, whose lockstep arrays peak
-# at about 17 bytes per section row (tracemalloc, the lambda_max column of
-# 1,001 eq3 sections of order 1,000 and 4,000), so points * order is
-# bounded too: this many rows take about 170 MB.
+# The order of an angle family's sections when --n is not given.
+DEFAULT_ORDER = 600
+# `sweep` solves all its sections in one batch, whose lockstep arrays hold
+# only each section's head and first tail period, but a `--mode spectrum`
+# sweep keeps its output text and values, about 55 bytes per section row
+# (tracemalloc, 291 eq3 points at order 1,000; `--mode rho` took 0.3 bytes
+# a row at order 4,000), so points * order is bounded too: this many rows
+# of spectrum output take about 550 MB.
 MAX_SWEEP_ROWS = 10_000_000
-# The families that read each angle or pair-file flag, and the rest of the
-# one-line error of a family given a flag it does not read.
+# The families that read each angle, order or pair-file flag, and the rest
+# of the one-line error of a family given a flag it does not read.
 FLAG_READERS = {
     "input": (("general-file",), "only family general-file does"),
     "omega": (("eq3", "two-constant"), "only families eq3 and two-constant do"),
     "theta": (("constant", "eq3", "eq5", "two-constant"), "only the angle families do"),
+    "n": (("constant", "eq3", "eq5", "two-constant"), "only the angle families do"),
 }
 
 
@@ -99,7 +104,7 @@ def build_family(family, omega, theta):
 
 
 def check_flags(args):
-    """Reject an ``--input``, ``--omega`` or ``--theta`` that the request's family does not read."""
+    """Reject an ``--input``, ``--omega``, ``--theta`` or ``--n`` that the request's family does not read."""
     for flag, (families, readers) in FLAG_READERS.items():
         if getattr(args, flag, None) is not None and args.family not in families:
             raise ValueError(f"family {args.family} reads no --{flag}; {readers}")
@@ -172,7 +177,7 @@ def cmd_spectrum(args):
         ).values
     else:
         fam = build_family(args.family, args.omega, args.theta)
-        n = even_order(args.n)
+        n = even_order(DEFAULT_ORDER if args.n is None else args.n)
         values = analysis.family_eigenvalues_at([fam], n, np.arange(n))[0]
     lines = ["index,eigenvalue"]
     lines += [f"{i},{v:.15g}" for i, v in enumerate(values.tolist())]
@@ -188,7 +193,8 @@ def cmd_rho(args):
     else:
         fam = build_family(args.family, args.omega, args.theta)
         closed, exclusion = closed_forms(fam)
-        rep = analysis.rho_numeric(fam, even_order(args.n), exclusion=exclusion)
+        n = even_order(DEFAULT_ORDER if args.n is None else args.n)
+        rep = analysis.rho_numeric(fam, n, exclusion=exclusion)
         payload = {
             "rho_low": fmt(rep.rho),
             "rho_high": fmt(rep.rho),
@@ -322,7 +328,7 @@ def build_parser():
         p.add_argument("--omega", type=float, default=None)
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--input", default=None, help="pair file for family general-file")
-        p.add_argument("--n", type=int, default=600)
+        p.add_argument("--n", type=int, default=None)
         p.add_argument("--out", default=None)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of one truncation")
@@ -337,7 +343,7 @@ def build_parser():
     p_sweep.add_argument("--family", choices=families, required=True)
     p_sweep.add_argument("--omega", type=float, default=None)
     p_sweep.add_argument("--theta", required=True, help='grid spec "start:step:stop"')
-    p_sweep.add_argument("--n", type=int, default=600)
+    p_sweep.add_argument("--n", type=int, default=DEFAULT_ORDER)
     p_sweep.add_argument("--mode", choices=("spectrum", "rho"), default="rho")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -129,6 +129,8 @@ class TestSpectrumCommand:
             ("rho", "eq5", "--omega"),
             ("spectrum", "general-file", "--theta"),
             ("rho", "general-file", "--omega"),
+            ("spectrum", "general-file", "--n"),
+            ("rho", "general-file", "--n"),
             # checked before any family is built, and so before the odd-order warning
             ("sweep", "constant", "--omega"),
             ("sweep", "eq5", "--omega"),
@@ -140,7 +142,11 @@ class TestSpectrumCommand:
         reads = ["--input", str(pair_file)] if family == "general-file" else ["--theta", "1.0"]
         argv = [command, "--family", family, *reads, flag, "5", "--n", "5", "--out", str(out)]
         assert run(argv) == 2
-        readers = {"--omega": "only families eq3 and two-constant do", "--theta": "only the angle families do"}
+        readers = {
+            "--omega": "only families eq3 and two-constant do",
+            "--theta": "only the angle families do",
+            "--n": "only the angle families do",
+        }
         assert capsys.readouterr().err == f"error: family {family} reads no {flag}; {readers[flag]}\n"
         assert not out.exists()
 
@@ -276,6 +282,12 @@ OUTPUT_DIGESTS = {
     ("figure", "2", "--panel", "left"): "1dca84aa28529520a24f5613ca66372e809d6226a050ab1cf23ca6dfa9003c42",
     # dense guesses of 31 sections of order 10
     ("figure", "1", "--panel", "left"): "87a40689f14927e80a817ed41ef305ac20a6529e6b4abcfda1ef0b76323c03b1",
+    # 961 lambda_max lanes of lockstep bisection, which no workload runs
+    ("figure", "2", "--panel", "right"): "b7f76d18fd7c0f2310a265d592ca1771fa8f9e7a03fb00c8e4bd631dc303b5ed",
+    # 291 lambda_max lanes of lockstep bisection at the default order 600
+    ("sweep", "--family", "constant", "--theta", "0.1:0.01:3.0", "--mode", "rho"): (
+        "ecd1810c72d07d2661e7791796b7bb7a3011037d1a8aad6fb1bb7620d9edaff8"
+    ),
     # rho_closed on both sides of the plateau, and the exclusion
     ("sweep", "--family", "two-constant", "--omega", "0.3", "--theta", "0.2:0.2:3.0", "--n", "200", "--mode", "rho"): (
         "a11a968b9aff831663b881a1c213c1a461bb7588520e1c38e6f6ecd5d7093fe9"

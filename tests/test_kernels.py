@@ -26,9 +26,10 @@ build no long section and run no lockstep kernel, and a batch the in-band
 certificate declines must not be guessed from its tail.  Sections reach
 the kernel as rows of Python floats, split where the longest periodic run
 of last rows starts, and the arrays the lockstep stages expand from them
-must hold the sections' own entries; lockstep bisection slices, not
-copies, the arrays of a run of sections, and gives plain bisection's bits
-with or without gaps between them.
+must hold the sections' own entries; the lockstep count, which reads every
+tail row off a section's first tail period, must equal the walk of every
+row; and lockstep bisection, one lane to a row of arrays, gives plain
+bisection's bits with or without gaps between the sections it takes.
 """
 
 import math
@@ -123,11 +124,11 @@ def test_python_loop_equals_numpy_loop_bitwise(case):
     diag, off2, lo, hi, steps = kernel_args(m)
     rows = _kernels._rows(diag[0].tolist(), off2[0].tolist())
     py = _kernels._bisect_py(rows, lo[0].item(), hi[0].item(), steps[0].item(), idx.tolist())
-    vec = _kernels._bisect_np(diag, off2, lo, hi, steps, idx[None])[0]
+    vec = _kernels._bisect_np(diag, off2, m.n, lo, hi, steps, idx[None])[0]
     assert np.array(py).tobytes() == vec.tobytes()
     shifts = np.linspace(lo[0] - 1.0, hi[0] + 1.0, 9)
     scalar = [_kernels._sturm_count_py(*rows, float(x)) for x in shifts]
-    assert scalar == _kernels._sturm_counts_np(diag, off2, shifts[None])[0].tolist()
+    assert scalar == _kernels._sturm_counts_np(diag, off2, shifts[None], m.n)[0].tolist()
 
 
 # the 31 sections of order 10 of figure 1, left panel, whose bisection trees
@@ -254,11 +255,11 @@ def test_sturm_counts_nondecreasing_in_shift(ms, xs):
     idx = np.arange(ms[0].n)
     eigs = np.concatenate([sections_eigenvalues_at(ms, idx).ravel(), certified_leaf_ends(ms, idx)])
     x = np.unique(np.concatenate([xs, eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]))
-    batched = _kernels._sturm_counts_np(diag, off2, np.tile(x, (len(ms), 1)))
+    batched = _kernels._sturm_counts_np(diag, off2, np.tile(x, (len(ms), 1)), ms[0].n)
     for b in range(len(ms)):
         rows = _kernels._rows(diag[b].tolist(), off2[b].tolist())
         scalar = [_kernels._sturm_count_py(*rows, v) for v in x.tolist()]
-        vector = _kernels._sturm_counts_np(diag[b : b + 1], off2[b : b + 1], x[None])[0].tolist()
+        vector = _kernels._sturm_counts_np(diag[b : b + 1], off2[b : b + 1], x[None], ms[0].n)[0].tolist()
         assert scalar == vector == batched[b].tolist()
         assert all(c0 <= c1 for c0, c1 in zip(scalar, scalar[1:]))
 
@@ -282,7 +283,7 @@ def test_periodic_tail_count_equals_full_loop(m):
     near = [eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]
     rows = _kernels._rows(diag[0].tolist(), off2[0].tolist())
     x = np.concatenate([*near, _tail.band_edges(rows[2]), [lo, hi]])
-    full = _kernels._sturm_counts_np(diag, off2, x[None])[0].tolist()
+    full = _kernels._sturm_counts_np(diag, off2, x[None], m.n)[0].tolist()
     assert [_kernels._sturm_count_py(*rows, v) for v in x.tolist()] == full
 
 
@@ -312,14 +313,15 @@ SIGNED_ZERO_PIVOTS = TridiagonalSymmetricMatrix(
 @example(ms=[SIGNED_ZERO_PIVOTS], xs=[], later=0)
 def test_zero_pivots_count_as_in_plain_python(ms, xs, later):
     # the lockstep count finds a zero pivot only when the next row divides
-    # by it; from any row on or after the common tail start, and walking
-    # every row, it must equal the plain-Python count
+    # by it; reading the tail off the period at any row h on or after the
+    # common tail start, and walking every row, it must equal the
+    # plain-Python count
     diag, off2 = kernel_args(*ms)[:2]
     n = diag.shape[1]
-    tail = min(n, tail_start(diag, off2) + later)
+    h = min(n, tail_start(diag, off2) + later)
     x = np.tile([*xs, -0.0, 0.0, 1.0], (len(ms), 1))
     errors = np.geterr()
-    counts = _kernels._sturm_counts_np(diag, off2, x, tail)
+    counts = _kernels._sturm_counts_np(diag[:, : h + 2], off2[:, : h + 1], x, n)
     walk = _kernels._sturm_counts_np(diag, off2, x, n)
     assert np.geterr() == errors
     for b in range(len(ms)):
@@ -372,8 +374,8 @@ def test_count_above_the_spectrum_is_the_order(n):
     x = np.repeat(np.nextafter(hi, np.inf)[:, None], 3, axis=1)
     tail = tail_start(diag, off2)
     for batch in (slice(0, 1), slice(None)):
-        for start in (tail, n):
-            assert np.all(_kernels._sturm_counts_np(diag[batch], off2[batch], x[batch], start) == n)
+        for h in (tail, n):
+            assert np.all(_kernels._sturm_counts_np(diag[batch, : h + 2], off2[batch, : h + 1], x[batch], n) == n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,7 +575,7 @@ def plain_bisection(ms, idx, tol=None):
     if len(ms) == 1 and ms[0].n >= 2000:
         rows = _kernels._rows(diag[0].tolist(), off2[0].tolist())
         return np.array(_kernels._bisect_py(rows, lo[0].item(), hi[0].item(), steps[0].item(), idx.tolist()))[None]
-    return _kernels._bisect_np(diag, off2, lo, hi, steps, np.broadcast_to(idx, (len(ms), idx.size)))
+    return _kernels._bisect_np(diag, off2, ms[0].n, lo, hi, steps, np.broadcast_to(idx, (len(ms), idx.size)))
 
 
 def rho_slices(f, n, margin=OUTLIER_MARGIN):
@@ -711,12 +713,26 @@ ALTERNATING_ZEROS = TridiagonalSymmetricMatrix(
 )
 
 
+# an order-9 section with a head of one row
+ODD_TAIL_SHORT_HEAD = TridiagonalSymmetricMatrix(
+    diag=np.array([0.5, *[1.0, -1.0] * 4]), offdiag=np.array([1.0, *[0.5, 0.25] * 3, 0.5])
+)
+
+
+def order_n(diag, off2, n):
+    """Arrays of the head and first tail period, as ``_arrays`` builds them,
+    expanded to order n: row i >= h is row h + (i - h) % 2."""
+    h, i = diag.shape[1] - 2, np.arange(n)
+    r = np.where(i < h, i, h + (i - h) % 2)
+    return diag[:, r], off2[:, r[1:] - 1]
+
+
 def expanded(ms):
-    """The arrays the lockstep stages expand from the sections' rows, and the
-    sections' own arrays."""
+    """The arrays the lockstep stages build from the sections' rows, expanded
+    to the sections' order, and the sections' own arrays."""
     diag, off2 = kernel_args(*ms)[:2]
     rows = [_kernels._rows(d, e) for d, e in zip(diag.tolist(), off2.tolist())]
-    return _kernels._arrays(rows, diag.shape[1]), (diag, off2)
+    return order_n(*_kernels._arrays(rows), diag.shape[1]), (diag, off2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -759,6 +775,45 @@ def test_arrays_from_rows_equal_family_and_householder_sections_bitwise(ms):
     assert diag.tobytes() == want_d.tobytes() and off2.tobytes() == want_e.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    ms=st.one_of(same_order_tail_sections(max_n=60), same_order_tail_sections(max_n=12, values=SMALL_INTEGERS)),
+    xs=st.lists(entries, max_size=8),
+)
+# with ODD_TAIL's head of three rows, the period is read from row 5, one
+# past the later tail start
+@example(ms=[ODD_TAIL, ODD_TAIL_SHORT_HEAD], xs=[])
+@example(ms=FIGURE_3_SECTIONS[:3], xs=[])
+def test_head_and_period_count_equals_the_full_walk_bitwise(ms, xs):
+    # the lockstep stages count from the arrays of each section's head and
+    # first tail period, whatever the heads of the other sections and the
+    # parity of the rows after the latest tail start; the count must be
+    # bitwise the walk of every row and the plain-Python count
+    diag, off2 = kernel_args(*ms)[:2]
+    n = diag.shape[1]
+    rows = [_kernels._rows(d, e) for d, e in zip(diag.tolist(), off2.tolist())]
+    short = _kernels._arrays(rows)
+    h = short[0].shape[1] - 2
+    assert (n - h) % 2 == 0 and tail_start(diag, off2) <= h <= tail_start(diag, off2) + 1
+    eigs = sections_eigenvalues_at(ms, np.arange(n)).ravel()
+    x = np.unique(np.concatenate([xs, eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]))
+    x = np.tile(x, (len(ms), 1))
+    counts = _kernels._sturm_counts_np(*short, x, n)
+    assert counts.tolist() == _kernels._sturm_counts_np(diag, off2, x, n).tolist()
+    assert counts.tolist() == [[_kernels._sturm_count_py(*r, v) for v in row] for r, row in zip(rows, x.tolist())]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_arrays_do_not_grow_with_the_order(name):
+    # the lockstep stages hold a family section's head and first tail
+    # period, the same few rows at any order
+    def width(n):
+        rows = [build_sum_truncation(make_family(name, 0.3 * k, 0.7), n)._section[0] for k in (1, 4)]
+        return _kernels._arrays(rows)[0].shape[1]
+
+    assert width(600) == width(4000) < 16
+
+
 def test_rows_reaching_the_kernel_hold_python_floats(monkeypatch):
     # numpy scalars in rows would slow every plain-Python count and warn
     # where Python floats overflow quietly
@@ -778,6 +833,9 @@ def test_rows_reaching_the_kernel_hold_python_floats(monkeypatch):
 
 # eq3 sections up to DENSE_MAX_ORDER, which take dense guesses despite their tails
 EQ3_SECTIONS = [build_sum_truncation(PairFamily.head_omega(1.2, 0.7), n) for n in (10, 30, 64)]
+# a tail whose two rows differ, which the dense guesses must expand from
+# the arrays' first period in phase
+TWO_CONSTANT_SECTIONS = [build_sum_truncation(make_family("two_constant", 0.4 * k, 0.7), 30) for k in (1, 2, 3)]
 
 
 WRONG_GUESSES = {
@@ -887,7 +945,11 @@ def test_dense_batch_takes_one_solve_and_settles_in_lockstep(monkeypatch, ms):
     assert values.tobytes() == plain_bisection(ms, idx).tobytes()
 
 
-@pytest.mark.parametrize("ms", [*([m] for m in EQ3_SECTIONS), FIGURE_1_SECTIONS], ids=["10", "30", "64", "figure-1"])
+@pytest.mark.parametrize(
+    "ms",
+    [*([m] for m in EQ3_SECTIONS), FIGURE_1_SECTIONS, TWO_CONSTANT_SECTIONS],
+    ids=["10", "30", "64", "figure-1", "two-constant"],
+)
 def test_family_spectra_up_to_order_64_bisect_no_lane(monkeypatch, ms):
     # dense guesses serve family sections up to DENSE_MAX_ORDER, tail or no
     # tail: in plain Python up to 64 lanes, in lockstep above
@@ -908,42 +970,26 @@ def test_threshold_batches_bisect_in_python_and_in_lockstep(monkeypatch):
     assert bisected == [1] * THRESHOLD + [THRESHOLD + 1]
 
 
-def lockstep_chunks(monkeypatch):
-    """A list that gathers, for each chunk of lockstep bisection, its number
-    of sections and whether its arrays are views of those ``_arrays`` built."""
-    built, chunks = [], []
-    arrays, bisect = _kernels._arrays, _kernels._bisect_np
-
-    def chunk(diag, *args):
-        chunks.append((len(diag), np.shares_memory(diag, built[-1][0])))
-        return bisect(diag, *args)
-
-    monkeypatch.setattr(_kernels, "_arrays", lambda *args: built.append(arrays(*args)) or built[-1])
-    monkeypatch.setattr(_kernels, "_bisect_np", chunk)
-    return chunks
-
-
 # in-band eigenvalues of ten eq3 sections of order 100, all of which the
 # tail's guesses certify
 IN_BAND_SECTIONS = [build_sum_truncation(PairFamily.head_omega(0.3 * k, 0.7), 100) for k in range(1, 11)]
 IN_BAND_INDEX = np.arange(40, 60)
 
 
-@pytest.mark.parametrize("lanes, sizes", [(_kernels.MAX_LANES, [THRESHOLD + 1]), (16, [16, 16, 16, 16, 1])])
-def test_contiguous_lockstep_chunks_slice_their_arrays(monkeypatch, lanes, sizes):
-    # every section has a lane left, so each chunk's sections are a run,
-    # whose arrays are sliced, not copied; at 16 lanes a chunk, most runs
-    # end before the last section
-    monkeypatch.setattr(_kernels, "MAX_LANES", lanes)
-    chunks = lockstep_chunks(monkeypatch)
+def test_lockstep_chunks_hold_max_lanes(monkeypatch):
+    # lockstep bisection takes one lane to a row of arrays, MAX_LANES lanes
+    # a chunk, whichever sections they belong to
+    monkeypatch.setattr(_kernels, "MAX_LANES", 16)
+    bisected = bisected_lanes(monkeypatch)
     values = sections_eigenvalues_at(THRESHOLD_SECTIONS, THRESHOLD_INDEX)
-    assert chunks == [(k, True) for k in sizes]
+    assert bisected == [16, 16, 16, 16, 1]
     assert values.tobytes() == plain_bisection(THRESHOLD_SECTIONS, THRESHOLD_INDEX).tobytes()
 
 
 def test_gapped_lockstep_chunk_equals_plain_bisection_bitwise(monkeypatch):
     # with the guesses of every other section dropped, _certify settles the
-    # rest whole, and the five sections left to bisect are not a run
+    # rest whole, and the 100 lanes of the five sections left to bisect,
+    # which are not a run, go to one lockstep chunk
     guess = _tail.guesses
 
     def every_other(*args):
@@ -952,9 +998,9 @@ def test_gapped_lockstep_chunk_equals_plain_bisection_bitwise(monkeypatch):
         return g
 
     monkeypatch.setattr(_tail, "guesses", every_other)
-    chunks = lockstep_chunks(monkeypatch)
+    bisected = bisected_lanes(monkeypatch)
     values = sections_eigenvalues_at(IN_BAND_SECTIONS, IN_BAND_INDEX)
-    assert chunks == [(5, False)]
+    assert bisected == [5 * IN_BAND_INDEX.size]
     assert values.tobytes() == plain_bisection(IN_BAND_SECTIONS, IN_BAND_INDEX).tobytes()
 
 

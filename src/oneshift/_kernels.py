@@ -19,17 +19,17 @@ counted, so a missing or wrong guess costs speed, not bits.  Guesses come
 from one of two sources, chosen by cost alone.  Where a dense solve costs
 less than bisection, LAPACK guesses every section of the batch whole
 (``_dense_guesses``), whatever its shape.  Elsewhere a family section's
-2-periodic tail places each eigenvalue inside a band (``_tail.guesses``)
-or in a gap around them (``_tail.exterior_guess``).  The lanes no leaf
-settles, chiefly in-band eigenvalues asked for a few at a time, are
-bisected as before.
+2-periodic tail places each eigenvalue inside a band (``_tail.guesses``,
+or ``_tail.phase_guesses`` for a lane asked for alone) or in a gap around
+them (``_tail.exterior_guess``).  The few lanes no leaf settles, chiefly
+in a gap that the widened bands close, are bisected as before.
 
 ``bisect_sections`` picks the path in one pass of three stages.  Above
 ``PY_MAX_INDICES`` lanes the dense or in-band guesses are certified in
 lockstep (``_certify``).  At most ``PY_MAX_INDICES`` lanes left go to
 ``bisect_rows``, one call for each section that has any: plain-Python
-counts settle those that dense or exterior guesses place (``_settle``),
-and the rest bisect in plain Python (``_bisect_py``).  More lanes left
+counts settle those that dense, exterior or phase guesses place
+(``_settle``), and the rest bisect in plain Python.  More lanes left
 bisect in lockstep numpy arrays.  The plain-Python Sturm count stops
 walking a periodic tail once a period gives back its starting pivot and
 counts the remaining periods at once, which makes counts outside the bands
@@ -187,34 +187,27 @@ def _sturm_count_py(d0, head, tail, tail_len, x):
     return count
 
 
+def _leaf(lo, hi, steps, left):
+    """Ends of the leaf of the bisection tree of [lo, hi] that a walk going
+    left where ``left(mid)`` holds reaches, as ``_walk`` walks in lockstep."""
+    l, h = lo, hi
+    for _ in range(steps):
+        mid = 0.5 * (l + h)
+        if left(mid):
+            h = mid
+        else:
+            l = mid
+    return l, h
+
+
 def _bisect_py(rows, lo, hi, steps, js):
     """Plain-Python bisection of each index of ``js`` of one section, one at
     a time; ``rows`` is its ``_rows``."""
     out = []
     for j in js:
-        lo_j, hi_j = lo, hi
-        for _ in range(steps):
-            mid = 0.5 * (lo_j + hi_j)
-            if _sturm_count_py(*rows, mid) >= j + 1:
-                hi_j = mid
-            else:
-                lo_j = mid
-        out.append(0.5 * (lo_j + hi_j))
+        l, h = _leaf(lo, hi, steps, lambda mid: _sturm_count_py(*rows, mid) > j)
+        out.append(0.5 * (l + h))
     return out
-
-
-def _exterior_guesses(rows, lo, hi, steps, js):
-    """``_tail.exterior_guess`` of each index of ``js`` of one section and
-    the count by shift that they cached, or all None and no count where the
-    section has no gaps."""
-    e = math.frexp(max(abs(lo), abs(hi)))[1]
-    gaps = _tail.gaps(rows, e, lo, hi) if js else []
-    # the gaps (4-6 us at n = 1000), functools.cache (5 us) and the scaled
-    # rows (2 us) are skipped by a section with no gaps or no index asked for
-    if not gaps:
-        return [None] * len(js), None
-    count, unit = functools.cache(functools.partial(_sturm_count_py, *rows)), _tail.scaled(rows, e)
-    return [_tail.exterior_guess(unit, e, gaps, count, lo, hi, steps, j) for j in js], count
 
 
 def _dense_guesses(diag, off2, n):
@@ -234,37 +227,73 @@ def _dense_guesses(diag, off2, n):
 
 def _settle(rows, lo, hi, steps, js, guesses, count):
     """The value of each index of ``js`` of one section that its guess
-    certifies, else None.
+    certifies (``_certified``), else None; a section that takes no step
+    needs no guess."""
+    n = 1 + len(rows[1]) + rows[3]
+    ok = [not steps or (g is not None and g == g) for g in guesses]
+    return [_certified(lo, hi, steps, n, count, j, g)[0] if o else None for j, g, o in zip(js, guesses, ok)]
 
-    A guess walks the index's bisection tree to a leaf [l, h], and plain
-    Python counts at its ends (``count``, on ``rows``) settle the index by
-    the leaf argument of ``_certify``.  An end still at its bound is
-    counted as bisection takes it, 0 at lo and n at hi, which settles an
-    eigenvalue on a Gershgorin bound and, with no guess needed, every index
-    of a section that takes no step.  Such an end was moved by no step, or
-    by midpoints that rounded onto the bound; in the latter case the leaf's
-    midpoint is the bound too, and so is the value bisection gives,
-    whichever way its count turns there.  A leaf that puts its index to one
-    side is followed by the next leaf on that side, once.
-    """
-    values, n = [None] * len(js), 1 + len(rows[1]) + rows[3]
-    for i, (j, guess) in enumerate(zip(js, guesses)):
-        if steps and (guess is None or guess != guess):
-            continue
-        for _ in range(2):
-            l, h = lo, hi
-            for _ in range(steps):
-                mid = 0.5 * (l + h)
-                if guess < mid:
-                    h = mid
-                else:
-                    l = mid
-            below, above = 0 if l == lo else count(l), n if h == hi else count(h)
-            if below <= j < above:
-                values[i] = 0.5 * (l + h)
-                break
-            guess += (hi - lo) * 0.5**steps * (1.0 if above <= j else -1.0)
-    return values
+
+def _certified(lo, hi, steps, n, count, j, guess):
+    """The value of index j of an order-n section that ``guess`` certifies,
+    or None, and the counts at the ends of the last leaf tried.
+
+    The guess walks j's bisection tree to a leaf [l, h], and counts at its
+    ends settle j by the leaf argument of ``_certify``.  An end still at its
+    bound is counted as bisection takes it, 0 at lo and n at hi, which
+    settles an eigenvalue on a Gershgorin bound, and every index of a
+    section that takes no step: such an end was moved by no step, or by
+    midpoints that rounded onto the bound, and then the leaf's midpoint is
+    the bound, as bisection's value is.  A leaf that puts j to one side is
+    followed by the next leaf on that side, once."""
+    for _ in range(2):
+        l, h = _leaf(lo, hi, steps, lambda mid: guess < mid)
+        below, above = 0 if l == lo else count(l), n if h == hi else count(h)
+        if below <= j < above:
+            return 0.5 * (l + h), below, above
+        guess += (hi - lo) * 0.5**steps * (1.0 if above <= j else -1.0)
+    return None, below, above
+
+
+def _in_band(unit, e, count, lo, hi, steps, j):
+    """Index j of one section, which no exterior guess placed, certified
+    from a guess placed by the tail's bands, else None; ``unit`` is the
+    section's rows scaled by 2^-e and ``count`` its cached count.  Counts at
+    the ends of the band whose widened stretch holds j tell whether j lies
+    in it, and its place from the band's outer end, about its phase m
+    (``_tail.phase_guesses``); where no guess of m settles j, the index the
+    last leaf holds or lies next to moves m by its distance.  Outside the
+    bands, j is guessed in the gaps they leave."""
+    n = 1 + len(unit[1]) + unit[3]
+
+    def at(x):
+        return 0 if x <= lo else n if x >= hi else count(x)
+
+    ends = [lo, *(math.ldexp(x, e) for x in _tail.band_edges(unit[2])), hi]
+    upper = j >= at(math.ldexp(_tail.band_edges(unit[2], _tail.EXTERIOR_DELTA)[1], e))
+    c = [at(x) for x in ends[1 + 2 * upper : 3 + 2 * upper]]
+    if not c[0] <= j < c[1]:
+        # a leaf inside each band end, where the last minor is finite
+        w = (hi - lo) * 0.5**steps
+        gaps = [(a + w * (a > lo), b - w * (b < hi)) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+        guess = _tail.exterior_guess(unit, e, gaps, count, lo, hi, steps, j)
+        return None if guess is None else _certified(lo, hi, steps, n, count, j, guess)[0]
+    sign, m = (1, c[1] - 1 - j) if upper else (-1, j - c[0])
+    # of 1,400 random in-band lanes of family sections of order 100-2000,
+    # half of them the top index, the first m settled 49 %, the second the rest
+    for _ in range(3):
+        near = None
+        for guess in _tail.phase_guesses(unit, sign, m):
+            if guess is not None:
+                value, below, above = _certified(lo, hi, steps, n, count, j, math.ldexp(guess, e))
+                if value is not None:
+                    return value
+                near = above - 1 if j >= above else below
+        if near is None:
+            return None
+        # the phase rises with the index along the lower band, falls along the upper
+        m -= sign * (j - near)
+    return None
 
 
 def bisect_rows(rows, lo, hi, steps, js, guesses=None):
@@ -273,13 +302,20 @@ def bisect_rows(rows, lo, hi, steps, js, guesses=None):
     ``rows`` is the section's ``_rows``, and ``lo``, ``hi`` and ``steps``
     its bisection bounds and steps, so the section need not be built at its
     full order.  ``_settle`` settles the indices that their ``guesses``
-    place, by default each index's ``_tail.exterior_guess``, and the rest
-    bisect (``_bisect_py``); each value is bitwise that of plain bisection.
+    place, by default each index's ``_tail.exterior_guess`` and then the
+    guesses of ``_in_band``, and the rest bisect (``_bisect_py``).  Each
+    value is bitwise that of plain bisection.
     """
-    count = None
-    if guesses is None:
-        guesses, count = _exterior_guesses(rows, lo, hi, steps, js)
-    values = _settle(rows, lo, hi, steps, js, guesses, count or functools.partial(_sturm_count_py, *rows))
+    count, tail = functools.partial(_sturm_count_py, *rows), None
+    # functools.cache (5 us), the scaled rows (2 us) and the gaps (4-6 us at
+    # n = 1000) are skipped by a section with no tail or no index asked for
+    if guesses is None and js and rows[3] >= 4:
+        e = math.frexp(max(abs(lo), abs(hi)))[1]
+        count, tail, gaps = functools.cache(count), (_tail.scaled(rows, e), e), _tail.gaps(rows, e, lo, hi)
+        guesses = [_tail.exterior_guess(*tail, gaps, count, lo, hi, steps, j) for j in js]
+    values = _settle(rows, lo, hi, steps, js, guesses or [None] * len(js), count)
+    if tail:
+        values = [_in_band(*tail, count, lo, hi, steps, j) if v is None else v for j, v in zip(js, values)]
     rest = iter(_bisect_py(rows, lo, hi, steps, [j for j, v in zip(js, values) if v is None]))
     return [next(rest) if v is None else v for v in values]
 
@@ -455,8 +491,8 @@ def bisect_sections(sections, idx):
     ``_certify`` settles in lockstep what the dense or in-band guesses
     place.  If at most ``PY_MAX_INDICES`` lanes are left, they are split
     at section boundaries, and ``bisect_rows`` settles each section's
-    lanes that a dense or exterior guess places and bisects the rest in
-    plain Python, from the section's rows.  More bisect in lockstep, one
+    lanes that a dense, exterior or phase guess places and bisects the
+    rest in plain Python, from the section's rows.  More bisect in lockstep, one
     lane to a row of arrays, in chunks of ``MAX_LANES`` lanes.  A batch with
     dense guesses or more lanes, all of which run some lockstep stage,
     builds the arrays of its head and first tail period once (``_arrays``).

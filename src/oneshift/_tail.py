@@ -3,9 +3,9 @@
 Every section of the pair families is a short head followed by a tail whose
 rows repeat with period 2, the form ``_kernels._rows`` gives every section
 in.  One period's transfer matrix places the eigenvalues at a cost that
-does not grow with the tail's length: ``guesses`` those inside the tail's
-bands, and ``exterior_guess`` those in the gaps around them
-(``band_edges``).  ``_kernels`` asks for these guesses only where a dense
+does not grow with the tail's length: ``guesses`` (``phase_guesses`` for one
+lane) those inside the tail's bands, and ``exterior_guess`` those in the
+gaps around them (``band_edges``).  ``_kernels`` asks for these guesses only where a dense
 LAPACK solve of the section would cost more.  They are only as good as
 floating point allows; ``_kernels`` certifies them with Sturm counts
 before any is used.
@@ -52,40 +52,66 @@ def guesses(diag, off2, scale, k, m):
     h = diag.shape[1] - 2
     s = scale[:, None]
     d, e2 = diag / s, off2 / s / s
-    da, db, ea2, eb2 = d[:, h : h + 1], d[:, h + 1 :], e2[:, h - 1 : h], e2[:, h:]
-    c = np.sqrt(ea2) * np.sqrt(eb2)
-    centre, spread = 0.5 * (da + db), (0.5 * (da - db)) ** 2 + ea2 + eb2
-    target = m * math.pi
-    guesses = []
+    head = [(d[:, i : i + 1], e2[:, i - 1 : i]) for i in range(1, h)]
+    period = (d[:, h : h + 1], e2[:, h - 1 : h]), (d[:, h + 1 :], e2[:, h:])
+    fns = np.cos, np.sin, np.sqrt, np.arctan2
     with np.errstate(all="ignore"):
-        for sign in (-1.0, 1.0):
-            branch = []
-            for cut, offset in ((math.pi, 0.0), (0.5 * math.pi, 0.5 * math.pi)):
-                phi = np.repeat((target + offset)[None] / k, len(s), axis=0)
-                for _ in range(GUESS_NEWTON_STEPS):
-                    cos, sin = np.cos(phi), np.sin(phi)
-                    root = np.sqrt(spread + 2.0 * c * cos)
-                    x, dx = centre + sign * root, -sign * c * sin / root
-                    # the head minors and their x-derivatives, rescaled by
-                    # one positive factor per row, which leaves arg z alone
-                    p0, p, q0, q = np.ones_like(x), d[:, :1] - x, np.zeros_like(x), np.full_like(x, -1.0)
-                    for i in range(1, h):
-                        di = d[:, i : i + 1] - x
-                        p0, p, q0, q = p, di * p - e2[:, i - 1 : i] * p0, q, di * q - p - e2[:, i - 1 : i] * q0
-                        t = np.abs(p) + np.abs(p0)
-                        t[t == 0.0] = 1.0
-                        p0, p, q0, q = p0 / t, p / t, q0 / t, q / t
-                    p1, q1 = (da - x) * p - ea2 * p0, (da - x) * q - p - ea2 * q0
-                    w, dw = ((db - x) * p1 - eb2 * p) / c, ((db - x) * q1 - p1 - eb2 * q) / c
-                    # z and dz/dphi in real and imaginary parts
-                    zr, zi = w - p * cos, p * sin
-                    dzr, dzi = (dw - q * cos) * dx + p * sin, q * sin * dx + p * cos
-                    arg = np.mod(np.arctan2(zi, zr) + cut, 2.0 * cut) - cut
-                    phi -= (k * phi + arg - target) / (k + (zr * dzi - zi * dzr) / (zr * zr + zi * zi))
-                branch.append(centre + sign * np.sqrt(spread + 2.0 * c * np.cos(phi)))
-            # interleaved by m, the two guesses of one eigenvalue sit side by side
-            guesses.append(np.stack(branch, axis=2).reshape(len(s), -1))
-    return np.concatenate(guesses, axis=1) * s
+        # interleaved by m, the two guesses of one eigenvalue sit side by side
+        guesses = [
+            np.stack([_newton(d[:, :1], head, period, k, sign, m * math.pi, start, fns) for start in (0, 1)], axis=2)
+            for sign in (-1.0, 1.0)
+        ]
+    return np.concatenate([g.reshape(len(s), -1) for g in guesses], axis=1) * s
+
+
+def _newton(d0, head, period, k, sign, target, start, fns):
+    """The Newton steps of ``guesses`` from one start on one branch, on
+    floats or arrays, with ``fns`` their cos, sin, sqrt and atan2.  The head
+    minors and their x-derivatives are rescaled by one positive factor per
+    row, which leaves arg z alone."""
+    cos_, sin_, sqrt_, atan2 = fns
+    (da, ea2), (db, eb2) = period
+    c = sqrt_(ea2) * sqrt_(eb2)
+    centre, spread = 0.5 * (da + db), (0.5 * (da - db)) ** 2 + ea2 + eb2
+    cut, offset = ((math.pi, 0.0), (0.5 * math.pi, 0.5 * math.pi))[start]
+    phi = (target + offset) / k
+    for _ in range(GUESS_NEWTON_STEPS):
+        cos, sin = cos_(phi), sin_(phi)
+        root = sqrt_(spread + 2.0 * c * cos)
+        x, dx = centre + sign * root, -sign * c * sin / root
+        p0, p, q0, q = 1.0, d0 - x, 0.0, -1.0
+        for di, e2 in head:
+            di = di - x
+            p0, p, q0, q = p, di * p - e2 * p0, q, di * q - p - e2 * q0
+            t = abs(p) + abs(p0)
+            t = t + (t == 0.0)
+            p0, p, q0, q = p0 / t, p / t, q0 / t, q / t
+        p1, q1 = (da - x) * p - ea2 * p0, (da - x) * q - p - ea2 * q0
+        w, dw = ((db - x) * p1 - eb2 * p) / c, ((db - x) * q1 - p1 - eb2 * q) / c
+        zr, zi = w - p * cos, p * sin
+        dzr, dzi = (dw - q * cos) * dx + p * sin, q * sin * dx + p * cos
+        arg = (atan2(zi, zr) + cut) % (2.0 * cut) - cut
+        phi = phi - (k * phi + arg - target) / (k + (zr * dzi - zi * dzr) / (zr * zr + zi * zi))
+    return centre + sign * sqrt_(spread + 2.0 * c * cos_(phi))
+
+
+def phase_guesses(unit, sign, m):
+    """The two guesses of ``guesses`` at the phase m on the branch ``sign``
+    (-1 lower, +1 upper) of one section's rows scaled by 2^-e (``scaled``),
+    in plain Python, each None where its steps broke down.  An odd tail
+    lends its first row to the head, as in ``_kernels._arrays``."""
+    d0, head, tail, tail_len = unit
+    k, odd = divmod(tail_len, 2)
+    if odd:
+        head, tail = [*head, tail[0]], tail[::-1]
+    out = []
+    for start in (0, 1):
+        try:
+            x = _newton(d0, head, tail, k, sign, m * math.pi, start, (math.cos, math.sin, math.sqrt, math.atan2))
+        except (ArithmeticError, ValueError):
+            x = math.nan
+        out.append(x if math.isfinite(x) else None)
+    return out
 
 
 def band_edges(tail, delta=0.0):

@@ -80,20 +80,19 @@ def detect_outliers(s, ess, margin, s_next):
         raise ValueError("margin must be positive")
     if s_next.order <= s.order:
         raise ValueError("s_next must come from a strictly larger order")
-    return _stabilized(s.values, ess, margin, s_next.values.tolist())
+    nxt = s_next.values.tolist()
+    return _stabilized(s.values, ess, margin, lambda v: bool(nxt) and min(abs(x - v) for x in nxt) < margin / 10.0)
 
 
-def _stabilized(values, ess, margin, nxt):
-    # the filter of detect_outliers on sorted values; the list ``nxt`` needs
-    # to hold only the next-order eigenvalues that can lie within margin/10
-    # of one of them, and may then be empty
+def _stabilized(values, ess, margin, near):
+    # the filter of detect_outliers on sorted values, where near(v) tells
+    # whether the next-order sample has an eigenvalue within margin/10 of v
     out = []
     for v in values:
         if ess.distance(v) <= margin:
             continue
-        if nxt and min(abs(x - v) for x in nxt) < margin / 10.0:
-            if not out or abs(v - out[-1]) > 1e-9:
-                out.append(float(v))
+        if (not out or abs(v - out[-1]) > 1e-9) and near(v):
+            out.append(float(v))
     return out
 
 
@@ -122,14 +121,16 @@ def family_eigenvalues_at(fams, n, idx):
     return _kernels.bisect_sections([_family_sections(f, n)[0] for f in fams], idx)
 
 
-def _exterior_values(section, ess, dist):
+def _exterior_values(section, ess, dist, top):
     """Sorted eigenvalues of a ``_family_sections`` section at every index
-    that can lie beyond ``dist``.
+    that can lie beyond ``dist``, and its eigenvalues at the indices
+    ``top``, solved together.
 
     An eigenvalue whose bisected value lies farther than ``dist`` from the
     essential intervals has its exact value farther than ``dist - tol``, so
     plain-Python Sturm counts at the interval edges widened by that bound
-    the indices to solve; values match the full solve bitwise.
+    the indices to solve; an index of ``top`` among them is solved once.
+    Values match the full solve bitwise.
     """
     rows, lo, hi, tol = section
     reach = dist - tol
@@ -137,7 +138,33 @@ def _exterior_values(section, ess, dist):
     counts = [0, *counts, 1 + len(rows[1]) + rows[3]]
     # the stretches overlap only when dist < tol
     idx = sorted({j for a, b in zip(counts[::2], counts[1::2]) for j in range(a, b)})
-    return _kernels.bisect_rows(rows, lo, hi, _kernels.halvings(lo, hi, tol), idx)
+    asked = sorted({*idx, *top})
+    values = dict(zip(asked, _kernels.bisect_rows(rows, lo, hi, _kernels.halvings(lo, hi, tol), asked)))
+    return [values[j] for j in idx], [values[j] for j in top]
+
+
+def _has_neighbor(section, v, r):
+    """Whether a bisected eigenvalue of a ``_family_sections`` section lies
+    within ``r`` of ``v``, told by Sturm counts where they can.
+
+    A bisected value is the midpoint of a leaf at most tol wide, below which
+    the count (0 at lo and below, n at hi and above, as bisection takes it)
+    is at most its index and above which it is more.  So with pad = 2 tol, a
+    count that rises over [v - r + pad, v + r - pad] puts a value within r,
+    one flat over [v - r - pad, v + r + pad] puts none, and otherwise the
+    indices between those outer counts are bisected and read.
+    """
+    rows, lo, hi, tol = section
+    n, pad = 1 + len(rows[1]) + rows[3], 2.0 * tol
+
+    def count(x):
+        return 0 if x <= lo else n if x >= hi else _kernels._sturm_count_py(*rows, x)
+
+    if count(v - r + pad) < count(v + r - pad):
+        return True
+    js = [*range(count(v - r - pad), count(v + r + pad))]
+    values = js and _kernels.bisect_rows(rows, lo, hi, _kernels.halvings(lo, hi, tol), js)
+    return any(abs(x - v) < r for x in values)
 
 
 def family_params(f):
@@ -153,27 +180,38 @@ def rho_numeric(f, n, exclusion=None):
     stabilize at order n+200, as ``detect_outliers`` keeps them, but
     solving only the order-n eigenvalues that can lie outside the band.
     Both sections are read off one short plain-Python build
-    (``_family_sections``), bitwise as if built in full.  Of the
-    order-(n+200) section only the eigenvalues that can lie within
-    margin/10 of a value beyond the margin, ``OUTLIER_MARGIN``, are
-    solved, which is all the filter reads of it.  Points within 1e-6 of
-    ``exclusion`` are removed before the selection step.
+    (``_family_sections``), bitwise as if built in full.  Whether the
+    order-(n+200) section has an eigenvalue within margin/10 of a value
+    beyond the margin, ``OUTLIER_MARGIN``, which is all the filter reads of
+    it, is told by Sturm counts on its rows (``_has_neighbor``).  A point
+    whose bisection leaf holds -2, 0 or 2, where rho is 0, may be that
+    value, so it enters the selection as it, rho's least value over the
+    leaf.  Points within 1e-6 of ``exclusion`` are removed before the
+    selection step.
     """
+    return rho_numeric_at(f, n, exclusion, [])[0]
+
+
+def rho_numeric_at(f, n, exclusion, top):
+    """``rho_numeric(f, n, exclusion)`` and the order-n section's eigenvalues
+    at the indices ``top``, bitwise those of ``family_eigenvalues_at``, from
+    one solve of that section (``_exterior_values``)."""
     if n < 4 or n % 2 != 0:
         raise ValueError("truncation order must be even and >= 4")
     margin = OUTLIER_MARGIN
     ess = two_angle_essential(family_params(f))
     first, second = _family_sections(f, n, n + OUTLIER_ORDER_STEP)
-    v1 = _exterior_values(first, ess, margin)
-    # a neighbor within margin/10 of a kept value lies beyond margin - margin/10
-    v2 = _exterior_values(second, ess, margin - margin / 10.0)
-    outliers = _stabilized(v1, ess, margin, v2)
-    lam = LimitSet(intervals=ess.intervals, points=tuple(outliers))
+    v1, at_top = _exterior_values(first, ess, margin, top)
+    outliers = _stabilized(v1, ess, margin, lambda v: _has_neighbor(second, v, margin / 10.0))
+    _, lo, hi, tol = first
+    steps = _kernels.halvings(lo, hi, tol)
+    leaves = [_kernels._leaf(lo, hi, steps, lambda mid: v < mid) for v in outliers]
+    points = [next((z for z in (-2.0, 0.0, 2.0) if l <= z <= h), v) for v, (l, h) in zip(outliers, leaves)]
+    lam = LimitSet(intervals=ess.intervals, points=tuple(points))
     if exclusion is not None:
         lam = lam.without_point(exclusion, 1e-6)
     lam0 = select_lambda0(lam)
-    rho = rho_from_lambda(lam0)
-    return RhoReport(rho, lam0, "finite-section")
+    return RhoReport(rho_from_lambda(lam0), lam0, "finite-section"), at_top
 
 
 def _commutator_radii(a, b):

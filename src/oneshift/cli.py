@@ -228,7 +228,7 @@ def _spectrum_lines(fams, thetas, n, with_commutator):
 
 
 def _lambda_max_column(fams, n):
-    """Largest eigenvalue of the order-n section of each family, bisected in lockstep."""
+    """Largest eigenvalue of the order-n section of each family, solved in one batch."""
     return analysis.family_eigenvalues_at(fams, n, [n - 1])[:, 0].tolist()
 
 
@@ -252,9 +252,9 @@ def cmd_sweep(args):
         lines = _spectrum_lines(fams, thetas, n, with_commutator=False)
     else:
         lines = ["theta,lambda_max,rho_numeric,rho_closed"]
-        for theta, fam, lam in zip(thetas, fams, _lambda_max_column(fams, n)):
+        for theta, fam in zip(thetas, fams):
             closed, exclusion = closed_forms(fam)
-            rep = analysis.rho_numeric(fam, n, exclusion=exclusion)
+            rep, (lam,) = analysis.rho_numeric_at(fam, n, exclusion, [n - 1])
             closed_txt = fmt(closed) if closed is not None else ""
             lines.append(f"{fmt(theta)},{fmt(lam)},{fmt(rep.rho)},{closed_txt}")
     write_text(args.out, "\n".join(lines) + "\n")

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import commutator, involution
-from oneshift import analysis
+from oneshift import analysis, cli
 from oneshift.analysis import (
     Lcg,
     detect_outliers,
@@ -45,6 +45,12 @@ from oneshift.tridiag import (
 )
 
 RATIONAL_THETA = math.acos(-0.8)
+# angles down to the smallest subnormal and up to the last double below pi
+END_WEIGHTED_ANGLES = st.one_of(
+    st.floats(0.05, math.pi - 0.05),
+    st.floats(0.0, 1e-3, exclude_min=True),
+    st.floats(math.pi - 1e-3, math.pi, exclude_max=True),
+)
 
 
 def spectrum(f, n):
@@ -193,6 +199,31 @@ class TestRhoNumeric:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             rho_numeric(PairFamily.constant(1.0), 7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        omega=END_WEIGHTED_ANGLES,
+        theta=END_WEIGHTED_ANGLES,
+        constant=st.booleans(),
+        half_n=st.integers(10, 1000),
+    )
+    # the top eigenvalue 2 lies on the Gershgorin bound, and its leaf's
+    # midpoint gave rho 3.81e-06; the closed form is 4e-15
+    @example(omega=1e-15, theta=1e-15, constant=True, half_n=300)
+    # a point at 0, whose leaf's midpoint -9.09e-13 gave rho 1.8e-12
+    @example(omega=3.141592653589791, theta=4.927146205760456e-73, constant=False, half_n=670)
+    def test_ends_of_the_angle_domain_give_the_closed_form(self, omega, theta, constant, half_n):
+        # a point whose leaf holds a zero of rho enters the selection as that
+        # zero, so only the float band ends near +-2 are left: rho(2 - e) is
+        # about 4 sqrt(e), and e is only known to the ulps of 4 that lambda^2
+        # rounds away there, each worth up to 2 sqrt(ulp(4)) = 6e-8 of rho.
+        # Orders from 20 on: below, a section's value next to c - gamma can
+        # lie outside the exclusion window and be selected (n = 4 to 14 missed
+        # by up to 0.19 at angles away from the ends too)
+        f = PairFamily.constant(theta) if constant else PairFamily.two_constant(omega, theta)
+        closed, exclusion = cli.closed_forms(f)
+        rep = rho_numeric(f, 2 * half_n, exclusion=exclusion)
+        assert abs(rep.rho - closed) <= 1e-9 * closed + 4.0 * math.sqrt(math.ulp(4.0))
 
 
 class TestRhoCommutatorDirect:

@@ -228,6 +228,27 @@ class TestSweepCommand:
             assert line.split(",")[1] == full_lambda_max(PairFamily.constant(theta), 60)
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        family=st.sampled_from(["constant", "eq3", "eq5", "two-constant"]),
+        omega=st.floats(0.05, math.pi - 0.05),
+        start=st.floats(0.05, 1.0),
+        n=st.sampled_from([4, 40, 600, 1300]),
+    )
+    def test_rho_mode_rows_equal_separate_solves(self, tmp_path_factory, family, omega, start, n):
+        # one solve a row gives lambda_max, bitwise the top eigenvalue of
+        # family_eigenvalues_at, and rho_numeric's rho
+        out = tmp_path_factory.mktemp("sweep") / "rho.csv"
+        grid = f"{start!r}:1.0:{start + 2.0!r}"
+        flags = ["--omega", repr(omega)] if family in ("eq3", "two-constant") else []
+        assert run(["sweep", "--family", family, *flags, "--theta", grid, "--n", str(n), "--out", str(out)]) == 0
+        fams = [cli.build_family(family, omega, theta) for theta in parse_grid(grid)]
+        tops = analysis.family_eigenvalues_at(fams, n, [n - 1])[:, 0].tolist()
+        for line, fam, top in zip(out.read_text().splitlines()[1:], fams, tops):
+            rho = analysis.rho_numeric(fam, n, exclusion=cli.closed_forms(fam)[1]).rho
+            assert line.split(",")[1:3] == [fmt(top), fmt(rho)]
+
+
 class TestFigureCommand:
     def test_preset_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -294,6 +315,19 @@ OUTPUT_DIGESTS = {
     ),
     ("sweep", "--family", "eq5", "--theta", "0.2:0.2:3.0", "--n", "200", "--mode", "rho"): (
         "1bb3046b10c702f4a18b6375d547abc55c4a291be3c384d71d229ba5c214f62f"
+    ),
+    # the order-(n + 200) filter drops two values beyond the margin at 1.45
+    # and 1.5
+    ("sweep", "--family", "two-constant", "--omega", "1.5", "--theta", "1.3:0.05:1.5", "--n", "40", "--mode", "rho"): (
+        "9941febdf6d79c78c20a79fc931918222def852ad05e7449c3c2e1e1b78fd630"
+    ),
+    # lambda_max at the point 2 beyond the band (0.5, 1.1) and in the band
+    # (1.7, 2.3, 2.9), read off rho's solve
+    ("sweep", "--family", "constant", "--theta", "0.5:0.6:2.9", "--n", "600", "--mode", "rho"): (
+        "ff6429ce655ead8ebeb902ae501375ad01b3983138e0c7832e4d3429f209ac90"
+    ),
+    ("sweep", "--family", "eq3", "--omega", "1.2", "--theta", "0.4:0.7:2.5", "--n", "600", "--mode", "rho"): (
+        "f25aee448ef19bf27473b648586c025882add8e08b24c0e82e417dbc53b576bc"
     ),
     # {pair} is PAIR_FILE, written by the test
     ("spectrum", "--family", "general-file", "--input", "{pair}"): (
@@ -518,18 +552,23 @@ def test_back_to_back_calls_match_separate_runs(monkeypatch, tmp_path):
 
 def test_family_rho_requests_never_run_numpy():
     # numpy is bound lazily: the lazy loader registers the module itself,
-    # and its body, which imports numpy._core first, runs at first use
+    # and its body, which imports numpy._core first, runs at first use; a
+    # sweep --mode rho reads lambda_max off rho's solve, so it runs none
+    # either, with lambda_max in a band (constant at 1.7 and 2.3) or not
     requests = [
         ["--family", "constant", "--theta", "1.0"],
         ["--family", "eq3", "--omega", "1.2", "--theta", "0.7"],
         ["--family", "eq5", "--theta", "0.4"],
         ["--family", "two-constant", "--omega", "2.4", "--theta", "0.5"],
     ]
+    grids = [[*argv[:-1], "0.5:0.6:2.9"] for argv in requests]
     script = (
         "import json, sys\n"
         "from oneshift import cli\n"
         f"for argv in {requests!r}:\n"
         "    assert cli.main(['rho', *argv, '--n', '600', '--out', sys.argv[1]]) == 0\n"
+        f"for argv in {grids!r}:\n"
+        "    assert cli.main(['sweep', *argv, '--n', '600', '--mode', 'rho', '--out', sys.argv[1]]) == 0\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(oneshift.__file__).parents[1])}

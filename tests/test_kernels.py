@@ -10,7 +10,9 @@ plain-Python bisection must match the vectorized numpy one, also on either
 side of ``PY_MAX_INDICES`` lanes, where ``bisect_sections`` switches from
 one to the other; and ``rho_numeric``, which solves only exterior eigenvalues,
 must match the full-spectrum pipeline ``tridiag_eigenvalues`` +
-``detect_outliers``.  Its short build must give the rows, Gershgorin bounds
+``detect_outliers``, also where its counts on the order-(n + 200) rows
+leave a value to bisect, and the ``lambda_max`` it reads off its solve
+must be the top eigenvalue of the separate solve.  Its short build must give the rows, Gershgorin bounds
 and tolerance of the full build of any order, and the exterior eigenvalues
 it solves from those rows must be those of the full sections, bitwise.
 Every Sturm count must be nondecreasing in the shift, and the
@@ -19,7 +21,9 @@ pivot repeats, must equal the full loop, and so must the lockstep count,
 which meets a zero pivot only when dividing by it raises and sums negative
 pivots in bytes, from any tail start and beyond 255 rows.  Values
 certified from tail guesses, inside the bands or in the gaps around them,
-must equal plain bisection, whatever the guesses are; the sign of the
+in lockstep or from one lane's phase guesses in plain Python, must equal
+plain bisection, whatever the guesses are; the plain-Python phase guesses
+must be those of the lockstep ones to rounding; the sign of the
 exterior equation must follow the counts; and a family spectrum or
 ``rho_numeric`` must leave next to nothing to bisect, ``rho_numeric`` must
 build no long section and run no lockstep kernel, and a batch the in-band
@@ -139,19 +143,25 @@ FIGURE_1_SECTIONS = [build_sum_truncation(PairFamily.head_omega(math.pi / 2, 0.1
 # the 31 sections of order 100 of figure 3, with 63 exterior eigenvalues
 FIGURE_3_SECTIONS = [build_sum_truncation(PairFamily.perturbed_heads(0.1 * k), 100) for k in range(1, 32)]
 
-# Lanes up to this bisect in Python, one more in numpy.  The batches on
-# either side of it below certify nothing, so every lane is bisected: the
-# in-band middle eigenvalue of THRESHOLD or THRESHOLD + 1 sections of order
-# 70, and THRESHOLD or THRESHOLD + 1 indices of one order-70 section with no
-# tail.  Order 70 lies above DENSE_MAX_ORDER, so no dense guess settles them.
+# Lanes up to this bisect in Python, one more in numpy.  The in-band middle
+# eigenvalue of THRESHOLD or THRESHOLD + 1 family sections of order 70 is
+# certified from phase guesses in Python, and bisected in lockstep.  The
+# batches of sections with no tail certify nothing on either side, so every
+# lane is bisected: the middle eigenvalue of THRESHOLD or THRESHOLD + 1 of
+# them, and THRESHOLD or THRESHOLD + 1 indices of one.  Order 70 lies above
+# DENSE_MAX_ORDER, so no dense guess settles them.
 THRESHOLD = _kernels.PY_MAX_INDICES
 THRESHOLD_SECTIONS = [
     build_sum_truncation(PairFamily.head_omega(0.04 * k, 0.7), 70) for k in range(1, THRESHOLD + 2)
 ]
 THRESHOLD_INDEX = np.array([35])
-NO_TAIL_70 = TridiagonalSymmetricMatrix(
-    diag=np.random.default_rng(70).normal(size=70), offdiag=np.random.default_rng(71).normal(size=69)
-)
+NO_TAIL_SECTIONS = [
+    TridiagonalSymmetricMatrix(
+        diag=np.random.default_rng(2 * k).normal(size=70), offdiag=np.random.default_rng(2 * k + 1).normal(size=69)
+    )
+    for k in range(35, 36 + THRESHOLD)
+]
+NO_TAIL_70 = NO_TAIL_SECTIONS[0]
 
 
 def lanes(ms):
@@ -478,6 +488,11 @@ def outcome(fn, *args):
 @example("perturbed_heads", 1.0, 0.4, 300, False, OUTLIER_MARGIN)
 @example("two_constant", 2.4, 0.5, 650, False, OUTLIER_MARGIN)
 @example("head_omega", 2.33057, 2.61978, 1000, False, OUTLIER_MARGIN)
+# margins that put an order-(n + 200) eigenvalue at margin/10 from a value
+# beyond the margin, within the 2 tol of the counts' pad, so the
+# order-(n + 200) indices between the outer counts are bisected
+@example("two_constant", 2.185981680295507, 1.5593407142181983, 5, False, 0.014376768828196076)
+@example("head_omega", 1.3151636788056775, 0.8171686309306995, 2, False, 0.031452416498749525)
 def test_rho_numeric_equals_full_solve_pipeline_bitwise(name, omega, theta, half_n, excluded, margin):
     f = make_family(name, omega, theta)
     n = 2 * half_n
@@ -561,8 +576,88 @@ def test_exterior_of_rows_equals_the_sections_slices_bitwise(f, half_n, margin):
     ess = two_angle_essential(family_params(f))
     sections = analysis._family_sections(f, n, n + OUTLIER_ORDER_STEP)
     for section, dist, (ms, idx, _) in zip(sections, (margin, margin - margin / 10.0), rho_slices(f, n, margin)):
-        values = analysis._exterior_values(section, ess, dist)
+        top = [0, ms[0].n - 1]
+        values, at_top = analysis._exterior_values(section, ess, dist, top)
         assert np.array(values).tobytes() == sections_eigenvalues_at(ms, idx)[0].tobytes()
+        # the indices asked for besides, solved with them, are the full solve's too
+        assert np.array(at_top).tobytes() == sections_eigenvalues_at(ms, top)[0].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=pair_families(),
+    half_n=st.integers(2, 200),
+    pick=st.integers(0, 2**16),
+    r=st.sampled_from([0.0005, OUTLIER_MARGIN / 10.0, 0.01]),
+    nudge=st.integers(-6, 6),
+)
+def test_neighbor_counts_equal_the_nearest_neighbor_rule(f, half_n, pick, r, nudge):
+    # v at r from an eigenvalue x of the section, moved by up to 3 tol: the
+    # counts keep or drop it where they can, and bisect the shell between,
+    # and must answer as the filter does on the full solve
+    n = 2 * half_n + OUTLIER_ORDER_STEP
+    section = analysis._family_sections(f, n)[0]
+    values = sections_eigenvalues_at([build_sum_truncation(f, n)], np.arange(n))[0].tolist()
+    x = values[pick % n]
+    v = x + math.copysign(r, 0.5 - pick % 2) + nudge * 0.5 * section[3]
+    assert analysis._has_neighbor(section, v, r) == any(abs(y - v) < r for y in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=pair_families(), half_n=st.one_of(st.integers(2, 40), st.integers(2, 1000)), exclusion=st.booleans())
+@example(f=PairFamily.two_constant(2.4000418903783114, 2.4958056141394684), half_n=300, exclusion=True)
+def test_rho_numeric_reads_lambda_max_off_its_solve_bitwise(f, half_n, exclusion):
+    # sweep --mode rho reads lambda_max off the order-n solve behind rho;
+    # both must be the values of the separate solves, bitwise
+    n = 2 * half_n
+    excluded = math.cos(f.theta.tail) - math.cos(f.omega.tail) if exclusion else None
+    rep, top = analysis.rho_numeric_at(f, n, excluded, [n - 1])
+    assert outcome(lambda: rep) == outcome(rho_numeric, f, n, excluded)
+    assert np.array(top).tobytes() == analysis.family_eigenvalues_at([f], n, [n - 1])[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=pair_families(edge_angles), half_n=st.integers(3, 1000), picks=st.lists(st.integers(0, 2**16), max_size=3))
+# the top eigenvalue of two-constant (1.3262, 1.7714) at n = 506 lies
+# between its band's end and the gap beyond it, and is guessed in the gap
+# the band leaves
+@example(f=PairFamily.two_constant(1.3261658589693648, 1.7713749074454825), half_n=253, picks=[0])
+# index 672 lies 0.06 inside the gap between the bands (+-0.119), which the
+# widened bands close; no guess settles it, and it is bisected
+@example(f=PairFamily.two_constant(2.653818720490857, 2.5349145785740563), half_n=672, picks=[672])
+# a top eigenvalue 5e-13 inside its band, whose first phase guess falls
+# one leaf beside it
+@example(f=PairFamily.two_constant(2.7202769809510996, 2.4958056141394684), half_n=300, picks=[])
+def test_row_solve_equals_plain_bisection_bitwise(f, half_n, picks):
+    # exterior guesses, phase guesses in the bands and bisection of the
+    # lanes left give plain bisection's bits, the top index included
+    n = 2 * half_n
+    rows, lo, hi, tol = analysis._family_sections(f, n)[0]
+    steps = _kernels.halvings(lo, hi, tol)
+    js = sorted({n - 1, *(p % n for p in picks)})
+    got = _kernels.bisect_rows(rows, lo, hi, steps, js)
+    assert np.array(got).tobytes() == np.array(_kernels._bisect_py(rows, lo, hi, steps, js)).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=pair_families(), half_n=st.integers(4, 300), where=st.floats(0.0, 1.0))
+def test_phase_guesses_equal_the_lockstep_guesses(f, half_n, where):
+    # the plain-Python guesses of one phase m are those of _tail.guesses to
+    # rounding, on both branches and from both starts; m = 0 and m >= k,
+    # at the ends of a band, are left out, where the steps may stop short
+    rows, lo, hi, _ = analysis._family_sections(f, 2 * half_n)[0]
+    diag, off2 = _kernels._arrays([rows])
+    k = (2 * half_n - diag.shape[1] + 2) // 2
+    if k < 3:
+        return
+    m = 1 + round(where * (k - 2))
+    scale = max(abs(lo), abs(hi))
+    e = math.frexp(scale)[1]
+    want = _tail.guesses(diag, off2, np.array([scale]), k, np.array([m]))[0]
+    unit = _tail.scaled(rows, e)
+    got = [math.nan if g is None else math.ldexp(g, e) for s in (-1.0, 1.0) for g in _tail.phase_guesses(unit, s, m)]
+    assert np.isfinite(got).tolist() == np.isfinite(want).tolist()
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * scale, equal_nan=True)
 
 
 def plain_bisection(ms, idx, tol=None):
@@ -857,14 +952,23 @@ def test_wrong_guesses_give_the_same_bits(monkeypatch, wrong):
         g = exterior(*args)
         return float(WRONG_GUESSES[wrong](np.array([[np.nan if g is None else g]]))[0, 0])
 
+    def wrong_phases(*args):
+        g = np.array([[np.nan if x is None else x for x in phase(*args)]])
+        return WRONG_GUESSES[wrong](g)[0].tolist()
+
+    phase = _tail.phase_guesses
     monkeypatch.setattr(_tail, "guesses", lambda *args: WRONG_GUESSES[wrong](guess(*args)))
     monkeypatch.setattr(_tail, "exterior_guess", wrong_exterior)
+    monkeypatch.setattr(_tail, "phase_guesses", wrong_phases)
     monkeypatch.setattr(_kernels, "_dense_guesses", lambda *args: WRONG_GUESSES[wrong](dense(*args)))
     for ms in (FIGURE_3_SECTIONS[::6], [build_sum_truncation(PairFamily.two_constant(0.3, 2.0), 240)]):
         idx = np.arange(ms[0].n)
         assert sections_eigenvalues_at(ms, idx).tobytes() == plain_bisection(ms, idx).tobytes()
     for ms, idx, tol in EXTERIOR_BATCHES[-5:]:
         assert sections_eigenvalues_at(ms, idx, tol).tobytes() == plain_bisection(ms, idx, tol).tobytes()
+    # in-band lanes of the plain-Python stage, which phase guesses settle
+    ms = THRESHOLD_SECTIONS[:8]
+    assert sections_eigenvalues_at(ms, THRESHOLD_INDEX).tobytes() == plain_bisection(ms, THRESHOLD_INDEX).tobytes()
     # dense guesses of sections with no tail and of family sections up to
     # order 64, in batches settled in Python and in lockstep
     for ms, idx in (
@@ -962,12 +1066,19 @@ def test_family_spectra_up_to_order_64_bisect_no_lane(monkeypatch, ms):
 
 def test_threshold_batches_bisect_in_python_and_in_lockstep(monkeypatch):
     # one lane more than PY_MAX_INDICES moves bisection from Python, one
-    # section a call, to one lockstep numpy call
+    # section a call, to one lockstep numpy call; lanes of sections with no
+    # tail are certified by neither, and family lanes in a band only in
+    # Python, from their phase guesses
     bisected = bisected_lanes(monkeypatch)
-    sections_eigenvalues_at(THRESHOLD_SECTIONS[:THRESHOLD], THRESHOLD_INDEX)
+    sections_eigenvalues_at(NO_TAIL_SECTIONS[:THRESHOLD], THRESHOLD_INDEX)
     assert bisected == [1] * THRESHOLD
-    sections_eigenvalues_at(THRESHOLD_SECTIONS, THRESHOLD_INDEX)
+    sections_eigenvalues_at(NO_TAIL_SECTIONS, THRESHOLD_INDEX)
     assert bisected == [1] * THRESHOLD + [THRESHOLD + 1]
+    bisected.clear()
+    sections_eigenvalues_at(THRESHOLD_SECTIONS[:THRESHOLD], THRESHOLD_INDEX)
+    assert sum(bisected) == 0
+    sections_eigenvalues_at(THRESHOLD_SECTIONS, THRESHOLD_INDEX)
+    assert bisected[-1] == THRESHOLD + 1
 
 
 # in-band eigenvalues of ten eq3 sections of order 100, all of which the
@@ -1013,21 +1124,22 @@ def test_family_spectrum_bisects_only_its_exterior_eigenvalues(monkeypatch, name
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_rho_numeric_certifies_its_exterior_eigenvalues(monkeypatch, name):
-    # rho_numeric solves only eigenvalues outside the bands, at most 64 of
-    # each section, and exterior guesses settle them in plain Python
+    # rho_numeric solves only eigenvalues of the order-n section outside the
+    # bands, at most 64, and exterior guesses settle them in plain Python
     asked = []
-    guesses = _kernels._exterior_guesses
-    monkeypatch.setattr(_kernels, "_exterior_guesses", lambda *args: asked.append(len(args[4])) or guesses(*args))
+    guess = _tail.exterior_guess
+    monkeypatch.setattr(_tail, "exterior_guess", lambda *args: asked.append(args[-1]) or guess(*args))
     bisected = bisected_lanes(monkeypatch)
     rho_numeric(make_family(name, 1.2, 0.7), 2000)
-    assert sum(asked) >= 2 and sum(bisected) <= MAX_BISECTED
+    assert len(asked) >= 1 and sum(bisected) <= MAX_BISECTED
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_rho_numeric_builds_short_sections_and_solves_each_once(monkeypatch, name):
     # rho_numeric(f, 2000) builds no section above 2h + 4 for the longer
-    # head h, runs no lockstep kernel, and solves the exteriors of the
-    # order-2000 and order-2200 sections once each, from their rows
+    # head h, runs no lockstep kernel, solves the exterior of the order-2000
+    # section once, from its rows, and of the order-2200 section only counts
+    # the rows
     f = make_family(name, 1.2, 0.7)
     builds, lockstep, solved = [], [], []
     build, solve = analysis.sum_entries, _kernels.bisect_rows
@@ -1037,4 +1149,4 @@ def test_rho_numeric_builds_short_sections_and_solves_each_once(monkeypatch, nam
         monkeypatch.setattr(_kernels, kernel, lambda *args, kernel=kernel: lockstep.append(kernel))
     rho_numeric(f, 2000)
     assert builds and max(builds) <= short_order(f)
-    assert lockstep == [] and solved == [2000, 2000 + OUTLIER_ORDER_STEP]
+    assert lockstep == [] and solved == [2000]

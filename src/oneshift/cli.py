@@ -4,14 +4,14 @@ Outputs are deterministic: floats are printed at 15 significant digits,
 lines end with "\n", and identical inputs give byte-identical files.
 """
 
-import argparse
 import functools
-import json
 import math
 import sys
+import types
 
 from . import analysis, forms, lazy_import, theory, tridiag, validate
 
+json = lazy_import("json")
 np = lazy_import("numpy")
 
 THETA_GRID_DEFAULT = "0.1:0.1:3.1"
@@ -161,11 +161,18 @@ def read_pair_file(path):
 
 
 def write_text(path, text):
+    """Write ``text`` to the file ``path``, or to stdout when ``path`` is None."""
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(text.encode())
+
+
+def json_strings(fields):
+    """``json.dumps(dict(fields), indent=2) + "\n"`` for (key, value) string
+    pairs that JSON writes unescaped, such as ``fmt`` values and branch names."""
+    return "{\n" + ",\n".join(f'  "{key}": "{value}"' for key, value in fields) + "\n}\n"
 
 
 def cmd_spectrum(args):
@@ -189,21 +196,21 @@ def cmd_rho(args):
     check_flags(args)
     if args.family == "general-file":
         rho = analysis.rho_commutator_direct(read_pair_file(args.input))
-        payload = {"rho_low": fmt(rho), "rho_high": fmt(rho), "branch": "direct-commutator"}
+        fields = [("rho_low", fmt(rho)), ("rho_high", fmt(rho)), ("branch", "direct-commutator")]
     else:
         fam = build_family(args.family, args.omega, args.theta)
         closed, exclusion = closed_forms(fam)
         n = even_order(DEFAULT_ORDER if args.n is None else args.n)
         rep = analysis.rho_numeric(fam, n, exclusion=exclusion)
-        payload = {
-            "rho_low": fmt(rep.rho),
-            "rho_high": fmt(rep.rho),
-            "lambda0": fmt(rep.lambda0),
-            "branch": rep.branch,
-        }
+        fields = [
+            ("rho_low", fmt(rep.rho)),
+            ("rho_high", fmt(rep.rho)),
+            ("lambda0", fmt(rep.lambda0)),
+            ("branch", rep.branch),
+        ]
         if closed is not None:
-            payload["rho_closed"] = fmt(closed)
-    write_text(args.out, json.dumps(payload, indent=2) + "\n")
+            fields.append(("rho_closed", fmt(closed)))
+    write_text(args.out, json_strings(fields))
     return 0
 
 
@@ -314,57 +321,132 @@ def cmd_validate(args):
     return 0 if report["all_pass"] else 1
 
 
+# The command line, the one table that both the direct parse and argparse
+# read: each command's handler, help text and arguments, in the order of the
+# usage text, each name mapped to its keywords of ``add_argument``.  A name
+# without "--" is a positional argument.
+_ANGLE_FAMILIES = ("constant", "eq3", "eq5", "two-constant")
+_ONE_SECTION = {
+    "--family": {"choices": (*_ANGLE_FAMILIES, "general-file"), "required": True},
+    "--omega": {"type": float},
+    "--theta": {"type": float},
+    "--input": {"help": "pair file for family general-file"},
+    "--n": {"type": int},
+    "--out": {},
+}
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "eigenvalues of one truncation", _ONE_SECTION),
+    "rho": (cmd_rho, "spectral radius of the commutator", _ONE_SECTION),
+    "sweep": (
+        cmd_sweep,
+        "grid sweep over theta",
+        {
+            "--family": {"choices": _ANGLE_FAMILIES, "required": True},
+            "--omega": {"type": float},
+            "--theta": {"required": True, "help": 'grid spec "start:step:stop"'},
+            "--n": {"type": int, "default": DEFAULT_ORDER},
+            "--mode": {"choices": ("spectrum", "rho"), "default": "rho"},
+            "--out": {},
+        },
+    ),
+    "figure": (
+        cmd_figure,
+        "emit a preset dataset",
+        {
+            "number": {"type": int, "choices": (1, 2, 3, 4)},
+            "--panel": {"choices": ("left", "right"), "default": "right"},
+            "--out": {},
+        },
+    ),
+    "validate": (
+        cmd_validate,
+        "run the self-check suite",
+        {
+            "--out": {},
+            "--perturb": {"action": "store_true", "default": False, "help": "inject a failure (negative control)"},
+        },
+    ),
+}
+
+
 @functools.cache
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="oneshift",
         description="Spectral radii of commutators of involution pairs in one-shifted form.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    families = ("constant", "eq3", "eq5", "two-constant")
-
-    def common(p):
-        p.add_argument("--family", choices=(*families, "general-file"), required=True)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--input", default=None, help="pair file for family general-file")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--out", default=None)
-
-    p_spec = sub.add_parser("spectrum", help="eigenvalues of one truncation")
-    common(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_rho = sub.add_parser("rho", help="spectral radius of the commutator")
-    common(p_rho)
-    p_rho.set_defaults(func=cmd_rho)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep over theta")
-    p_sweep.add_argument("--family", choices=families, required=True)
-    p_sweep.add_argument("--omega", type=float, default=None)
-    p_sweep.add_argument("--theta", required=True, help='grid spec "start:step:stop"')
-    p_sweep.add_argument("--n", type=int, default=DEFAULT_ORDER)
-    p_sweep.add_argument("--mode", choices=("spectrum", "rho"), default="rho")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_fig = sub.add_parser("figure", help="emit a preset dataset")
-    p_fig.add_argument("number", type=int, choices=(1, 2, 3, 4))
-    p_fig.add_argument("--panel", choices=("left", "right"), default="right")
-    p_fig.add_argument("--out", default=None)
-    p_fig.set_defaults(func=cmd_figure)
-
-    p_val = sub.add_parser("validate", help="run the self-check suite")
-    p_val.add_argument("--out", default=None)
-    p_val.add_argument("--perturb", action="store_true", help="inject a failure (negative control)")
-    p_val.set_defaults(func=cmd_validate)
-
+    for command, (func, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def parse_plain(argv):
+    """The namespace ``build_parser().parse_args(argv)`` builds, for an argv
+    of the plain form ``COMMAND [--flag value]...``; None for any other.
+
+    Positional arguments may stand between the flags.  Each flag is spelled
+    in full, with a value that does not start with "-", converts and is
+    among its choices; a repeated flag keeps its last value, as in argparse.
+    No required argument may be missing.  Anything else (an abbreviation,
+    ``--flag=value``, a value such as -1 or -inf, an unknown flag, a bad
+    value, -h) is left to argparse, whose meaning, messages and exit codes
+    this never changes.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    positionals = (name for name in arguments if not name.startswith("--"))
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        flag = word.startswith("--")
+        name = word if flag else next(positionals, None)
+        keywords = arguments.get(name)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            given[name] = True
+            continue
+        if flag:
+            word = next(words, "-")  # a flag's value; a missing one fails below
+        if word.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(word)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[name] = value
+    values = {"command": argv[0]}
+    for name, keywords in arguments.items():
+        if name not in given and (keywords.get("required") or not name.startswith("--")):
+            return None
+        values[name.lstrip("-")] = given.get(name, keywords.get("default"))
+    return types.SimpleNamespace(**values, func=func)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Serve one request: parse ``argv`` (default ``sys.argv[1:]``), run its
+    command and return the exit code.
+
+    An argv of the plain form ``COMMAND [--flag value]...`` is parsed
+    directly (``parse_plain``), without importing argparse.  Every other
+    spelling, such as an abbreviated flag or ``--flag=value``, goes to
+    argparse unchanged, with the same meaning and the same help, error text
+    and exit codes.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -541,9 +541,17 @@ def test_back_to_back_calls_match_separate_runs(monkeypatch, tmp_path):
         ["rho", "--family", "general-file", "--input", str(pair)],
         ["figure", "2", "--panel", "left"],
         ["validate"],
+        # spellings that argparse parses: an abbreviation, --flag=value, a
+        # value that starts with "-" and -h; a repeated flag is parsed
+        # directly too, keeping its last value
+        ["rho", "--fam", "constant", "--theta", "1.0", "--n", "40"],
+        ["rho", "--family", "constant", "--theta=1.0", "--n", "40"],
+        ["rho", "--family", "constant", "--theta", "1.0", "--n", "10", "--n", "40"],
+        ["rho", "--family", "constant", "--theta", "-1", "--n", "40"],
+        ["rho", "-h"],
     ]
     together = [captured_main(argv) for argv in requests]
-    assert [code for code, _, _ in together] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0]
     env = {**os.environ, "PYTHONPATH": str(Path(oneshift.__file__).parents[1])}
     for argv, got in zip(requests, together):
         proc = subprocess.run([sys.executable, "-m", "oneshift.cli", *argv], capture_output=True, text=True, env=env)
@@ -554,7 +562,8 @@ def test_family_rho_requests_never_run_numpy():
     # numpy is bound lazily: the lazy loader registers the module itself,
     # and its body, which imports numpy._core first, runs at first use; a
     # sweep --mode rho reads lambda_max off rho's solve, so it runs none
-    # either, with lambda_max in a band (constant at 1.7 and 2.3) or not
+    # either, with lambda_max in a band (constant at 1.7 and 2.3) or not.
+    # Requests of the plain form are parsed without argparse
     requests = [
         ["--family", "constant", "--theta", "1.0"],
         ["--family", "eq3", "--omega", "1.2", "--theta", "0.7"],
@@ -575,6 +584,108 @@ def test_family_rho_requests_never_run_numpy():
     proc = subprocess.run([sys.executable, "-c", script, os.devnull], capture_output=True, text=True, env=env, check=True)
     modules = json.loads(proc.stdout)
     assert "numpy._core" not in modules and "oneshift.cli" in modules
+    assert "argparse" not in modules
+
+
+FLAGS = sorted({name for _, _, arguments in cli.COMMANDS.values() for name in arguments if name.startswith("--")})
+# values argparse reads as flags (-.5 and -1 it takes as negative numbers),
+# bad or odd values, and words that are commands or argument names
+ODD_VALUES = st.sampled_from(
+    ["-1", "-.5", "-inf", "-", "--", "-h", "--out", "", " 7", "1_0", "1e999", "nan", "x", "rho", "number", "3:1:2"]
+)
+
+
+def _good_value(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"]).map(str)
+    if keywords.get("type") is float:
+        return st.floats().map(repr)
+    if keywords.get("type") is int:
+        return st.integers(-5, MAX_ORDER + 1).map(str)
+    return st.text(max_size=6)
+
+
+@st.composite
+def parser_argvs(draw):
+    """A command with each of its arguments, mostly well spelled, now and
+    then left out or given an odd value, in any order, and up to two odd
+    pieces: an abbreviated, repeated, ``--flag=value`` or valueless flag, or
+    -h, --help, -- or a stray word."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "-h", ""]))
+    pieces = []
+    for name, keywords in cli.COMMANDS[command][2].items() if command in cli.COMMANDS else ():
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        flag = [name] if name.startswith("--") else []
+        if keywords.get("action") != "store_true":
+            flag.append(draw(ODD_VALUES if draw(st.integers(0, 9)) == 0 else _good_value(keywords)))
+        pieces.append(flag)
+    for _ in range(draw(st.integers(0, 2))):
+        flag, value = draw(st.sampled_from(FLAGS)), draw(ODD_VALUES | st.sampled_from(["1.0", "40", "constant"]))
+        pieces.append(
+            draw(
+                st.sampled_from(
+                    [
+                        [flag[: max(3, len(flag) - 2)], value],
+                        [flag, value],
+                        [f"{flag}={value}"],
+                        [flag],
+                        ["-h"],
+                        ["--help"],
+                        ["--"],
+                        [value],
+                    ]
+                )
+            )
+        )
+    return [command, *(word for piece in draw(st.permutations(pieces)) for word in piece)]
+
+
+def _argparse_vars(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _reprs(values):
+    # repr tells -0.0 from 0.0 and equates two nans
+    return {key: repr(value) for key, value in values.items()}
+
+
+PLAIN_ARGVS = [
+    ["rho", "--family", "eq3", "--omega", "1.2", "--theta", "0.7", "--n", "40", "--out", "r.json"],
+    ["spectrum", "--family", "general-file", "--input", "p.txt"],
+    ["sweep", "--family", "constant", "--theta", "0.5:0.6:2.9", "--mode", "rho", "--n", "600"],
+    ["figure", "2", "--panel", "left", "--out", "f.csv"],
+    ["figure", "--out", "f.csv", "3"],
+    ["validate", "--perturb"],
+    ["validate"],
+    ["spectrum", "--family", "eq5", "--n", "10", "--theta", "1.0", "--n", "40"],
+    ["rho", "--family", "constant", "--theta", "nan", "--out", ""],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
+def test_plain_parse_accepts_the_plain_form(argv):
+    assert _reprs(vars(cli.parse_plain(argv))) == _reprs(_argparse_vars(argv))
+
+
+@given(argv=parser_argvs())
+@example(argv=["figure", "number", "2"])
+@example(argv=["figure", "2", "number"])
+@example(argv=["validate", "--out"])
+@example(argv=["rho", "--family", "eq5", "--theta", "1", "--theta", "x"])
+@example(argv=["validate", "--perturb", "x"])
+@example(argv=["rho", "--family", "constant", "--theta", "-.5"])
+@example(argv=["sweep", "--family", "eq3", "--theta", "1", "--n", "-1"])
+@settings(max_examples=400, deadline=None)
+def test_plain_parse_equals_argparse(argv):
+    # the direct parse builds argparse's namespace or declines; it declines
+    # every argv that argparse rejects, and takes a repeated flag's last value
+    got, expected = cli.parse_plain(argv), _argparse_vars(argv)
+    assert got is None or expected is not None and _reprs(vars(got)) == _reprs(expected)
 
 
 FAMILIES = ("constant", "eq3", "eq5", "two-constant", "general-file")

@@ -103,17 +103,18 @@ def _rows(d, e2):
     section with the diagonal ``d`` and squared off-diagonal ``e2``, lists.
 
     Row i pairs d[i] with e2[i - 1].  The tail is the longest run of last
-    rows in which each row equals the row two after it, and holds at least
-    two rows; a section without a periodic tail gets its last two rows as
-    one, and one of order 1 or 2 gets none.  The two rows of the tail's
-    first period stand for all of it; the head holds the rows before the
-    tail.  Zero entries of either sign compare equal, which cannot change a
-    count: a pivot that comes out a signed zero is replaced by ``_TINY``.
+    rows in which each row equals the row two after it, at least two, less
+    its first row where the run is odd, so that it is whole periods; a
+    section without a periodic tail gets its last two rows as one, and one
+    of order 1 or 2 gets none.  The tail's first period stands for all of
+    it; the head holds the rows before the tail.  Zero entries of either
+    sign compare equal, which cannot change a count: a pivot that comes out
+    a signed zero is replaced by ``_TINY``.
     """
     n, row = len(d), len(d) - 3
     while row >= 1 and d[row] == d[row + 2] and e2[row - 1] == e2[row + 1]:
         row -= 1
-    start = row + 1 if n > 2 else n
+    start = row + 1 + (n - row - 1) % 2 if n > 2 else n
     head = list(zip(d[1:start], e2[: start - 1]))
     return d[0], head, tuple(zip(d[start : start + 2], e2[start - 1 : start + 1])), n - start
 
@@ -121,13 +122,11 @@ def _rows(d, e2):
 def _arrays(rows):
     """(B, h + 2) diagonals and (B, h + 1) squared off-diagonals of the
     sections whose ``_rows`` are ``rows``, for the stages run in lockstep:
-    rows 0..h+1, for the latest tail start h, one row later if n - h is odd,
-    so that row i >= h is row h + (i - h) % 2 and the rest (n - h) / 2 tail
-    periods.  Sections of order 1 or 2 have no tail and are padded with
+    rows 0..h+1, for the latest tail start h.  Every tail is whole periods,
+    so row i >= h is row h + (i - h) % 2 and the rows from h are (n - h) / 2
+    tail periods.  Sections of order 1 or 2 have no tail and are padded with
     zeros that no stage reads."""
-    n = 1 + len(rows[0][1]) + rows[0][3]
     h = max(1 + len(head) for _, head, _, _ in rows)
-    h += (n - h) % 2
     diag, off2 = np.zeros((len(rows), h + 2)), np.zeros((len(rows), h + 1))
     for b, (d0, head, tail, _) in enumerate(rows):
         start = 1 + len(head)
@@ -141,12 +140,12 @@ def _sturm_count_py(d0, head, tail, tail_len, x):
     """Number of eigenvalues strictly below ``x``, in plain Python.
 
     ``d0``, ``head``, ``tail`` and ``tail_len`` are as ``_rows`` returns
-    them.  Exact zero pivots are replaced by ``_TINY`` so the count stays
-    well defined on degenerate (e.g. diagonal) matrices.  The pivot after a
-    row depends only on the pivot before it, so once a period of the tail
-    gives back the pivot it started from, every later period repeats it and
-    adds the same count: the rest of the tail is counted without walking it,
-    and the result is bitwise that of the full loop.
+    them, a tail of whole periods.  Exact zero pivots are replaced by
+    ``_TINY`` so the count stays well defined on degenerate (e.g. diagonal)
+    matrices.  The pivot after a period depends only on the pivot before
+    it, so once a period gives back the pivot it started from, every later
+    one repeats it and adds the same count: the rest of the tail is counted
+    without walking it, bitwise as the full loop counts it.
     """
     p = d0 - x
     if p == 0.0:
@@ -162,7 +161,7 @@ def _sturm_count_py(d0, head, tail, tail_len, x):
         return count
     (da, ea), (db, eb) = tail
     ax, bx = da - x, db - x
-    periods, odd = divmod(tail_len, 2)
+    periods = tail_len // 2
     for k in range(periods):
         start, before = p, count
         p = ax - ea / p
@@ -178,12 +177,24 @@ def _sturm_count_py(d0, head, tail, tail_len, x):
         if p == start:
             count += (periods - 1 - k) * (count - before)
             break
-    if odd:
-        p = ax - ea / p
-        if p == 0.0:
-            p = _TINY
-        if p < 0.0:
-            count += 1
+    return count
+
+
+def _bounded_count(rows, lo, hi):
+    """The Sturm count of a section with the rows ``rows`` and bisection
+    bounds ``lo`` and ``hi`` as bisection takes it, the one statement of that
+    rule: 0 at or below lo, the order n at or above hi, ``_sturm_count_py``
+    in between.  The rule is sound: a leaf end still at its bound was moved
+    by no step, or by midpoints that rounded onto it, and bisection, which
+    never counts there, returns that leaf's midpoint too.  So an eigenvalue
+    on a Gershgorin bound settles, and a clamped end can only keep a leaf
+    from settling an index, which is then bisected, never settle a wrong
+    one; at a guess's bounds, a count only places the guess."""
+    n = 1 + len(rows[1]) + rows[3]
+
+    def count(x):
+        return 0 if x <= lo else n if x >= hi else _sturm_count_py(*rows, x)
+
     return count
 
 
@@ -225,30 +236,24 @@ def _dense_guesses(diag, off2, n):
     return np.linalg.eigvalsh(a, UPLO="L")
 
 
-def _settle(rows, lo, hi, steps, js, guesses, count):
+def _settle(count, lo, hi, steps, js, guesses):
     """The value of each index of ``js`` of one section that its guess
-    certifies (``_certified``), else None; a section that takes no step
-    needs no guess."""
-    n = 1 + len(rows[1]) + rows[3]
-    ok = [not steps or (g is not None and g == g) for g in guesses]
-    return [_certified(lo, hi, steps, n, count, j, g)[0] if o else None for j, g, o in zip(js, guesses, ok)]
+    certifies (``_certified``), else None; ``count`` is its
+    ``_bounded_count``."""
+    return [None if g is None or g != g else _certified(count, lo, hi, steps, j, g)[0] for j, g in zip(js, guesses)]
 
 
-def _certified(lo, hi, steps, n, count, j, guess):
-    """The value of index j of an order-n section that ``guess`` certifies,
-    or None, and the counts at the ends of the last leaf tried.
+def _certified(count, lo, hi, steps, j, guess):
+    """The value of index j of a section that ``guess`` certifies, or None,
+    and the counts at the ends of the last leaf tried.
 
-    The guess walks j's bisection tree to a leaf [l, h], and counts at its
-    ends settle j by the leaf argument of ``_certify``.  An end still at its
-    bound is counted as bisection takes it, 0 at lo and n at hi, which
-    settles an eigenvalue on a Gershgorin bound, and every index of a
-    section that takes no step: such an end was moved by no step, or by
-    midpoints that rounded onto the bound, and then the leaf's midpoint is
-    the bound, as bisection's value is.  A leaf that puts j to one side is
-    followed by the next leaf on that side, once."""
+    The guess walks j's bisection tree to a leaf [l, h], and the counts
+    (``_bounded_count``) at its ends settle j by the leaf argument of
+    ``_certify``.  A leaf that puts j to one side is followed by the next
+    leaf on that side, once."""
     for _ in range(2):
         l, h = _leaf(lo, hi, steps, lambda mid: guess < mid)
-        below, above = 0 if l == lo else count(l), n if h == hi else count(h)
+        below, above = count(l), count(h)
         if below <= j < above:
             return 0.5 * (l + h), below, above
         guess += (hi - lo) * 0.5**steps * (1.0 if above <= j else -1.0)
@@ -258,26 +263,21 @@ def _certified(lo, hi, steps, n, count, j, guess):
 def _in_band(unit, e, count, lo, hi, steps, j):
     """Index j of one section, which no exterior guess placed, certified
     from a guess placed by the tail's bands, else None; ``unit`` is the
-    section's rows scaled by 2^-e and ``count`` its cached count.  Counts at
-    the ends of the band whose widened stretch holds j tell whether j lies
-    in it, and its place from the band's outer end, about its phase m
-    (``_tail.phase_guesses``); where no guess of m settles j, the index the
-    last leaf holds or lies next to moves m by its distance.  Outside the
-    bands, j is guessed in the gaps they leave."""
-    n = 1 + len(unit[1]) + unit[3]
-
-    def at(x):
-        return 0 if x <= lo else n if x >= hi else count(x)
-
+    section's rows scaled by 2^-e and ``count`` its cached
+    ``_bounded_count``.  Counts at the ends of the band whose widened
+    stretch holds j tell whether j lies in it, and its place from the band's
+    outer end, about its phase m (``_tail.phase_guesses``); where no guess
+    of m settles j, the index the last leaf holds or lies next to moves m by
+    its distance.  Outside the bands, j is guessed in the gaps they leave."""
     ends = [lo, *(math.ldexp(x, e) for x in _tail.band_edges(unit[2])), hi]
-    upper = j >= at(math.ldexp(_tail.band_edges(unit[2], _tail.EXTERIOR_DELTA)[1], e))
-    c = [at(x) for x in ends[1 + 2 * upper : 3 + 2 * upper]]
+    upper = j >= count(math.ldexp(_tail.band_edges(unit[2], _tail.EXTERIOR_DELTA)[1], e))
+    c = [count(x) for x in ends[1 + 2 * upper : 3 + 2 * upper]]
     if not c[0] <= j < c[1]:
         # a leaf inside each band end, where the last minor is finite
         w = (hi - lo) * 0.5**steps
         gaps = [(a + w * (a > lo), b - w * (b < hi)) for a, b in zip(ends[::2], ends[1::2]) if a < b]
         guess = _tail.exterior_guess(unit, e, gaps, count, lo, hi, steps, j)
-        return None if guess is None else _certified(lo, hi, steps, n, count, j, guess)[0]
+        return None if guess is None else _certified(count, lo, hi, steps, j, guess)[0]
     sign, m = (1, c[1] - 1 - j) if upper else (-1, j - c[0])
     # of 1,400 random in-band lanes of family sections of order 100-2000,
     # half of them the top index, the first m settled 49 %, the second the rest
@@ -285,7 +285,7 @@ def _in_band(unit, e, count, lo, hi, steps, j):
         near = None
         for guess in _tail.phase_guesses(unit, sign, m):
             if guess is not None:
-                value, below, above = _certified(lo, hi, steps, n, count, j, math.ldexp(guess, e))
+                value, below, above = _certified(count, lo, hi, steps, j, math.ldexp(guess, e))
                 if value is not None:
                     return value
                 near = above - 1 if j >= above else below
@@ -303,17 +303,17 @@ def bisect_rows(rows, lo, hi, steps, js, guesses=None):
     its bisection bounds and steps, so the section need not be built at its
     full order.  ``_settle`` settles the indices that their ``guesses``
     place, by default each index's ``_tail.exterior_guess`` and then the
-    guesses of ``_in_band``, and the rest bisect (``_bisect_py``).  Each
-    value is bitwise that of plain bisection.
+    guesses of ``_in_band``, counted by one ``_bounded_count``, and the rest
+    bisect (``_bisect_py``).  Each value is bitwise that of plain bisection.
     """
-    count, tail = functools.partial(_sturm_count_py, *rows), None
+    count, tail = _bounded_count(rows, lo, hi), None
     # functools.cache (5 us), the scaled rows (2 us) and the gaps (4-6 us at
     # n = 1000) are skipped by a section with no tail or no index asked for
     if guesses is None and js and rows[3] >= 4:
         e = math.frexp(max(abs(lo), abs(hi)))[1]
         count, tail, gaps = functools.cache(count), (_tail.scaled(rows, e), e), _tail.gaps(rows, e, lo, hi)
         guesses = [_tail.exterior_guess(*tail, gaps, count, lo, hi, steps, j) for j in js]
-    values = _settle(rows, lo, hi, steps, js, guesses or [None] * len(js), count)
+    values = _settle(count, lo, hi, steps, js, guesses or [None] * len(js))
     if tail:
         values = [_in_band(*tail, count, lo, hi, steps, j) if v is None else v for j, v in zip(js, values)]
     rest = iter(_bisect_py(rows, lo, hi, steps, [j for j, v in zip(js, values) if v is None]))
@@ -413,7 +413,7 @@ def _settle_leaves(diag, off2, n, lo, hi, steps, guesses, column, out):
     column of ``out`` (-1 for an index not asked for).  Both ends of every
     distinct leaf (``_leaves``) are counted in one lockstep pass, and a leaf
     [l, h] holds the indices j with count(l) <= j < count(h) (see
-    ``_certify``).  An end at its bound is counted as in ``_settle``.
+    ``_certify``), an end at its bound counted as by ``_bounded_count``.
     """
     lower, upper = _leaves(guesses, lo, hi, steps)
     if not lower.size:
@@ -459,8 +459,7 @@ def _certify(n, diag, off2, lo, hi, steps, idx, out, dense):
     k = (n - head) // 2
     if idx.size * steps.max() <= 2 * n or k < 2 or 2 * k <= head:
         return
-    scale = np.maximum(np.abs(lo), np.abs(hi))
-    scale[scale == 0.0] = 1.0
+    e = np.frexp(np.maximum(np.abs(lo), np.abs(hi)))[1]
     # Candidates m per chunk, each giving four guesses and up to eight
     # counted leaf ends.  At MAX_LANES // 8 a spectra-dataset round ran 2 %
     # faster, but figure 4 peaked above its own output's memory, and the
@@ -471,7 +470,7 @@ def _certify(n, diag, off2, lo, hi, steps, idx, out, dense):
     for b in range(0, len(steps), per):
         r = slice(b, b + per)
         for m in range(0, k + 2, span):
-            guesses = _tail.guesses(diag[r], off2[r], scale[r], k, np.arange(m, min(m + span, k + 2)))
+            guesses = _tail.guesses(diag[r], off2[r], e[r], k, np.arange(m, min(m + span, k + 2)))
             _settle_leaves(diag[r], off2[r], n, lo[r], hi[r], steps[r], guesses, column, out[r])
 
 

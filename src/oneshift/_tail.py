@@ -28,14 +28,16 @@ np = lazy_import("numpy")
 GUESS_NEWTON_STEPS = 4
 
 
-def guesses(diag, off2, scale, k, m):
+def guesses(diag, off2, e, k, m):
     """Guessed eigenvalues of sections whose last 2k rows are k tail periods.
 
     ``diag`` and ``off2`` hold each section's head, rows 0..h-1, and its
     first tail period, rows h and h+1, with diagonal entries d_a, d_b and
-    squared off-diagonals e_a^2, e_b^2; ``scale`` bounds each section's
-    entries.  Over one period the minors P_i of T - x obey a transfer matrix
-    of determinant c^2, c = |e_a e_b|, and trace c*Delta with
+    squared off-diagonals e_a^2, e_b^2.  Section b is scaled by 2^-e[b],
+    for the exponent e[b] of its larger bound in size, as ``scaled`` scales
+    rows, and its guesses are scaled back.  Over one period the minors P_i
+    of T - x obey a transfer matrix of determinant c^2, c = |e_a e_b|, and
+    trace c*Delta with
     Delta = ((d_a - x)(d_b - x) - e_a^2 - e_b^2) / c.  Inside a band,
     Delta = 2 cos(phi) and, by Cayley-Hamilton, P_n is proportional to
     sin(k phi + arg z), z = w - u exp(-i phi), where u = P_h and
@@ -49,9 +51,8 @@ def guesses(diag, off2, scale, k, m):
     array; a guess may be missing, repeated or wrong, and is NaN or inf
     where the steps broke down.
     """
-    h = diag.shape[1] - 2
-    s = scale[:, None]
-    d, e2 = diag / s, off2 / s / s
+    h, e = diag.shape[1] - 2, e[:, None]
+    d, e2 = np.ldexp(diag, -e), np.ldexp(off2, -2 * e)
     head = [(d[:, i : i + 1], e2[:, i - 1 : i]) for i in range(1, h)]
     period = (d[:, h : h + 1], e2[:, h - 1 : h]), (d[:, h + 1 :], e2[:, h:])
     fns = np.cos, np.sin, np.sqrt, np.arctan2
@@ -61,7 +62,7 @@ def guesses(diag, off2, scale, k, m):
             np.stack([_newton(d[:, :1], head, period, k, sign, m * math.pi, start, fns) for start in (0, 1)], axis=2)
             for sign in (-1.0, 1.0)
         ]
-    return np.concatenate([g.reshape(len(s), -1) for g in guesses], axis=1) * s
+    return np.ldexp(np.concatenate([g.reshape(len(e), -1) for g in guesses], axis=1), e)
 
 
 def _newton(d0, head, period, k, sign, target, start, fns):
@@ -98,16 +99,13 @@ def _newton(d0, head, period, k, sign, target, start, fns):
 def phase_guesses(unit, sign, m):
     """The two guesses of ``guesses`` at the phase m on the branch ``sign``
     (-1 lower, +1 upper) of one section's rows scaled by 2^-e (``scaled``),
-    in plain Python, each None where its steps broke down.  An odd tail
-    lends its first row to the head, as in ``_kernels._arrays``."""
+    in plain Python, each None where its steps broke down; the tail is
+    whole periods, as ``_kernels._rows`` splits every tail."""
     d0, head, tail, tail_len = unit
-    k, odd = divmod(tail_len, 2)
-    if odd:
-        head, tail = [*head, tail[0]], tail[::-1]
-    out = []
+    fns, out = (math.cos, math.sin, math.sqrt, math.atan2), []
     for start in (0, 1):
         try:
-            x = _newton(d0, head, tail, k, sign, m * math.pi, start, (math.cos, math.sin, math.sqrt, math.atan2))
+            x = _newton(d0, head, tail, tail_len // 2, sign, m * math.pi, start, fns)
         except (ArithmeticError, ValueError):
             x = math.nan
         out.append(x if math.isfinite(x) else None)
@@ -175,12 +173,12 @@ def last_minor(rows, x):
     differ in size by the entries' scale.
 
     ``rows`` is a section as ``_kernels._rows`` gives it: a head that ends
-    in the state s = (P_h, P_{h-1}), then k periods of transfer matrix
-    c M, det M = 1 and trace M = Delta, c = |e_a e_b|, and one more row a if
-    the tail is odd.  Cayley-Hamilton gives M^k = U_{k-1} M - U_{k-2} I for
-    the Chebyshev polynomials U at Delta/2, and outside the bands
-    U_{k-2}/U_{k-1} = r = mu (1 - mu^(2k-2)) / (1 - mu^(2k)) for the
-    multiplier |mu| < 1, so the value is e_1 [R_a] (M - r I) s, in O(head).
+    in the state s = (P_h, P_{h-1}), then a tail of k whole periods of
+    transfer matrix c M, det M = 1 and trace M = Delta, c = |e_a e_b|.
+    Cayley-Hamilton gives M^k = U_{k-1} M - U_{k-2} I for the Chebyshev
+    polynomials U at Delta/2, and outside the bands U_{k-2}/U_{k-1} = r =
+    mu (1 - mu^(2k-2)) / (1 - mu^(2k)) for the multiplier |mu| < 1, so the
+    value is e_1 (M - r I) s, in O(head).
     Its sign is (-1)^count times one sign per gap, and its roots there are
     the section's eigenvalues.  The head minors are rescaled by their hypot
     at every row, which keeps the value smooth in x.  Raises
@@ -192,15 +190,13 @@ def last_minor(rows, x):
     for d, e2 in head:
         t = math.hypot(p, p0)
         p0, p = p / t, ((d - x) * p - e2 * p0) / t
-    k, odd = divmod(tail_len, 2)
+    k = tail_len // 2
     c = math.sqrt(ea2) * math.sqrt(eb2)
     half = 0.5 * ((da - x) * (db - x) - ea2 - eb2) / c
     mu = 1.0 / (half + math.copysign(math.sqrt((half - 1.0) * (half + 1.0)), half))
     mu2 = mu * mu
     r = mu * (1.0 - mu2 ** (k - 1)) / (1.0 - mu2**k)
-    q = (da - x) * p - ea2 * p0
-    y0, y1 = ((db - x) * q - eb2 * p) / c - r * p, q / c - r * p0
-    return (da - x) * y0 - ea2 * y1 if odd else y0
+    return ((db - x) * ((da - x) * p - ea2 * p0) - eb2 * p) / c - r * p
 
 
 # Regula falsi steps per exterior guess, a bound the guesses stay far
@@ -213,39 +209,41 @@ def exterior_guess(unit, e, gaps, count, lo, hi, steps, j):
     """A guess at eigenvalue j of a section when it lies in one of the
     section's ``gaps``, else None.
 
-    ``unit`` is the section's rows scaled by 2^-e (``scaled``), ``count(x)``
-    its Sturm count, and ``lo``, ``hi`` and ``steps`` its bisection bounds
-    and steps; the counts at ``lo`` and ``hi`` are taken as 0 and n.  Counts
-    at the gaps' ends find the gap that holds j, and counts at midpoints
-    narrow it until it holds j alone; every shift counted lies in a gap,
-    where counts are cheap.  Regula falsi on ``last_minor``, halving the
-    weight of an end kept twice (Illinois), then narrows the gap to a
-    quarter of a bisection leaf.  A wrong guess costs only speed.
+    ``unit`` is the section's rows scaled by 2^-e (``scaled``), ``count`` its
+    ``_kernels._bounded_count``, and ``lo``, ``hi`` and ``steps`` its
+    bisection bounds and steps.  Counts at the gaps' ends find the gap that
+    holds j, and counts at midpoints narrow it until it holds j alone and
+    ``last_minor``, whose sign is wrong at an end within rounding of an
+    eigenvalue, changes sign across it, or until it is a leaf wide: its
+    midpoint is then the guess.  Every shift counted lies in a gap, where
+    counts are cheap.  Regula falsi on ``last_minor``, halving the weight of
+    an end kept twice (Illinois), then narrows the gap to a quarter of a
+    leaf.  A wrong guess costs only speed.
     """
     n = 1 + len(unit[1]) + unit[3]
     for a, b in gaps if 2 * j < n else gaps[::-1]:
-        ca, cb = 0 if a == lo else count(a), n if b == hi else count(b)
+        ca, cb = count(a), count(b)
         if ca <= j < cb:
             break
     else:
         return None
-    width = (hi - lo) * 0.5**steps
-    for _ in range(steps):
-        mid = 0.5 * (a + b)
-        if cb - ca < 2 or b - a <= width or not a < mid < b:
-            break
-        cm = count(mid)
-        if cm > j:
-            b, cb = mid, cm
-        else:
-            a, ca = mid, cm
-    if cb - ca > 1:
-        return 0.5 * (a + b)
-    a, b, width = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(width, -e)
+    width, fa, fb = (hi - lo) * 0.5**steps, None, None
     try:
-        fa, fb = last_minor(unit, a), last_minor(unit, b)
-        if not fa * fb < 0.0:
-            return None
+        while True:
+            mid = 0.5 * (a + b)
+            if cb - ca == 1:
+                fa = last_minor(unit, math.ldexp(a, -e)) if fa is None else fa
+                fb = last_minor(unit, math.ldexp(b, -e)) if fb is None else fb
+                if fa * fb < 0.0:
+                    break
+            if b - a <= width or not a < mid < b:
+                return mid
+            cm = count(mid)
+            if cm > j:
+                b, cb, fb = mid, cm, None
+            else:
+                a, ca, fa = mid, cm, None
+        a, b, width = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(width, -e)
         kept = 0
         for _ in range(EXTERIOR_STEPS):
             x = (a * fb - b * fa) / (fb - fa)

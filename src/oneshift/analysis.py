@@ -148,18 +148,14 @@ def _has_neighbor(section, v, r):
     within ``r`` of ``v``, told by Sturm counts where they can.
 
     A bisected value is the midpoint of a leaf at most tol wide, below which
-    the count (0 at lo and below, n at hi and above, as bisection takes it)
-    is at most its index and above which it is more.  So with pad = 2 tol, a
+    the count, as bisection takes it (``_kernels._bounded_count``), is at
+    most its index and above which it is more.  So with pad = 2 tol, a
     count that rises over [v - r + pad, v + r - pad] puts a value within r,
     one flat over [v - r - pad, v + r + pad] puts none, and otherwise the
     indices between those outer counts are bisected and read.
     """
     rows, lo, hi, tol = section
-    n, pad = 1 + len(rows[1]) + rows[3], 2.0 * tol
-
-    def count(x):
-        return 0 if x <= lo else n if x >= hi else _kernels._sturm_count_py(*rows, x)
-
+    count, pad = _kernels._bounded_count(rows, lo, hi), 2.0 * tol
     if count(v - r + pad) < count(v + r - pad):
         return True
     js = [*range(count(v - r - pad), count(v + r + pad))]

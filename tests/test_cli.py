@@ -305,7 +305,7 @@ OUTPUT_DIGESTS = {
     ("figure", "1", "--panel", "left"): "87a40689f14927e80a817ed41ef305ac20a6529e6b4abcfda1ef0b76323c03b1",
     # 961 lambda_max lanes of lockstep bisection, which no workload runs
     ("figure", "2", "--panel", "right"): "b7f76d18fd7c0f2310a265d592ca1771fa8f9e7a03fb00c8e4bd631dc303b5ed",
-    # 291 lambda_max lanes of lockstep bisection at the default order 600
+    # 291 lambda_max values read off the rho solve at the default order 600
     ("sweep", "--family", "constant", "--theta", "0.1:0.01:3.0", "--mode", "rho"): (
         "ecd1810c72d07d2661e7791796b7bb7a3011037d1a8aad6fb1bb7620d9edaff8"
     ),

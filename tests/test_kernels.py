@@ -23,14 +23,18 @@ pivots in bytes, from any tail start and beyond 255 rows.  Values
 certified from tail guesses, inside the bands or in the gaps around them,
 in lockstep or from one lane's phase guesses in plain Python, must equal
 plain bisection, whatever the guesses are; the plain-Python phase guesses
-must be those of the lockstep ones to rounding; the sign of the
-exterior equation must follow the counts; and a family spectrum or
-``rho_numeric`` must leave next to nothing to bisect, ``rho_numeric`` must
-build no long section and run no lockstep kernel, and a batch the in-band
-certificate declines must not be guessed from its tail.  Sections reach
-the kernel as rows of Python floats, split where the longest periodic run
-of last rows starts, and the arrays the lockstep stages expand from them
-must hold the sections' own entries; the lockstep count, which reads every
+must be those of the lockstep ones to rounding, both scaling a section
+by 2^-e for the exponent e of its larger bound in size; the sign of the
+exterior equation must follow the counts, and an exterior lane whose gap
+has an end within rounding of an eigenvalue must still settle without
+bisection; and a family spectrum or ``rho_numeric`` must leave next to
+nothing to bisect, ``rho_numeric`` must build no long section and run no
+lockstep kernel, and a batch the in-band certificate declines must not be
+guessed from its tail.  Sections reach the kernel as rows of Python
+floats, split where the longest periodic run of last rows that holds an
+even number of rows starts, so that every tail is a whole number of
+periods, and the arrays the lockstep stages expand from them must hold
+the sections' own entries; the lockstep count, which reads every
 tail row off a section's first tail period, must equal the walk of every
 row; and lockstep bisection, one lane to a row of arrays, gives plain
 bisection's bits with or without gaps between the sections it takes.
@@ -217,8 +221,8 @@ def periodic_tail_sections(draw, order=None, values=None):
 @st.composite
 def same_order_tail_sections(draw, max_n=120, max_sections=4, values=None):
     """Periodic-tail sections of one order, each with its own head length,
-    so the common head is longer than some and the tails differ in parity,
-    and each with its own scale (or ``values``, as in
+    so the common head is longer than some and the periodic runs differ in
+    parity, and each with its own scale (or ``values``, as in
     ``periodic_tail_sections``)."""
     n = draw(st.integers(1, max_n))
     return [draw(periodic_tail_sections(order=n, values=values)) for _ in range(draw(st.integers(1, max_sections)))]
@@ -274,7 +278,8 @@ def test_sturm_counts_nondecreasing_in_shift(ms, xs):
         assert all(c0 <= c1 for c0, c1 in zip(scalar, scalar[1:]))
 
 
-# a head of three rows and a tail of five, whose last period is half done
+# a periodic run of five last rows after a head of three, so that the
+# run's first row joins the head and the tail is two whole periods
 ODD_TAIL = TridiagonalSymmetricMatrix(
     diag=np.array([0.5, -2.0, 3.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]),
     offdiag=np.array([1.0, 0.0, 2.0, 0.25, 0.5, 0.25, 0.5, 0.25]),
@@ -361,12 +366,13 @@ def test_zero_pivots_count_as_in_plain_python(ms, xs, later):
 def test_rows_split_at_the_longest_periodic_run(ms):
     # the tail of _rows starts at the first row of the longest run of last
     # rows that each equal the row two after them, where -0.0 == 0.0, and
-    # holds at least two rows; a section of order 1 or 2 has no tail
+    # that holds an even number of rows, at least two; a section of order 1
+    # or 2 has no tail
     diag, off2 = kernel_args(*ms)[:2]
     for d, e in zip(diag.tolist(), off2.tolist()):
         n = len(d)
         periodic = [d[i] == d[i + 2] and e[i - 1] == e[i + 1] for i in range(n - 2)]
-        start = min((s for s in range(1, n - 1) if all(periodic[s:])), default=n)
+        start = min((s for s in range(1, n - 1) if all(periodic[s:]) and (n - s) % 2 == 0), default=n)
         head, tail = list(zip(d[1:start], e[: start - 1])), tuple(zip(d[start : start + 2], e[start - 1 : start + 1]))
         assert repr(_kernels._rows(d, e)) == repr((d[0], head, tail, n - start))
 
@@ -653,7 +659,7 @@ def test_phase_guesses_equal_the_lockstep_guesses(f, half_n, where):
     m = 1 + round(where * (k - 2))
     scale = max(abs(lo), abs(hi))
     e = math.frexp(scale)[1]
-    want = _tail.guesses(diag, off2, np.array([scale]), k, np.array([m]))[0]
+    want = _tail.guesses(diag, off2, np.array([e]), k, np.array([m]))[0]
     unit = _tail.scaled(rows, e)
     got = [math.nan if g is None else math.ldexp(g, e) for s in (-1.0, 1.0) for g in _tail.phase_guesses(unit, s, m)]
     assert np.isfinite(got).tolist() == np.isfinite(want).tolist()
@@ -808,7 +814,7 @@ ALTERNATING_ZEROS = TridiagonalSymmetricMatrix(
 )
 
 
-# an order-9 section with a head of one row
+# an order-9 section whose periodic run of seven rows follows one head row
 ODD_TAIL_SHORT_HEAD = TridiagonalSymmetricMatrix(
     diag=np.array([0.5, *[1.0, -1.0] * 4]), offdiag=np.array([1.0, *[0.5, 0.25] * 3, 0.5])
 )
@@ -875,21 +881,21 @@ def test_arrays_from_rows_equal_family_and_householder_sections_bitwise(ms):
     ms=st.one_of(same_order_tail_sections(max_n=60), same_order_tail_sections(max_n=12, values=SMALL_INTEGERS)),
     xs=st.lists(entries, max_size=8),
 )
-# with ODD_TAIL's head of three rows, the period is read from row 5, one
-# past the later tail start
+# both periodic runs give their first row to the head: ODD_TAIL's tail
+# starts at row 5, the other's at row 3, and the period is read from row 5
 @example(ms=[ODD_TAIL, ODD_TAIL_SHORT_HEAD], xs=[])
 @example(ms=FIGURE_3_SECTIONS[:3], xs=[])
 def test_head_and_period_count_equals_the_full_walk_bitwise(ms, xs):
     # the lockstep stages count from the arrays of each section's head and
-    # first tail period, whatever the heads of the other sections and the
-    # parity of the rows after the latest tail start; the count must be
-    # bitwise the walk of every row and the plain-Python count
+    # first tail period, from the latest tail start, whatever the heads of
+    # the other sections; the count must be bitwise the walk of every row
+    # and the plain-Python count
     diag, off2 = kernel_args(*ms)[:2]
     n = diag.shape[1]
     rows = [_kernels._rows(d, e) for d, e in zip(diag.tolist(), off2.tolist())]
     short = _kernels._arrays(rows)
     h = short[0].shape[1] - 2
-    assert (n - h) % 2 == 0 and tail_start(diag, off2) <= h <= tail_start(diag, off2) + 1
+    assert (n - h) % 2 == 0 and h == tail_start(diag, off2)
     eigs = sections_eigenvalues_at(ms, np.arange(n)).ravel()
     x = np.unique(np.concatenate([xs, eigs, np.nextafter(eigs, -np.inf), np.nextafter(eigs, np.inf)]))
     x = np.tile(x, (len(ms), 1))
@@ -1132,6 +1138,32 @@ def test_rho_numeric_certifies_its_exterior_eigenvalues(monkeypatch, name):
     bisected = bisected_lanes(monkeypatch)
     rho_numeric(make_family(name, 1.2, 0.7), 2000)
     assert len(asked) >= 1 and sum(bisected) <= MAX_BISECTED
+
+
+# two-constant (omega, theta), order and index of exterior eigenvalues whose
+# gap, narrowed by counts to the index alone, has an end within rounding of
+# an eigenvalue, so the last minor's sign there is not to be trusted; the
+# middle gap of the first two is symmetric about 0, its first midpoint
+@pytest.mark.parametrize(
+    "omega, theta, n, j",
+    [
+        (2.766450978318492, 2.7349463437555923, 1984, 991),
+        (2.3497271196238496, 1.3904546248806602, 1972, 985),
+        (2.1870549982788337, 1.7306444517623152, 654, 327),
+        (2.973865883377624, 1.363774517826222, 688, 343),
+        (2.973865883377624, 1.363774517826222, 688, 344),
+    ],
+)
+def test_exterior_guess_halves_past_an_end_at_an_eigenvalue(monkeypatch, omega, theta, n, j):
+    # counts keep halving the gap until the last minor changes sign across
+    # it, or it is one leaf wide, so the lane settles without bisection and
+    # gives plain bisection's bits
+    rows, lo, hi, tol = analysis._family_sections(PairFamily.two_constant(omega, theta), n)[0]
+    steps = _kernels.halvings(lo, hi, tol)
+    want = _kernels._bisect_py(rows, lo, hi, steps, [j])
+    bisected = bisected_lanes(monkeypatch)
+    assert np.array(_kernels.bisect_rows(rows, lo, hi, steps, [j])).tobytes() == np.array(want).tobytes()
+    assert sum(bisected) == 0
 
 
 @pytest.mark.parametrize("name", FAMILIES)
